@@ -15,6 +15,8 @@ from pathlib import Path
 SPEC_PATH = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 WORKLOADS = ("opt_flow", "mc_spatial", "service_mix")
 TAIL_MIN_BEYOND = 10
+# CPU seconds of one host_probe() call on the reference VM (avx512, 4 vCPUs).
+HOST_PROBE_NOMINAL_S = 0.009
 
 
 def load_spec():
@@ -113,10 +115,16 @@ def untraced(rec):
 
 
 def adjusted(op, busy):
-    """Wall time of an op minus the CPU time the hypervisor stole from the
-    VM meanwhile, shared over the `busy` threads the op keeps running.  On
-    an oversubscribed host steal swings raw walls by 2x between runs; with
-    no steal reported this is the raw wall."""
+    """Time of an op with the host's interference taken out.  An op that
+    keeps one thread busy is timed by the CPU time its process spent on it:
+    the kernel leaves out the steal and the time other tasks held the CPU,
+    which /proc/stat's VM-wide steal cannot attribute to one thread.  An op
+    on several threads is its wall minus the steal the VM reported
+    meanwhile, shared over the `busy` threads.  On an oversubscribed host
+    steal swings raw walls by 2x between runs; with no steal reported this
+    is the raw wall."""
+    if busy == 1 and "cpu_s" in op:
+        return op["cpu_s"]
     return max(0.0, op["latency_s"] - op["steal_s"] / busy)
 
 
@@ -164,34 +172,63 @@ def timed_record(workload, records):
     return records[1] if workload == "opt_flow" else records[max(records)]
 
 
+def host_speed(samples):
+    """Factor that brings times to the reference host speed: the probe's
+    nominal time over the median of its `samples`, taken around those
+    times (host_probe.cpp); 1 without samples.  The host's speed drifts by
+    up to 40% over minutes with its neighbours' load, which steal
+    accounting cannot see (the CPU time of a 1-thread call grows with its
+    wall) and which the probe, a fixed kernel built apart from the library,
+    follows (README.md, "Timing rule").  Per-layer metrics stay raw."""
+    return HOST_PROBE_NOMINAL_S / median(samples) if samples else 1.0
+
+
+def record_speed(rec):
+    """host_speed() of a record's timed calls: opt_flow and mc_spatial
+    probe the host between them; service_mix only around its in-process
+    reference (wall_1t_s)."""
+    return host_speed(rec["layer"].get("host_probe_s"))
+
+
 def workload_metrics(workload, records, tally):
     """End-to-end metrics of one untraced run.  `records` maps thread
     count -> runner record: {N, 1} for opt_flow and mc_spatial, {1} for
     service_mix (whose 1-thread runner hosts the fleet and the in-process
-    reference).  Every timing is steal-adjusted (see adjusted())."""
+    reference).  Every timing is steal-adjusted (see adjusted()) and scaled
+    to the reference host speed where the record probed it (see
+    record_speed())."""
     rec = timed_record(workload, records)
     busy = rec["busy_threads"]
     ops = untraced(rec)
-    lat = adjusted_all(ops, busy)
+    speed = record_speed(rec)
+    lat = [t * speed for t in adjusted_all(ops, busy)]
     by_kind = {}
     for o, t in zip(ops, lat):
         by_kind.setdefault(o["kind"], []).append(t)
     # Time of the run's calls from per-kind medians: robust to steal bursts
     # that the adjustment misses.
     robust_total = sum(len(v) * median(v) for v in by_kind.values())
-    m = {"setup_s": median(adjusted_all(rec["setup"], setup_busy(rec))),
+    m = {"setup_s":
+         speed * median(adjusted_all(rec["setup"], setup_busy(rec))),
          "peak_rss_mb": max(r["peak_rss_mb"] for r in records.values())}
     if workload == "opt_flow":
-        m["wall_s"] = m["wall_1t_s"] = median(passes(rec, busy=1))
+        # One pass: the median Table II call plus the median Table III call.
+        m["wall_s"] = m["wall_1t_s"] = sum(median(v) for v in by_kind.values())
     elif workload == "mc_spatial":
         m["wall_s"] = median(lat)
-        m["wall_1t_s"] = median(adjusted_all(untraced(records[1]), 1))
+        m["wall_1t_s"] = record_speed(records[1]) * median(
+            adjusted_all(untraced(records[1]), 1))
     else:
         m["wall_s"] = robust_total
-        m["wall_1t_s"] = (rec["layer"]["local_reference_s"]
-                          - rec["layer"]["local_reference_steal_s"])
+        m["wall_1t_s"] = (rec["layer"]["local_reference_cpu_s"] * host_speed(
+            rec["layer"]["local_reference_probe_s"]))
     m["req_per_s"] = len(lat) / robust_total
-    m["req_p50_ms"] = 1e3 * median(lat)
+    # opt_flow's calls are two flows of different lengths in equal numbers:
+    # the median of all calls would sit between the slowest Table II and
+    # the fastest Table III call, so its typical call is the mean of the
+    # two flows' medians.
+    m["req_p50_ms"] = 1e3 * (robust_total / len(lat) if workload == "opt_flow"
+                             else median(lat))
     m["ok_frac"] = 1.0 - tally.fail_frac
     return m
 

@@ -16,6 +16,7 @@
 // the record carries both walls for obs.overhead_frac.  The benchmark only
 // observes: traced results are checked bitwise against untraced ones.
 #include <sys/resource.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -52,6 +53,8 @@
 #include "stats/lanes.h"
 #include "stats/rng.h"
 #include "stats/simd.h"
+
+#include "host_probe.h"
 
 namespace {
 
@@ -274,6 +277,14 @@ double steal_s() {
                   : 0.0;
 }
 
+/// CPU time of the whole process, all threads (excludes steal where the
+/// kernel accounts it, CONFIG_PARAVIRT_TIME_ACCOUNTING).
+double process_cpu_s() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 /// One user-level call in the timed flow (a flow, an MC run, a request).
 struct Op {
   std::string kind;
@@ -281,19 +292,23 @@ struct Op {
   bool traced = false;
   std::string digest;
   double steal_s = 0.0;  ///< VM steal over the call, all CPUs summed
+  double cpu_s = 0.0;    ///< CPU time of this process over the call
 };
 
-/// Times `fn` (which returns the result digest) as one op: its wall and
-/// the VM steal around it, both read outside the timed interval's body.
+/// Times `fn` (which returns the result digest) as one op: its wall, the
+/// process CPU time and the VM steal around it, all read outside the timed
+/// interval's body.
 template <class Fn>
 Op timed(std::string kind, bool traced, Fn&& fn) {
   Op op;
   op.kind = std::move(kind);
   op.traced = traced;
   const double st0 = steal_s();
+  const double c0 = process_cpu_s();
   const std::int64_t t0 = now_ns();
   op.digest = fn();
   op.latency_s = seconds_since(t0);
+  op.cpu_s = process_cpu_s() - c0;
   op.steal_s = steal_s() - st0;
   return op;
 }
@@ -307,6 +322,7 @@ std::string ops_json(const std::vector<Op>& ops) {
                         .b("traced", o.traced)
                         .str("digest", o.digest)
                         .f("steal_s", o.steal_s)
+                        .f("cpu_s", o.cpu_s)
                         .json());
   return array(items);
 }
@@ -339,6 +355,21 @@ struct Args {
 int reps(const Args& a, int workload_default) {
   return a.setup_reps > 0 ? a.setup_reps : workload_default;
 }
+
+/// Host-speed probe (README.md, "Timing rule"): CPU seconds per
+/// host_probe() call, sampled between timed calls, never inside one.
+struct HostProbe {
+  std::vector<double> samples;
+  double sink = 0.0;
+
+  void sample() {
+    for (int i = 0; i < 10; ++i) {
+      const double c0 = process_cpu_s();
+      sink += statbench::host_probe();
+      samples.push_back(process_cpu_s() - c0);
+    }
+  }
+};
 
 /// What a workload hands back to main() for the record.
 struct Record {
@@ -537,13 +568,24 @@ Record run_opt_flow(const Args& a, Checks& ck) {
   const std::vector<std::string> names(std::begin(kOptStages),
                                        std::end(kOptStages));
   std::vector<sp::netlist::Netlist> pristine;
-  // Setup is netlist synthesis alone, so it is repeated enough times for a
-  // steady median.
-  for (int i = 0; i < reps(a, 15); ++i)
+  auto setup = [&] {
     rec.setup.push_back(timed("setup", false, [&] {
       pristine = synth(names);
       return std::string();
     }));
+  };
+  for (int i = 0; i < reps(a, 1); ++i) setup();
+
+  // Between timed calls: the host-speed probe and more set-up repetitions.
+  // Set-up is netlist synthesis alone (a few ms); repeated across the run,
+  // its median covers the host's state over the run, not over its first
+  // few ms.
+  HostProbe probe;
+  auto between_calls = [&] {
+    probe.sample();
+    if (a.setup_reps == 0)
+      for (int i = 0; i < 4; ++i) setup();
+  };
 
   auto pass = [&](bool traced) {
     g_tracer.enable(traced);
@@ -566,6 +608,7 @@ Record run_opt_flow(const Args& a, Checks& ck) {
         else rec.quality.f("t3_area_pct", out.area_pct);
       }
       rec.ops.push_back(op);
+      if (!traced) between_calls();
     }
     g_tracer.enable(false);
     sp::obs::set_enabled(false);
@@ -588,6 +631,7 @@ Record run_opt_flow(const Args& a, Checks& ck) {
               rec.ops[i].digest == rec.ops[i % 2].digest,
               rec.ops[i].digest + " vs " + rec.ops[i % 2].digest);
   rec.layer.u("sta.grid_lanes", g_grid_lanes.load());
+  rec.layer.raw("host_probe_s", num_array(probe.samples));
   rec.peak_rss_mb = rss_mb(RUSAGE_SELF);
   return rec;
 }
@@ -650,6 +694,7 @@ Record run_mc_spatial(const Args& a, Checks& ck) {
   exec.samples_per_shard = 256;
 
   sp::stats::RunningStats pooled;
+  HostProbe probe;
   std::size_t run_index = 0;
   auto one_run = [&](bool traced) {
     sp::stats::Rng rng(splitmix(a.seed ^ splitmix(run_index)));
@@ -663,8 +708,10 @@ Record run_mc_spatial(const Args& a, Checks& ck) {
     d.blob(sp::dist::serialize_mc_result(r));
     rec.ops.push_back(op);
     rec.ops.back().digest = d.hex();
-    if (!traced)
+    if (!traced) {
       for (double x : r.tp_samples) pooled.add(x);
+      probe.sample();
+    }
     ++run_index;
   };
 
@@ -733,6 +780,7 @@ Record run_mc_spatial(const Args& a, Checks& ck) {
   ck.expect("mc_sigma_matches_model", std::fabs(sd - g.sigma) <= sd_tol,
             fmt("mc %.4f vs model %.4f ps, tol %.4f", sd, g.sigma, sd_tol));
   rec.layer.u("mc.dies_per_run", kMcDies);
+  rec.layer.raw("host_probe_s", num_array(probe.samples));
   rec.peak_rss_mb = rss_mb(RUSAGE_SELF);
   return rec;
 }
@@ -905,16 +953,20 @@ Record run_service_mix(const Args& a, Checks& ck) {
 
   // Reference: every distinct request recomputed in-process by
   // run_local_task on this process's pool (1 thread), outside the loop.
+  // Its CPU time is summed per request so that the host-speed probe can
+  // run between requests, outside the timing.
   std::size_t mismatches = 0;
-  const Op ref_op = timed("local_reference", false, [&] {
-    for (std::size_t u = 0; u < sq.unique.size(); ++u) {
-      const sp::dist::TaskResult ref = sp::dist::run_local_task(sq.unique[u]);
-      if (!sp::dist::bitwise_equal(ref, first[u])) ++mismatches;
-    }
-    return std::string();
-  });
-  rec.layer.f("local_reference_s", ref_op.latency_s);
-  rec.layer.f("local_reference_steal_s", ref_op.steal_s);
+  double ref_cpu_s = 0.0;
+  HostProbe probe;
+  for (std::size_t u = 0; u < sq.unique.size(); ++u) {
+    const double c0 = process_cpu_s();
+    const sp::dist::TaskResult ref = sp::dist::run_local_task(sq.unique[u]);
+    ref_cpu_s += process_cpu_s() - c0;
+    if (!sp::dist::bitwise_equal(ref, first[u])) ++mismatches;
+    if (u % 10 == 0) probe.sample();
+  }
+  rec.layer.f("local_reference_cpu_s", ref_cpu_s);
+  rec.layer.raw("local_reference_probe_s", num_array(probe.samples));
   rec.layer.u("local_reference_requests", sq.unique.size());
   ck.expect("service_results_bitwise_vs_run_local_task", mismatches == 0,
             std::to_string(mismatches) + " of " +

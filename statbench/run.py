@@ -95,6 +95,7 @@ def source_digest():
     h = hashlib.sha256()
     files = sorted(p for p in (ROOT / "src").rglob("*") if p.is_file())
     files += [ROOT / "CMakeLists.txt", HERE / "flows.cpp",
+              HERE / "host_probe.cpp", HERE / "host_probe.h",
               HERE / "CMakeLists.txt"]
     for p in files:
         h.update(str(p.relative_to(ROOT)).encode())
@@ -185,6 +186,9 @@ def main():
         spec_metrics = spec["end_to_end"]
 
     env = environment(rec, n)
+    timed = rec if args.trace else bench.timed_record(w, records)
+    if "host_probe_s" in timed["layer"]:
+        env["host_speed"] = round(bench.record_speed(timed), 4)
     print("-- environment: " + ", ".join(f"{k}={v}" for k, v in env.items()))
     print_table(f"{w} seed {seed} "
                 f"({'per-layer' if args.trace else 'end-to-end'})",

@@ -41,7 +41,9 @@ def service_record(n_requests):
                 "grid_miss" if i % 10 == 0 else "mc_miss")
         ops.append(op(kind, 0.001 * (i + 1)))
     return record("service_mix", ops, threads=1,
-                  layer={"local_reference_s": 3.0, "mc_dies_per_miss": 2048})
+                  layer={"local_reference_cpu_s": 3.0,
+                         "local_reference_probe_s": [],
+                         "mc_dies_per_miss": 2048})
 
 
 class PercentileRule(unittest.TestCase):
@@ -68,6 +70,11 @@ class StealAdjustment(unittest.TestCase):
                                0.8)
         self.assertAlmostEqual(bench.adjusted(op("mc", 1.0, steal=0.2), 1),
                                0.8)
+
+    def test_one_thread_op_is_timed_by_its_cpu_time(self):
+        o = dict(op("table2", 1.5, steal=0.2), cpu_s=1.1)
+        self.assertAlmostEqual(bench.adjusted(o, 1), 1.1)
+        self.assertAlmostEqual(bench.adjusted(o, 4), 1.45)
 
     def test_tick_larger_than_a_short_op_clamps_at_zero(self):
         self.assertEqual(bench.adjusted(op("hit", 4e-5, steal=0.01), 3), 0.0)
@@ -152,11 +159,22 @@ class Schema(unittest.TestCase):
         for r in recs.values():
             tally.add_record(r)
         m = bench.workload_metrics("opt_flow", recs, tally)
-        self.assertAlmostEqual(m["wall_s"], 5.0)  # 1-thread passes 5.0, 5.0
+        # Median 1-thread Table II (2.1) + median Table III (3.0, 3.1 - 0.3).
+        self.assertAlmostEqual(m["wall_s"], 5.0)
+        self.assertAlmostEqual(m["req_p50_ms"], 2500.0)
         line = bench.result_line(tally, m, self.spec["end_to_end"])
         self.assertEqual(bench.validate_result(line, self.spec["end_to_end"]),
                          [])
         self.assertTrue(all(v["value"] != 0 for v in line["metrics"].values()))
+
+    def test_opt_flow_times_are_scaled_to_the_nominal_host_speed(self):
+        recs = self.opt_records()
+        probe = 2 * bench.HOST_PROBE_NOMINAL_S
+        recs[1]["layer"]["host_probe_s"] = [probe, probe, 3 * probe]
+        m = bench.workload_metrics("opt_flow", recs, bench.Tally())
+        self.assertAlmostEqual(m["wall_s"], 2.5)  # host ran at half speed
+        self.assertAlmostEqual(m["req_per_s"], 0.8)
+        self.assertAlmostEqual(m["setup_s"], 0.2)
 
     def test_per_layer_line_matches_spec(self):
         ops = [op("mc", 1.0), op("mc", 1.2), op("mc", 1.1, traced=True)]
