@@ -6,11 +6,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "dist/workload.h"
 #include "netlist/generators.h"
@@ -20,16 +20,20 @@ extern char** environ;
 
 namespace statpipe::dist {
 
-pid_t spawn_worker_process(const std::string& worker_bin, std::uint16_t port,
-                           bool quiet, const std::string& auth_key,
-                           bool serve) {
+namespace {
+
+// Forks one resident statpipe-worker against `port` (posix_spawn).  A
+// non-empty `auth_key` travels as --key so the worker speaks the service's
+// authenticated wire.  Throws std::runtime_error when the binary cannot
+// be spawned.
+pid_t spawn_worker(const std::string& worker_bin, std::uint16_t port,
+                   bool quiet, const std::string& auth_key) {
   const std::string port_s = std::to_string(port);
-  std::vector<char*> args;
-  args.push_back(const_cast<char*>(worker_bin.c_str()));
-  args.push_back(const_cast<char*>("--port"));
-  args.push_back(const_cast<char*>(port_s.c_str()));
+  std::vector<char*> args{const_cast<char*>(worker_bin.c_str()),
+                          const_cast<char*>("--port"),
+                          const_cast<char*>(port_s.c_str()),
+                          const_cast<char*>("--serve")};
   if (quiet) args.push_back(const_cast<char*>("--quiet"));
-  if (serve) args.push_back(const_cast<char*>("--serve"));
   if (!auth_key.empty()) {
     args.push_back(const_cast<char*>("--key"));
     args.push_back(const_cast<char*>(auth_key.c_str()));
@@ -44,108 +48,63 @@ pid_t spawn_worker_process(const std::string& worker_bin, std::uint16_t port,
   return pid;
 }
 
-TaskResult run_cluster(const RunDescriptor& desc, const ClusterOptions& opt,
-                       RunMetrics* metrics) {
-  if (opt.spawn_workers > 0 && opt.worker_bin.empty())
-    throw std::invalid_argument(
-        "dist: run_cluster with spawn_workers > 0 needs a worker_bin path");
-  Coordinator coord(desc, opt.coordinator);
-  if (opt.on_listening) opt.on_listening(coord.port());
-  std::vector<pid_t> kids;
-  kids.reserve(opt.spawn_workers);
-  TaskResult result;
-  try {
-    for (std::size_t i = 0; i < opt.spawn_workers; ++i) {
-      kids.push_back(spawn_worker_process(opt.worker_bin, coord.port(),
-                                          !opt.coordinator.verbose,
-                                          opt.coordinator.auth_key));
-      obs::log_info("cluster",
-                    "spawned worker pid " + std::to_string(kids.back()),
-                    opt.coordinator.verbose);
-    }
-    result = coord.run();
-  } catch (...) {
-    // A failed run (attempts exhausted, idle timeout) or a mid-fleet
-    // spawn failure must not leak the workers already forked: this is
-    // library code invoked per grid submission inside long-lived
-    // optimizer processes, not a CLI about to exit.  Kill and reap
-    // before rethrowing.
-    for (pid_t pid : kids) ::kill(pid, SIGKILL);
-    for (pid_t pid : kids) {
-      int status = 0;
-      while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-      }
-    }
-    throw;
-  }
-  // Reap spawned workers while draining the listener: a worker slow
-  // enough to connect only after the run ended receives kShutdown from
-  // drain_backlog and exits cleanly instead of hanging in its setup read
-  // (and us in waitpid).  An abnormal exit at this point cannot taint the
-  // result — every unit was validated and reassembled before coord.run()
-  // returned — so it is worth a loud warning, not a discarded run.
+// Reaps every spawned worker.  For the first `grace_ms` the worker winds
+// down on its own — after kShutdown, a worker mid-range finishes its
+// current units first — while the listener backlog keeps draining, so a
+// worker slow enough to connect only now is dismissed with kShutdown
+// instead of hanging in its setup read (and us in waitpid).  Then SIGKILL.
+// grace_ms = 0 is the failure path: a failed spawn or a throwing close
+// kills at once, because this is library code inside long-lived optimizer
+// processes, not a CLI about to exit, and must not leak workers.  An
+// abnormal exit cannot taint a result — every unit was validated and
+// reassembled before submit() returned — so it is a warning, not an error.
+void kill_and_reap(Service& svc, std::vector<pid_t>& kids, int grace_ms,
+                   bool verbose) {
   for (pid_t pid : kids) {
     int status = 0;
-    pid_t got;
-    while ((got = ::waitpid(pid, &status, WNOHANG)) == 0) {
-      coord.drain_backlog();
+    pid_t got = 0;
+    for (int waited_ms = 0; waited_ms < grace_ms; waited_ms += 20) {
+      got = ::waitpid(pid, &status, WNOHANG);
+      if (got != 0) break;
+      svc.drain_backlog();
       ::usleep(20 * 1000);
     }
-    if (got < 0 || !WIFEXITED(status) || WEXITSTATUS(status) != 0)
+    const std::string who = "worker " + std::to_string(pid);
+    if (got == 0) {
+      ::kill(pid, SIGKILL);
+      while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+      }
+      if (grace_ms > 0)
+        obs::log_warn("cluster", who + " ignored shutdown; killed");
+    } else if (got < 0 || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
       obs::log_warn("cluster",
-                    "spawned worker " + std::to_string(pid) +
-                        " exited abnormally after the run completed "
-                        "(result unaffected)");
-    else
-      obs::log_info("cluster", "reaped worker pid " + std::to_string(pid),
-                    opt.coordinator.verbose);
+                    who + " exited abnormally (completed results unaffected)");
+    } else {
+      obs::log_info("cluster", "reaped " + who, verbose);
+    }
   }
-  if (metrics != nullptr) *metrics = coord.metrics();
-  if (opt.on_metrics) opt.on_metrics(coord.metrics());
-  return result;
-}
-
-namespace {
-
-ServiceOptions handle_service_options(const ClusterOptions& opt) {
-  ServiceOptions s;
-  s.bind_host = opt.coordinator.bind_host;
-  s.port = opt.coordinator.port;
-  s.units_per_range = opt.coordinator.units_per_range;
-  s.max_attempts = opt.coordinator.max_attempts;
-  s.idle_timeout_ms = opt.coordinator.idle_timeout_ms;
-  s.read_deadline_ms = opt.coordinator.read_deadline_ms;
-  s.auth_key = opt.coordinator.auth_key;
-  s.cache_max_bytes = opt.cache_max_bytes;
-  s.verbose = opt.coordinator.verbose;
-  return s;
+  kids.clear();
 }
 
 }  // namespace
 
 ClusterHandle::ClusterHandle(ClusterOptions opt)
-    : opt_(std::move(opt)), svc_(handle_service_options(opt_)) {
+    : opt_(std::move(opt)), svc_(opt_.coordinator) {
   if (opt_.spawn_workers > 0 && opt_.worker_bin.empty())
     throw std::invalid_argument(
         "dist: ClusterHandle with spawn_workers > 0 needs a worker_bin path");
-  if (opt_.on_listening) opt_.on_listening(svc_.port());
+  const ServiceOptions& so = opt_.coordinator;
   try {
     for (std::size_t i = 0; i < opt_.spawn_workers; ++i) {
-      kids_.push_back(spawn_worker_process(opt_.worker_bin, svc_.port(),
-                                           !opt_.coordinator.verbose,
-                                           opt_.coordinator.auth_key));
+      kids_.push_back(
+          spawn_worker(opt_.worker_bin, svc_.port(), !so.verbose, so.auth_key));
       obs::log_info("cluster",
                     "spawned resident worker pid " +
                         std::to_string(kids_.back()),
-                    opt_.coordinator.verbose);
+                    so.verbose);
     }
   } catch (...) {
-    for (pid_t pid : kids_) ::kill(pid, SIGKILL);
-    for (pid_t pid : kids_) {
-      int status = 0;
-      while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-      }
-    }
+    kill_and_reap(svc_, kids_, 0, so.verbose);
     throw;
   }
 }
@@ -155,13 +114,7 @@ ClusterHandle::~ClusterHandle() {
     close();
   } catch (...) {
     // Destructor: reap what we can, never throw.
-    for (pid_t pid : kids_) ::kill(pid, SIGKILL);
-    for (pid_t pid : kids_) {
-      int status = 0;
-      while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-      }
-    }
-    kids_.clear();
+    kill_and_reap(svc_, kids_, 0, opt_.coordinator.verbose);
   }
 }
 
@@ -173,9 +126,7 @@ TaskResult ClusterHandle::submit(const RunDescriptor& desc,
   svc_.run([&] { return svc_.local_done(rid); });
   // Snapshot before take: taking (or rethrowing a failure) consumes the
   // request, and the caller gets its accounting either way.
-  const RunMetrics m = svc_.local_metrics(rid);
-  if (metrics != nullptr) *metrics = m;
-  if (opt_.on_metrics) opt_.on_metrics(m);
+  if (metrics != nullptr) *metrics = svc_.local_metrics(rid);
   return svc_.take_local_result(rid);
 }
 
@@ -183,35 +134,8 @@ void ClusterHandle::close() {
   if (closed_) return;
   closed_ = true;
   svc_.shutdown_workers();
-  // Reap with a grace period: a worker mid-range finishes its current
-  // units before it reads the kShutdown, so give it a few seconds before
-  // escalating to SIGKILL.  drain_backlog keeps dismissing stragglers
-  // that only connect now.
-  for (pid_t pid : kids_) {
-    int status = 0;
-    pid_t got = 0;
-    for (int waited_ms = 0; waited_ms < 5000; waited_ms += 20) {
-      got = ::waitpid(pid, &status, WNOHANG);
-      if (got != 0) break;
-      svc_.drain_backlog();
-      ::usleep(20 * 1000);
-    }
-    if (got == 0) {
-      ::kill(pid, SIGKILL);
-      while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-      }
-      obs::log_warn("cluster", "resident worker " + std::to_string(pid) +
-                                   " ignored shutdown; killed");
-    } else if (got < 0 || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      obs::log_warn("cluster",
-                    "resident worker " + std::to_string(pid) +
-                        " exited abnormally (completed results unaffected)");
-    } else {
-      obs::log_info("cluster", "reaped worker pid " + std::to_string(pid),
-                    opt_.coordinator.verbose);
-    }
-  }
-  kids_.clear();
+  svc_.drain_backlog();
+  kill_and_reap(svc_, kids_, 5000, opt_.coordinator.verbose);
 }
 
 std::string workload_name_for(const netlist::Netlist& nl) {
@@ -240,62 +164,23 @@ std::string workload_name_for(const netlist::Netlist& nl) {
   return name;
 }
 
-namespace {
-
-RunDescriptor grid_descriptor_for(const netlist::Netlist& nl,
-                                  const device::AlphaPowerModel& model,
-                                  const std::vector<std::vector<double>>& grid,
-                                  const process::VariationSpec& spec,
-                                  const sta::SstaOptions& sopt) {
-  RunDescriptor desc;
-  desc.task_kind = TaskKind::kSstaGrid;
-  desc.workload = workload_name_for(nl);
-  desc.size_grid = grid;
-  set_descriptor_technology(desc, model.technology());
-  set_descriptor_spec(desc, spec);
-  desc.output_load = sopt.output_load;
-  finalize_descriptor(desc);
-  return desc;
-}
-
-}  // namespace
-
-sta::GridCharacterizer grid_characterizer(ClusterOptions opt) {
-  return [opt = std::move(opt)](
-             const netlist::Netlist& nl, const device::AlphaPowerModel& model,
-             const std::vector<std::vector<double>>& size_grid,
-             const process::VariationSpec& spec, const sta::SstaOptions& sopt)
-             -> std::vector<sta::StageCharacterization> {
-    TaskResult r = run_cluster(
-        grid_descriptor_for(nl, model, size_grid, spec, sopt), opt);
-    return std::move(r.lanes);
-  };
-}
-
 sta::GridCharacterizer grid_characterizer(
-    std::shared_ptr<ClusterHandle> handle) {
-  return [handle = std::move(handle)](
+    std::function<TaskResult(const RunDescriptor&)> submit) {
+  return [submit = std::move(submit), mu = std::make_shared<std::mutex>()](
              const netlist::Netlist& nl, const device::AlphaPowerModel& model,
              const std::vector<std::vector<double>>& size_grid,
              const process::VariationSpec& spec, const sta::SstaOptions& sopt)
              -> std::vector<sta::StageCharacterization> {
-    TaskResult r =
-        handle->submit(grid_descriptor_for(nl, model, size_grid, spec, sopt));
-    return std::move(r.lanes);
-  };
-}
-
-sta::GridCharacterizer grid_characterizer(
-    std::shared_ptr<ServiceClient> client) {
-  return [client = std::move(client)](
-             const netlist::Netlist& nl, const device::AlphaPowerModel& model,
-             const std::vector<std::vector<double>>& size_grid,
-             const process::VariationSpec& spec, const sta::SstaOptions& sopt)
-             -> std::vector<sta::StageCharacterization> {
-    const std::uint64_t id = client->submit(
-        grid_descriptor_for(nl, model, size_grid, spec, sopt));
-    TaskResult r = client->wait(id);
-    return std::move(r.lanes);
+    RunDescriptor desc;
+    desc.task_kind = TaskKind::kSstaGrid;
+    desc.workload = workload_name_for(nl);
+    desc.size_grid = size_grid;
+    set_descriptor_technology(desc, model.technology());
+    set_descriptor_spec(desc, spec);
+    desc.output_load = sopt.output_load;
+    finalize_descriptor(desc);
+    const std::lock_guard<std::mutex> lock(*mu);
+    return submit(desc).lanes;
   };
 }
 

@@ -1,15 +1,14 @@
-// Cluster client: submit a finalized RunDescriptor to a self-hosted
-// coordinator session — optionally forking a localhost worker fleet — and
-// adapt the result back into the shapes the upper layers consume.
+// Cluster host: a dist::Service plus the localhost worker fleet it spawned
+// (ClusterHandle), and the adapter that turns any "submit a descriptor,
+// get its result" function into the shapes the upper layers consume.
 //
 // This is the piece that lets the optimizer layers run their candidate
 // grids on a cluster WITHOUT ever including src/dist: `opt` routes grids
 // through the sta::GridCharacterizer seam (sta/ssta_batch.h), and
 // grid_characterizer() below manufactures a cluster-backed implementation
-// of that seam.  One hook invocation = one coordinator session (bind,
-// serve, reassemble, reap), so every submission carries the full
-// determinism contract: the returned lanes are bitwise-identical to the
-// local SstaBatch path (docs/DETERMINISM.md, tests/test_dist.cpp).
+// of that seam.  Every submission carries the full determinism contract:
+// the returned lanes are bitwise-identical to the local SstaBatch path
+// (docs/DETERMINISM.md, tests/test_dist.cpp).
 //
 // Layer contract (src/dist, see docs/ARCHITECTURE.md): the distributed
 // execution layer sits on top of mc/sta/sim/stats and may depend on all of
@@ -21,11 +20,9 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "dist/coordinator.h"
 #include "dist/service.h"
 #include "dist/task.h"
 #include "netlist/netlist.h"
@@ -34,53 +31,29 @@
 namespace statpipe::dist {
 
 struct ClusterOptions {
-  CoordinatorOptions coordinator;  ///< bind/port, range size, attempts, ...
-  /// Fork this many localhost statpipe-worker processes per submission
-  /// (the one-command cluster).  0 = workers dial in from outside against
-  /// coordinator.port().
+  /// The hosted service: bind/port, range size, attempts, deadlines, wire
+  /// key, result-cache bound.
+  ServiceOptions coordinator;
+  /// Fork this many localhost statpipe-worker processes (the one-command
+  /// cluster).  0 = workers dial in from outside against port().
   std::size_t spawn_workers = 0;
-  std::string worker_bin;          ///< required when spawn_workers > 0
-  /// Result-cache byte bound for ClusterHandle fleets (0 disables; the
-  /// one-shot run_cluster path never caches).  An identical resubmission
-  /// — same canonical descriptor bytes, same root_seed — is answered from
-  /// memory, byte-identical to a recompute.
-  std::size_t cache_max_bytes = std::size_t{64} << 20;
-  /// Called with the bound port right after the listener binds and before
-  /// the run blocks — how a caller with spawn_workers == 0 learns the
-  /// ephemeral port to announce to externally started workers.
-  std::function<void(std::uint16_t)> on_listening;
-  /// Called once per completed coordinator session with that session's
-  /// RunMetrics.  Callers that submit many sessions through one
-  /// ClusterOptions (grid_characterizer makes one session per grid) use
-  /// this to aggregate what run_cluster's out-param can only report for a
-  /// single call.
-  std::function<void(const RunMetrics&)> on_metrics;
+  std::string worker_bin;  ///< required when spawn_workers > 0
 };
 
-/// Forks one statpipe-worker process against `port` (posix_spawn).  A
-/// non-empty `auth_key` travels as `--key` so spawned workers speak the
-/// coordinator's authenticated wire; `serve` adds `--serve`, making the
-/// worker reconnect and serve again after the service drops it (the
-/// resident-fleet daemon mode).  Throws std::runtime_error when the
-/// binary cannot be spawned.
-pid_t spawn_worker_process(const std::string& worker_bin, std::uint16_t port,
-                           bool quiet, const std::string& auth_key = "",
-                           bool serve = false);
-
 /// A RESIDENT cluster: one Service and one spawned worker fleet that stay
-/// up across any number of submit() calls — what the optimizer's probe
-/// grids use so they stop paying spawn/reap (and workload re-setup) per
-/// grid.  submit() drives the service event loop on the CALLING thread
-/// until that descriptor completes, so the handle adds no threads of its
-/// own; it is not safe for concurrent submit() from multiple threads.
-/// close() winds the fleet down (kShutdown, then reap — SIGKILL after a
-/// grace period); the destructor closes if the caller did not.  The
-/// one-shot run_cluster below is the spawn-per-submission wrapper kept
-/// for single runs.
+/// up across any number of submit() calls — one-shot runs, the optimizer's
+/// probe grids (no spawn/reap or workload re-setup per grid; repeated
+/// grids hit the result cache) and the --serve daemon alike.  Spawned
+/// workers run with --serve, so a worker whose session ends by disconnect
+/// dials back in.  submit() and serve() drive the service event loop on
+/// the CALLING thread, so the handle adds no threads of its own; it is not
+/// safe for concurrent calls from multiple threads.  close() winds the
+/// fleet down (kShutdown, then reap — SIGKILL after a grace period); the
+/// destructor closes if the caller did not.
 class ClusterHandle {
  public:
   /// Binds, spawns the fleet, returns immediately (workers connect in the
-  /// background — the first submit() admits them).
+  /// background — the first submit() or serve() admits them).
   explicit ClusterHandle(ClusterOptions opt);
   ~ClusterHandle();
   ClusterHandle(const ClusterHandle&) = delete;
@@ -96,10 +69,16 @@ class ClusterHandle {
   TaskResult submit(const RunDescriptor& desc, std::uint32_t priority = 0,
                     RunMetrics* metrics = nullptr);
 
+  /// Serves remote clients (ServiceClient sessions) over the fleet until
+  /// `until` returns true — Service::run on the hosted service.
+  void serve(const std::function<bool()>& until) { svc_.run(until); }
+
   /// Service-wide totals (cache hits, per-session fair-share units, ...).
   ServiceStats stats() const { return svc_.stats(); }
 
-  /// Shuts the fleet down and reaps it; idempotent.
+  /// Shuts the fleet down, dismisses any connection still waiting in the
+  /// listener backlog (even with no spawned workers, so a late external
+  /// worker gets kShutdown instead of waiting) and reaps; idempotent.
   void close();
 
  private:
@@ -108,20 +87,6 @@ class ClusterHandle {
   std::vector<pid_t> kids_;
   bool closed_ = false;
 };
-
-/// One full coordinator session for a finalized descriptor: bind, spawn
-/// the requested local workers, serve until every unit arrived, then reap
-/// the spawned workers while draining the listener backlog.  Throws
-/// std::runtime_error when the run itself fails (range attempts
-/// exhausted, idle timeout) — spawned workers are killed and reaped
-/// before the rethrow.  A worker that exits abnormally AFTER the run
-/// completed does not discard the result (every unit was already
-/// validated and reassembled); it is reported on stderr instead.
-/// A non-null `metrics` receives the session's RunMetrics (ranges,
-/// retries, forfeits, staging high-water, wall time) on success — how
-/// statpipe-run prints its per-run dist block without obs being enabled.
-TaskResult run_cluster(const RunDescriptor& desc, const ClusterOptions& opt,
-                       RunMetrics* metrics = nullptr);
 
 /// The registry workload name for a netlist the cluster can rebuild:
 /// strips the generator's "_like" suffix from nl.name(), re-synthesizes
@@ -134,24 +99,16 @@ std::string workload_name_for(const netlist::Netlist& nl);
 /// Cluster-backed sta::GridCharacterizer: each invocation packages the
 /// grid as a kSstaGrid RunDescriptor (workload_name_for identity check;
 /// spec, output_load and the model's technology copied into the
-/// descriptor), finalizes it and runs one cluster session.  Plug it into
+/// descriptor), finalizes it and hands it to `submit` — a ClusterHandle's
+/// submit, or a ServiceClient's submit + wait.  Plug it into
 /// opt::SweepOptions::grid / opt::GlobalOptimizerOptions::grid to farm
 /// candidate grids out; results are bitwise-identical to leaving the hook
-/// empty.
-sta::GridCharacterizer grid_characterizer(ClusterOptions opt);
-
-/// Same contract, but every grid rides the RESIDENT fleet behind `handle`
-/// instead of binding/spawning/reaping per invocation — repeated probe
-/// grids also hit the handle's result cache.  The handle is shared
-/// because sta::GridCharacterizer must be copyable.
+/// empty.  The optimizer calls the hook from several threads at once (its
+/// per-stage sweeps run in parallel) and neither ClusterHandle nor
+/// ServiceClient is thread-safe, so calls into `submit` are serialized by
+/// a mutex that every copy of the returned hook shares; the descriptor is
+/// built outside it.
 sta::GridCharacterizer grid_characterizer(
-    std::shared_ptr<ClusterHandle> handle);
-
-/// Same contract against a REMOTE service this process does not host:
-/// each grid becomes one kSubmit on the client's session and blocks until
-/// its kRequestDone.  (ServiceClient is not thread-safe; callers fanning
-/// out across threads need one client each.)
-sta::GridCharacterizer grid_characterizer(
-    std::shared_ptr<ServiceClient> client);
+    std::function<TaskResult(const RunDescriptor&)> submit);
 
 }  // namespace statpipe::dist

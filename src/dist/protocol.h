@@ -56,7 +56,7 @@
 // coordinator and only committed when the range's kRangeDone arrives with
 // the right echo and count — a worker that dies, stalls or turns hostile
 // mid-range forfeits everything it streamed, and the whole range is
-// re-queued (bounded by CoordinatorOptions::max_attempts).  Committed
+// re-queued (bounded by ServiceOptions::max_attempts).  Committed
 // units fold in ascending unit index with bounded memory — for
 // Monte-Carlo the same left fold the local engine applies (a contiguous
 // prefix is folded into one accumulator as it completes), for SSTA grids

@@ -9,8 +9,8 @@
 //     session id is rejected, which is what defeats cross-session replay
 //     of captured authenticated frames (the HMAC key is shared, so the
 //     MAC alone cannot tell connections apart);
-//   * REQUESTS — one submitted descriptor each, local (submit_local, the
-//     Coordinator wrapper's path) or remote (kSubmit from a client), with
+//   * REQUESTS — one submitted descriptor each, local (submit_local,
+//     ClusterHandle's path) or remote (kSubmit from a client), with
 //     per-request fold state, RunMetrics, status and result blob;
 //   * the SCHEDULER (dist/scheduler.h) — priority + per-session
 //     fair-share interleaving of all requests' unit ranges over the
@@ -24,7 +24,12 @@
 // run, but every request's result bytes equal its single-process local
 // reference — each request folds its own committed units in ascending
 // unit order exactly as the v3 single-run coordinator did, and streams
-// from different requests never mix (frames are request-scoped).
+// from different requests never mix (frames are request-scoped).  For
+// Monte-Carlo, shard boundaries and RNG stream ids depend only on
+// (root_seed, n_samples, samples_per_shard), which workers receive in the
+// descriptor, and the fold is the local engine's ascending left fold; SSTA
+// grid lanes carry no random state and replay the scalar path's exact
+// floating-point sequence, so positional placement is trivially bitwise.
 //
 // Failure semantics per worker are unchanged from v3: a worker that
 // disconnects, errors, stalls past the read deadline or violates the
@@ -73,8 +78,12 @@ struct ServiceOptions {
   /// Progress bound, 0 = wait forever: no event at all for this long
   /// while requests are outstanding fails every outstanding request.
   int idle_timeout_ms = 0;
-  /// Per-connection read deadline on every admitted peer (0 = none); see
-  /// CoordinatorOptions::read_deadline_ms for the slow-loris rationale.
+  /// Per-connection read deadline on every admitted peer (0 = none).  A
+  /// peer that goes silent — or drips bytes — mid-frame forfeits its range
+  /// after this long instead of wedging run() (Socket::set_read_deadline_ms
+  /// bounds even slow-loris drips).  30 s is long enough for any
+  /// legitimate frame on a LAN and short enough that a stalled peer cannot
+  /// hold a range hostage.
   int read_deadline_ms = 30000;
   /// Shared wire-key passphrase ("" = authentication disabled).
   std::string auth_key;
@@ -84,11 +93,11 @@ struct ServiceOptions {
 };
 
 /// Always-on per-REQUEST accounting, surfaced by Service::local_metrics /
-/// Coordinator::metrics / run_cluster's out-param, and shipped to remote
-/// clients inside kRequestDone (queue wait + cache flag).  Plain counters
-/// on the event-loop control path — deterministic except the wall-clock
-/// fields — so they are safe to report unconditionally, unlike the obs
-/// counters which only accumulate while telemetry is enabled.
+/// ClusterHandle::submit's out-param, and shipped to remote clients inside
+/// kRequestDone (queue wait + cache flag).  Plain counters on the
+/// event-loop control path — deterministic except the wall-clock fields —
+/// so they are safe to report unconditionally, unlike the obs counters
+/// which only accumulate while telemetry is enabled.
 struct RunMetrics {
   std::size_t units = 0;            ///< plan size (task units)
   std::size_t ranges = 0;           ///< ranges the plan was cut into
@@ -130,9 +139,9 @@ class Service {
 
   std::uint16_t port() const noexcept { return listener_.port(); }
 
-  /// Submits a descriptor from inside this process (the Coordinator /
-  /// ClusterHandle path) and returns its request id.  Validates like the
-  /// v3 coordinator did — unfinalized descriptor, invalid plan,
+  /// Submits a descriptor from inside this process (the ClusterHandle
+  /// path) and returns its request id.  Validates like the v3 coordinator
+  /// did — unfinalized descriptor, invalid plan,
   /// unsatisfiable units_per_range and oversize unit payloads all throw
   /// std::invalid_argument before any worker sees anything.  A result
   /// cache hit completes the request immediately.
@@ -160,8 +169,10 @@ class Service {
   void shutdown_workers();
 
   /// Accepts and politely dismisses (kShutdown) every connection waiting
-  /// in the listener backlog, without blocking — see
-  /// Coordinator::drain_backlog for the reap-loop rationale.
+  /// in the listener backlog, without blocking.  An owner that spawned
+  /// worker PROCESSES keeps calling this while reaping them, so a worker
+  /// slow enough to connect only after the work ended is turned away
+  /// instead of hanging in its setup read.
   void drain_backlog();
 
   std::size_t requests_completed() const noexcept {

@@ -158,9 +158,11 @@ class GateLevelMonteCarlo {
   process::VariationSpec spec_;
   device::LatchModel latch_;
   sta::StaOptions sta_opt_;
-  process::VariationSampler sampler_;          // all sites, all stages
+  // site_maps_ and latch_sites_ come before sampler_: the sampler's
+  // initializer fills them from the same layout pass that yields its sites.
   std::vector<std::vector<std::size_t>> site_maps_;  // per stage: gate -> site
   std::vector<std::size_t> latch_sites_;       // site of each stage's latch
+  process::VariationSampler sampler_;          // all sites, all stages
   mutable sim::WorkspacePool<ShardScratch> scratch_;  // sim-owned workspaces
 };
 

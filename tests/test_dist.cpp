@@ -16,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <latch>
 #include <random>
 #include <string>
 #include <thread>
@@ -23,9 +24,9 @@
 #include <vector>
 
 #include "dist/cluster.h"
-#include "dist/coordinator.h"
 #include "dist/hmac.h"
 #include "dist/serialize.h"
+#include "dist/service.h"
 #include "dist/task.h"
 #include "dist/transport.h"
 #include "dist/worker.h"
@@ -104,15 +105,25 @@ pid_t spawn_saboteur_process(std::uint16_t port, const std::string& mode,
   return rc == 0 ? pid : -1;
 }
 
-// Reaps a spawned worker while draining the coordinator's listener
-// backlog, so a worker that connected only after the run completed is
-// dismissed with kShutdown instead of hanging in its setup read.
-void reap(sp::dist::Coordinator& coord, pid_t pid, int expect_status = 0) {
+// Serves one local request to completion the way a one-shot run does:
+// run until it is done, send kShutdown to the connected workers, dismiss
+// any straggler waiting in the backlog, take the result.
+sp::dist::TaskResult run_request(sp::dist::Service& svc, std::uint64_t rid) {
+  svc.run([&] { return svc.local_done(rid); });
+  svc.shutdown_workers();
+  svc.drain_backlog();
+  return svc.take_local_result(rid);
+}
+
+// Reaps a spawned worker while draining the service's listener backlog,
+// so a worker that connected only after the run completed is dismissed
+// with kShutdown instead of hanging in its setup read.
+void reap(sp::dist::Service& svc, pid_t pid, int expect_status = 0) {
   if (pid < 0) return;
   int status = 0;
   pid_t got;
   while ((got = ::waitpid(pid, &status, WNOHANG)) == 0) {
-    coord.drain_backlog();
+    svc.drain_backlog();
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   ASSERT_EQ(got, pid);
@@ -345,12 +356,13 @@ TEST(DistEngine, ShardRangeValidatesUpFront) {
 
 TEST(DistCoordinator, ValidatesRangeSizeUpFront) {
   auto desc = small_descriptor("c432", 1024, 128);  // 8 shards
-  sp::dist::CoordinatorOptions opt;
+  sp::dist::ServiceOptions opt;
   opt.units_per_range = 9;  // more than the plan holds
-  EXPECT_THROW(sp::dist::Coordinator(desc, opt), std::invalid_argument);
+  sp::dist::Service svc(opt);
+  EXPECT_THROW(svc.submit_local(desc), std::invalid_argument);
   opt.units_per_range = 0;
   opt.max_attempts = 0;
-  EXPECT_THROW(sp::dist::Coordinator(desc, opt), std::invalid_argument);
+  EXPECT_THROW(sp::dist::Service{opt}, std::invalid_argument);
 }
 
 // The acceptance contract: a c3540-class run split across TWO worker
@@ -358,16 +370,17 @@ TEST(DistCoordinator, ValidatesRangeSizeUpFront) {
 // single-process, single-thread run at the same seed.
 TEST(DistEndToEnd, TwoWorkerProcessesMatchLocalBitwise) {
   const auto desc = small_descriptor("c3540", 1024, 128);  // 8 shards
-  sp::dist::CoordinatorOptions opt;
+  sp::dist::ServiceOptions opt;
   opt.units_per_range = 2;  // 4 assignments across 2 workers
   opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::Service svc(opt);
+  const std::uint64_t rid = svc.submit_local(desc);
 
-  const pid_t w1 = spawn_worker_process(coord.port());
-  const pid_t w2 = spawn_worker_process(coord.port());
-  const sp::mc::McResult dist_result = coord.run().mc;
-  reap(coord, w1);
-  reap(coord, w2);
+  const pid_t w1 = spawn_worker_process(svc.port());
+  const pid_t w2 = spawn_worker_process(svc.port());
+  const sp::mc::McResult dist_result = run_request(svc, rid).mc;
+  reap(svc, w1);
+  reap(svc, w2);
 
   // Single-process, single-thread reference.
   const auto wl = sp::dist::Workload::make(desc);
@@ -383,12 +396,13 @@ TEST(DistEndToEnd, TwoWorkerProcessesMatchLocalBitwise) {
 // run.
 TEST(DistEndToEnd, SingleWorkerProcessMatchesLocalBitwise) {
   const auto desc = small_descriptor("c432", 512, 64);  // 8 shards
-  sp::dist::CoordinatorOptions opt;
+  sp::dist::ServiceOptions opt;
   opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
-  const pid_t w1 = spawn_worker_process(coord.port());
-  const sp::mc::McResult dist_result = coord.run().mc;
-  reap(coord, w1);
+  sp::dist::Service svc(opt);
+  const std::uint64_t rid = svc.submit_local(desc);
+  const pid_t w1 = spawn_worker_process(svc.port());
+  const sp::mc::McResult dist_result = run_request(svc, rid).mc;
+  reap(svc, w1);
   EXPECT_TRUE(sp::dist::bitwise_equal(dist_result, sp::dist::run_local(desc)));
 }
 
@@ -399,18 +413,19 @@ TEST(DistEndToEnd, SingleWorkerProcessMatchesLocalBitwise) {
 // healthy worker exists.
 TEST(DistEndToEnd, WorkerFailureReassignmentStaysBitwiseIdentical) {
   const auto desc = small_descriptor("c432", 1024, 128);
-  sp::dist::CoordinatorOptions opt;
+  sp::dist::ServiceOptions opt;
   opt.units_per_range = 2;
   opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::Service svc(opt);
+  const std::uint64_t rid = svc.submit_local(desc);
 
   sp::mc::McResult dist_result;
-  std::thread serving([&] { dist_result = coord.run().mc; });
+  std::thread serving([&] { dist_result = run_request(svc, rid).mc; });
 
   // Saboteur (inline): hello, read setup, accept one assignment, vanish
   // without producing it.
   {
-    auto sock = sp::dist::connect_to("127.0.0.1", coord.port());
+    auto sock = sp::dist::connect_to("127.0.0.1", svc.port());
     sp::dist::ByteWriter hello;
     hello.u16(sp::dist::kWireVersion);
     hello.u64(1);
@@ -424,9 +439,9 @@ TEST(DistEndToEnd, WorkerFailureReassignmentStaysBitwiseIdentical) {
     sock.close();  // forfeits the range
   }
 
-  const pid_t w1 = spawn_worker_process(coord.port());
+  const pid_t w1 = spawn_worker_process(svc.port());
   serving.join();
-  reap(coord, w1);
+  reap(svc, w1);
   EXPECT_TRUE(sp::dist::bitwise_equal(dist_result, sp::dist::run_local(desc)));
 }
 
@@ -434,24 +449,25 @@ TEST(DistEndToEnd, WorkerFailureReassignmentStaysBitwiseIdentical) {
 // nothing; the run completes on the healthy worker that arrives after.
 TEST(DistEndToEnd, WorkloadRejectionIsReportedNotFatal) {
   const auto desc = small_descriptor("c432", 256, 64);
-  sp::dist::CoordinatorOptions opt;
+  sp::dist::ServiceOptions opt;
   opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::Service svc(opt);
+  const std::uint64_t rid = svc.submit_local(desc);
 
   sp::mc::McResult dist_result;
-  std::thread serving([&] { dist_result = coord.run().mc; });
+  std::thread serving([&] { dist_result = run_request(svc, rid).mc; });
 
   sp::dist::WorkerOptions wopt;
-  wopt.port = coord.port();
+  wopt.port = svc.port();
   const std::size_t done = sp::dist::run_worker(
       wopt, [](const sp::dist::RunDescriptor&) -> sp::dist::UnitRangeRunner {
         throw std::invalid_argument("injected workload failure");
       });
   EXPECT_EQ(done, 0u);
 
-  const pid_t w1 = spawn_worker_process(coord.port());
+  const pid_t w1 = spawn_worker_process(svc.port());
   serving.join();
-  reap(coord, w1);
+  reap(svc, w1);
   EXPECT_TRUE(sp::dist::bitwise_equal(dist_result, sp::dist::run_local(desc)));
 }
 
@@ -605,16 +621,17 @@ TEST(DistCluster, WorkloadNameForVerifiesStructure) {
 // configs.
 TEST(DistEndToEnd, TwoWorkerSstaGridMatchesLocalBatchBitwise) {
   const auto desc = grid_descriptor("c432", 6);
-  sp::dist::CoordinatorOptions opt;
+  sp::dist::ServiceOptions opt;
   opt.units_per_range = 2;  // 3 assignments across 2 workers
   opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::Service svc(opt);
+  const std::uint64_t rid = svc.submit_local(desc);
 
-  const pid_t w1 = spawn_worker_process(coord.port());
-  const pid_t w2 = spawn_worker_process(coord.port());
-  const sp::dist::TaskResult dist_result = coord.run();
-  reap(coord, w1);
-  reap(coord, w2);
+  const pid_t w1 = spawn_worker_process(svc.port());
+  const pid_t w2 = spawn_worker_process(svc.port());
+  const sp::dist::TaskResult dist_result = run_request(svc, rid);
+  reap(svc, w1);
+  reap(svc, w2);
 
   ASSERT_EQ(dist_result.kind, sp::dist::TaskKind::kSstaGrid);
   ASSERT_EQ(dist_result.lanes.size(), desc.size_grid.size());
@@ -643,12 +660,13 @@ TEST(DistEndToEnd, NonDefaultTechnologyCrossesTheWire) {
   auto desc = grid_descriptor("c432", 4);
   sp::dist::set_descriptor_technology(desc, tech);
 
-  sp::dist::CoordinatorOptions opt;
+  sp::dist::ServiceOptions opt;
   opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
-  const pid_t w1 = spawn_worker_process(coord.port());
-  const sp::dist::TaskResult dist_result = coord.run();
-  reap(coord, w1);
+  sp::dist::Service svc(opt);
+  const std::uint64_t rid = svc.submit_local(desc);
+  const pid_t w1 = spawn_worker_process(svc.port());
+  const sp::dist::TaskResult dist_result = run_request(svc, rid);
+  reap(svc, w1);
 
   const sp::device::AlphaPowerModel model{tech};
   const auto nl = sp::netlist::iscas_like("c432");
@@ -671,16 +689,17 @@ TEST(DistEndToEnd, NonDefaultTechnologyCrossesTheWire) {
 // the reassigned reassembly is still bitwise-identical.
 TEST(DistEndToEnd, SstaGridWorkerFailureReassignmentStaysBitwise) {
   const auto desc = grid_descriptor("c432", 8);
-  sp::dist::CoordinatorOptions opt;
+  sp::dist::ServiceOptions opt;
   opt.units_per_range = 2;
   opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::Service svc(opt);
+  const std::uint64_t rid = svc.submit_local(desc);
 
   sp::dist::TaskResult dist_result;
-  std::thread serving([&] { dist_result = coord.run(); });
+  std::thread serving([&] { dist_result = run_request(svc, rid); });
 
   {
-    auto sock = sp::dist::connect_to("127.0.0.1", coord.port());
+    auto sock = sp::dist::connect_to("127.0.0.1", svc.port());
     sp::dist::ByteWriter hello;
     hello.u16(sp::dist::kWireVersion);
     hello.u64(1);
@@ -694,9 +713,9 @@ TEST(DistEndToEnd, SstaGridWorkerFailureReassignmentStaysBitwise) {
     sock.close();  // forfeits the lane range
   }
 
-  const pid_t w1 = spawn_worker_process(coord.port());
+  const pid_t w1 = spawn_worker_process(svc.port());
   serving.join();
-  reap(coord, w1);
+  reap(svc, w1);
   EXPECT_TRUE(
       sp::dist::bitwise_equal(dist_result, sp::dist::run_local_task(desc)));
 }
@@ -718,7 +737,7 @@ TEST(DistEndToEnd, DistributedSweepWithWorkerFailureMatchesLocalBitwise) {
   sp::netlist::Netlist nl_local = sp::netlist::iscas_like("c432");
   const auto local = sp::opt::area_delay_sweep(nl_local, model, spec, sw);
 
-  // Cluster-backed sweep: the hook runs one coordinator session per grid,
+  // Cluster-backed sweep: the hook serves each grid on its own Service,
   // sabotaged by a fake worker that takes a range and dies before two
   // healthy worker processes finish the job.
   sw.grid = [](const sp::netlist::Netlist& nl,
@@ -735,15 +754,16 @@ TEST(DistEndToEnd, DistributedSweepWithWorkerFailureMatchesLocalBitwise) {
     d.output_load = sopt.output_load;
     sp::dist::finalize_descriptor(d);
 
-    sp::dist::CoordinatorOptions copt;
+    sp::dist::ServiceOptions copt;
     copt.units_per_range = 2;
     copt.idle_timeout_ms = 120000;
-    sp::dist::Coordinator coord(d, copt);
+    sp::dist::Service svc(copt);
+    const std::uint64_t rid = svc.submit_local(d);
 
     sp::dist::TaskResult res;
-    std::thread serving([&] { res = coord.run(); });
+    std::thread serving([&] { res = run_request(svc, rid); });
     {
-      auto sock = sp::dist::connect_to("127.0.0.1", coord.port());
+      auto sock = sp::dist::connect_to("127.0.0.1", svc.port());
       sp::dist::ByteWriter hello;
       hello.u16(sp::dist::kWireVersion);
       hello.u64(1);
@@ -756,11 +776,11 @@ TEST(DistEndToEnd, DistributedSweepWithWorkerFailureMatchesLocalBitwise) {
       EXPECT_TRUE(assign && assign->type == sp::dist::MsgType::kAssign);
       sock.close();  // forfeits the range
     }
-    const pid_t w1 = spawn_worker_process(coord.port());
-    const pid_t w2 = spawn_worker_process(coord.port());
+    const pid_t w1 = spawn_worker_process(svc.port());
+    const pid_t w2 = spawn_worker_process(svc.port());
     serving.join();
-    reap(coord, w1);
-    reap(coord, w2);
+    reap(svc, w1);
+    reap(svc, w2);
     return res.lanes;
   };
   sp::netlist::Netlist nl_dist = sp::netlist::iscas_like("c432");
@@ -772,8 +792,9 @@ TEST(DistEndToEnd, DistributedSweepWithWorkerFailureMatchesLocalBitwise) {
   EXPECT_EQ(nl_dist.sizes(), nl_local.sizes());
 }
 
-// The public cluster API end to end: grid_characterizer + run_cluster
-// spawn-and-reap their own localhost fleet and match the local sweep.
+// The public cluster API end to end: grid_characterizer over a
+// ClusterHandle that spawns and reaps its own localhost fleet matches the
+// local sweep.
 TEST(DistEndToEnd, ClusterGridCharacterizerMatchesLocalSweep) {
   const sp::device::AlphaPowerModel model{sp::process::Technology{}};
   sp::process::VariationSpec spec;
@@ -789,11 +810,79 @@ TEST(DistEndToEnd, ClusterGridCharacterizerMatchesLocalSweep) {
   cl.coordinator.idle_timeout_ms = 120000;
   cl.spawn_workers = 2;
   cl.worker_bin = STATPIPE_WORKER_BIN;
-  sw.grid = sp::dist::grid_characterizer(cl);
+  sp::dist::ClusterHandle handle(cl);
+  sw.grid = sp::dist::grid_characterizer(
+      [&](const sp::dist::RunDescriptor& d) { return handle.submit(d); });
   sp::netlist::Netlist nl_dist = sp::netlist::iscas_like("c880");
   const auto dist_sweep = sp::opt::area_delay_sweep(nl_dist, model, spec, sw);
 
   EXPECT_TRUE(sp::opt::bitwise_equal(dist_sweep, local));
+}
+
+// The optimizer runs its per-stage sweeps in parallel, so one cluster
+// hook sees concurrent calls: four threads, four circuits, one handle,
+// all released at once, six grids each.  The hook serializes them onto
+// the handle, and every result is the local batch's bytes.  Unserialized,
+// one caller's event loop can consume another's frames and strand it in
+// poll until the idle timeout: that fails its request, or at least costs
+// the full timeout, which the elapsed-time check catches.
+TEST(DistEndToEnd, ConcurrentGridHookCallsMatchLocalBitwise) {
+  constexpr int kIdleMs = 20000;
+  sp::dist::ClusterOptions cl;
+  cl.coordinator.idle_timeout_ms = kIdleMs;
+  cl.spawn_workers = 2;
+  cl.worker_bin = STATPIPE_WORKER_BIN;
+  sp::dist::ClusterHandle handle(cl);
+  const sp::sta::GridCharacterizer hook = sp::dist::grid_characterizer(
+      [&](const sp::dist::RunDescriptor& d) { return handle.submit(d); });
+
+  const sp::device::AlphaPowerModel model{sp::process::Technology{}};
+  sp::process::VariationSpec spec;
+  spec.sigma_vth_inter = 0.020;
+  spec.sigma_vth_systematic = 0.0;
+  const sp::sta::SstaOptions sopt;
+  const std::vector<std::string> names = {"c880", "c1355", "c1908", "c2670"};
+  constexpr std::size_t kRounds = 6;
+  std::vector<sp::netlist::Netlist> nls;
+  for (const std::string& name : names)
+    nls.push_back(sp::netlist::iscas_like(name));
+  // Caller i's round-r grid: eight scaled lanes, distinct per round so no
+  // call is answered from the result cache.
+  auto grid_for = [&](std::size_t i, std::size_t r) {
+    std::vector<std::vector<double>> grid(8, nls[i].sizes());
+    for (std::size_t k = 0; k < grid.size(); ++k)
+      for (double& s : grid[k])
+        s *= 1.0 + 0.1 * static_cast<double>(k) + 0.01 * static_cast<double>(r);
+    return grid;
+  };
+
+  std::vector<std::vector<std::vector<sp::sta::StageCharacterization>>> got(
+      names.size(), decltype(got)::value_type(kRounds));
+  std::latch start(static_cast<std::ptrdiff_t>(names.size()));
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < names.size(); ++i)
+    callers.emplace_back([&, i] {
+      start.arrive_and_wait();
+      try {
+        for (std::size_t r = 0; r < kRounds; ++r)
+          got[i][r] = hook(nls[i], model, grid_for(i, r), spec, sopt);
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << names[i] << ": " << e.what();
+      }
+    });
+  for (std::thread& t : callers) t.join();
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count(),
+            kIdleMs);
+
+  for (std::size_t i = 0; i < names.size(); ++i)
+    for (std::size_t r = 0; r < kRounds; ++r)
+      EXPECT_TRUE(sp::dist::bitwise_equal(
+          got[i][r], sp::sta::characterize_grid(nls[i], model, grid_for(i, r),
+                                                spec, sopt)))
+          << names[i] << " round " << r;
 }
 
 // ------------------------------------------------------- hmac primitives
@@ -1200,20 +1289,21 @@ TEST(DistFaultMatrix, ByteExactDisconnectsAlwaysReassign) {
                                  hello_bytes + 120};
   for (const std::size_t budget : budgets) {
     SCOPED_TRACE("send budget " + std::to_string(budget));
-    sp::dist::CoordinatorOptions opt;
+    sp::dist::ServiceOptions opt;
     opt.units_per_range = 2;
     opt.idle_timeout_ms = 120000;
-    sp::dist::Coordinator coord(desc, opt);
+    sp::dist::Service svc(opt);
+    const std::uint64_t rid = svc.submit_local(desc);
     sp::dist::TaskResult dist_result;
-    std::thread serving([&] { dist_result = coord.run(); });
+    std::thread serving([&] { dist_result = run_request(svc, rid); });
     sp::dist::testing::FaultPlan plan;
     plan.send_byte_budget = budget;
-    std::thread faulty([&, port = coord.port()] { faulty_worker(port, plan); });
+    std::thread faulty([&, port = svc.port()] { faulty_worker(port, plan); });
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    const pid_t w = spawn_worker_process(coord.port());
+    const pid_t w = spawn_worker_process(svc.port());
     serving.join();
     faulty.join();
-    reap(coord, w);
+    reap(svc, w);
     EXPECT_TRUE(sp::dist::bitwise_equal(dist_result, local));
   }
 }
@@ -1222,16 +1312,17 @@ TEST(DistFaultMatrix, ByteExactDisconnectsAlwaysReassign) {
 // nothing: the run completes bitwise-identical through 3-byte chunks.
 TEST(DistFaultMatrix, ChunkedAndDelayedIoStaysBitwise) {
   const auto desc = small_descriptor();
-  sp::dist::CoordinatorOptions opt;
+  sp::dist::ServiceOptions opt;
   opt.units_per_range = 3;
   opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::Service svc(opt);
+  const std::uint64_t rid = svc.submit_local(desc);
   sp::dist::TaskResult dist_result;
-  std::thread serving([&] { dist_result = coord.run(); });
+  std::thread serving([&] { dist_result = run_request(svc, rid); });
   sp::dist::testing::FaultPlan plan;
   plan.max_chunk = 3;
   plan.delay_us_per_chunk = 50;
-  std::thread chunked([&, port = coord.port()] { faulty_worker(port, plan); });
+  std::thread chunked([&, port = svc.port()] { faulty_worker(port, plan); });
   serving.join();
   chunked.join();
   EXPECT_TRUE(
@@ -1243,51 +1334,54 @@ TEST(DistFaultMatrix, ChunkedAndDelayedIoStaysBitwise) {
 TEST(DistEndToEnd, AuthenticatedTwoWorkerRunMatchesLocalBitwise) {
   const std::string key = "e2e-wire-key";
   const auto desc = small_descriptor();
-  sp::dist::CoordinatorOptions opt;
+  sp::dist::ServiceOptions opt;
   opt.units_per_range = 2;
   opt.idle_timeout_ms = 120000;
   opt.auth_key = key;
-  sp::dist::Coordinator coord(desc, opt);
-  const pid_t w1 = spawn_worker_process(coord.port(), key);
-  const pid_t w2 = spawn_worker_process(coord.port(), key);
-  const sp::dist::TaskResult dist_result = coord.run();
-  reap(coord, w1);
-  reap(coord, w2);
+  sp::dist::Service svc(opt);
+  const std::uint64_t rid = svc.submit_local(desc);
+  const pid_t w1 = spawn_worker_process(svc.port(), key);
+  const pid_t w2 = spawn_worker_process(svc.port(), key);
+  const sp::dist::TaskResult dist_result = run_request(svc, rid);
+  reap(svc, w1);
+  reap(svc, w2);
   EXPECT_TRUE(
       sp::dist::bitwise_equal(dist_result, sp::dist::run_local_task(desc)));
 }
 
 TEST(DistEndToEnd, MismatchedKeyWorkerIsRejectedAndRunStillCompletes) {
   const auto desc = small_descriptor();
-  sp::dist::CoordinatorOptions opt;
+  sp::dist::ServiceOptions opt;
   opt.units_per_range = 2;
   opt.idle_timeout_ms = 120000;
   opt.auth_key = "right-key";
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::Service svc(opt);
+  const std::uint64_t rid = svc.submit_local(desc);
   // The wrong-key worker's hello fails MAC verification at admission; it
   // sees the connection close and exits 1 ("coordinator sent no setup").
-  const pid_t bad = spawn_worker_process(coord.port(), "wrong-key");
-  const pid_t good = spawn_worker_process(coord.port(), "right-key");
-  const sp::dist::TaskResult dist_result = coord.run();
-  reap(coord, bad, 1);
-  reap(coord, good);
+  const pid_t bad = spawn_worker_process(svc.port(), "wrong-key");
+  const pid_t good = spawn_worker_process(svc.port(), "right-key");
+  const sp::dist::TaskResult dist_result = run_request(svc, rid);
+  reap(svc, bad, 1);
+  reap(svc, good);
   EXPECT_TRUE(
       sp::dist::bitwise_equal(dist_result, sp::dist::run_local_task(desc)));
 }
 
 TEST(DistEndToEnd, AuthenticatedWorkerAgainstPlainCoordinatorIsRejected) {
   const auto desc = small_descriptor();
-  sp::dist::CoordinatorOptions opt;
+  sp::dist::ServiceOptions opt;
   opt.units_per_range = 2;
   opt.idle_timeout_ms = 120000;  // no auth_key: plain wire
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::Service svc(opt);
+  const std::uint64_t rid = svc.submit_local(desc);
   // Symmetric strictness: an authenticated hello at a keyless coordinator
   // is a loud config mismatch, not an ignored trailer.
-  const pid_t keyed = spawn_worker_process(coord.port(), "stray-key");
-  const pid_t plain = spawn_worker_process(coord.port());
-  const sp::dist::TaskResult dist_result = coord.run();
-  reap(coord, keyed, 1);
-  reap(coord, plain);
+  const pid_t keyed = spawn_worker_process(svc.port(), "stray-key");
+  const pid_t plain = spawn_worker_process(svc.port());
+  const sp::dist::TaskResult dist_result = run_request(svc, rid);
+  reap(svc, keyed, 1);
+  reap(svc, plain);
   EXPECT_TRUE(
       sp::dist::bitwise_equal(dist_result, sp::dist::run_local_task(desc)));
 }
@@ -1299,13 +1393,14 @@ TEST(DistEndToEnd, AuthenticatedWorkerAgainstPlainCoordinatorIsRejected) {
 // the bounded accumulator — bitwise-identical to the local run.
 TEST(DistEndToEnd, LargeStreamedRangeSingleWorkerMatchesLocalBitwise) {
   const auto desc = small_descriptor("c432", 4096, 64);  // 64 units
-  sp::dist::CoordinatorOptions opt;
+  sp::dist::ServiceOptions opt;
   opt.units_per_range = 64;  // a single streamed assignment
   opt.idle_timeout_ms = 120000;
-  sp::dist::Coordinator coord(desc, opt);
-  const pid_t w = spawn_worker_process(coord.port());
-  const sp::dist::TaskResult dist_result = coord.run();
-  reap(coord, w);
+  sp::dist::Service svc(opt);
+  const std::uint64_t rid = svc.submit_local(desc);
+  const pid_t w = spawn_worker_process(svc.port());
+  const sp::dist::TaskResult dist_result = run_request(svc, rid);
+  reap(svc, w);
   EXPECT_TRUE(
       sp::dist::bitwise_equal(dist_result, sp::dist::run_local_task(desc)));
 }
@@ -1325,19 +1420,20 @@ TEST(DistChaos, SaboteurMatrixOnPlainWireNeverPoisonsTheRun) {
                          "garbage",  "dup-unit", "replay"};
   for (const char* mode : modes) {
     SCOPED_TRACE(mode);
-    sp::dist::CoordinatorOptions opt;
+    sp::dist::ServiceOptions opt;
     opt.units_per_range = 2;
     opt.idle_timeout_ms = 120000;
-    sp::dist::Coordinator coord(desc, opt);
+    sp::dist::Service svc(opt);
+    const std::uint64_t rid = svc.submit_local(desc);
     sp::dist::TaskResult dist_result;
-    std::thread serving([&] { dist_result = coord.run(); });
+    std::thread serving([&] { dist_result = run_request(svc, rid); });
     // Saboteur first, so it wins a range assignment to attack with.
-    const pid_t sab = spawn_saboteur_process(coord.port(), mode);
+    const pid_t sab = spawn_saboteur_process(svc.port(), mode);
     std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    const pid_t w = spawn_worker_process(coord.port());
+    const pid_t w = spawn_worker_process(svc.port());
     serving.join();
-    reap(coord, sab);
-    reap(coord, w);
+    reap(svc, sab);
+    reap(svc, w);
     EXPECT_TRUE(sp::dist::bitwise_equal(dist_result, local));
   }
 }
@@ -1349,21 +1445,22 @@ TEST(DistChaos, AuthenticatedWireRejectsTamperedAndUnauthenticatedPeers) {
   const char* modes[] = {"tampered-hmac", "unauthenticated"};
   for (const char* mode : modes) {
     SCOPED_TRACE(mode);
-    sp::dist::CoordinatorOptions opt;
+    sp::dist::ServiceOptions opt;
     opt.units_per_range = 2;
     opt.idle_timeout_ms = 120000;
     opt.auth_key = key;
-    sp::dist::Coordinator coord(desc, opt);
+    sp::dist::Service svc(opt);
+    const std::uint64_t rid = svc.submit_local(desc);
     sp::dist::TaskResult dist_result;
-    std::thread serving([&] { dist_result = coord.run(); });
+    std::thread serving([&] { dist_result = run_request(svc, rid); });
     const bool sab_has_key = std::string(mode) == "tampered-hmac";
-    const pid_t sab = spawn_saboteur_process(coord.port(), mode,
+    const pid_t sab = spawn_saboteur_process(svc.port(), mode,
                                              sab_has_key ? key : "");
     std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    const pid_t w = spawn_worker_process(coord.port(), key);
+    const pid_t w = spawn_worker_process(svc.port(), key);
     serving.join();
-    reap(coord, sab);
-    reap(coord, w);
+    reap(svc, sab);
+    reap(svc, w);
     EXPECT_TRUE(sp::dist::bitwise_equal(dist_result, local));
   }
 }
@@ -1374,20 +1471,21 @@ TEST(DistChaos, AuthenticatedWireRejectsTamperedAndUnauthenticatedPeers) {
 // instead of wedging on the silent connection.
 TEST(DistChaos, StalledPeerForfeitsRangeViaReadDeadline) {
   const auto desc = small_descriptor();
-  sp::dist::CoordinatorOptions opt;
+  sp::dist::ServiceOptions opt;
   opt.units_per_range = 2;
   opt.idle_timeout_ms = 120000;
   opt.read_deadline_ms = 1500;
-  sp::dist::Coordinator coord(desc, opt);
+  sp::dist::Service svc(opt);
+  const std::uint64_t rid = svc.submit_local(desc);
   sp::dist::TaskResult dist_result;
   const auto t0 = std::chrono::steady_clock::now();
-  std::thread serving([&] { dist_result = coord.run(); });
-  const pid_t sab = spawn_saboteur_process(coord.port(), "stall");
+  std::thread serving([&] { dist_result = run_request(svc, rid); });
+  const pid_t sab = spawn_saboteur_process(svc.port(), "stall");
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  const pid_t w = spawn_worker_process(coord.port());
+  const pid_t w = spawn_worker_process(svc.port());
   serving.join();
   const auto elapsed = std::chrono::steady_clock::now() - t0;
-  reap(coord, w);
+  reap(svc, w);
   // The stalled saboteur holds its connection open until killed.
   ::kill(sab, SIGKILL);
   int status = 0;

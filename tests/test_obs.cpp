@@ -280,9 +280,11 @@ TEST_F(ObsTest, EnabledDisabledBitwiseInvarianceMatrix) {
 }
 
 // Process-count leg of the matrix: a 2-worker cluster run with telemetry
-// fully enabled on the coordinator side reassembles to the exact bytes of
+// fully enabled on the service side reassembles to the exact bytes of
 // both the local reference and a telemetry-off cluster run.  Also checks
-// the always-on RunMetrics accounting a healthy run must report.
+// the always-on RunMetrics accounting a healthy run must report.  Each leg
+// gets a fresh handle: a shared one would answer the second leg from its
+// result cache, and the counters below count computed work.
 TEST_F(ObsTest, TwoProcessClusterBitwiseInvariant) {
   const auto desc = small_descriptor();
   const sp::mc::McResult local = sp::dist::run_local(desc);
@@ -292,15 +294,19 @@ TEST_F(ObsTest, TwoProcessClusterBitwiseInvariant) {
   opt.worker_bin = STATPIPE_WORKER_BIN;
   opt.coordinator.units_per_range = 2;
   opt.coordinator.idle_timeout_ms = 120000;
+  auto run_leg = [&](sp::dist::RunMetrics* rm) {
+    sp::dist::ClusterHandle handle(opt);
+    return handle.submit(desc, 0, rm);
+  };
 
   sp::obs::set_enabled(false);
   sp::dist::RunMetrics rm_off;
-  const sp::dist::TaskResult off = sp::dist::run_cluster(desc, opt, &rm_off);
+  const sp::dist::TaskResult off = run_leg(&rm_off);
 
   sp::obs::set_enabled(true);
   sp::obs::reset();
   sp::dist::RunMetrics rm_on;
-  const sp::dist::TaskResult on = sp::dist::run_cluster(desc, opt, &rm_on);
+  const sp::dist::TaskResult on = run_leg(&rm_on);
   const auto snap = sp::obs::snapshot();
   sp::obs::set_enabled(false);
 

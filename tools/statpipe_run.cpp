@@ -42,18 +42,11 @@
 // into a CLIENT of such a service: the same --task/--workload flags
 // describe the run, but it is submitted over the wire and the result
 // (with cache/queue accounting) comes back on this session.
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "dist/cluster.h"
 #include "dist/task.h"
@@ -68,22 +61,24 @@ namespace {
 namespace sp = statpipe;
 
 // Per-run dist accounting, printed unconditionally after every completed
-// run: RunMetrics is always-on coordinator state, so the block costs
-// nothing extra and needs no telemetry (obs counters stay disabled unless
+// run: RunMetrics is always-on service state, so the block costs nothing
+// extra and needs no telemetry (obs counters stay disabled unless
 // --metrics / STATPIPE_TRACE turned them on).
-void print_dist_metrics(const sp::dist::RunMetrics& m, std::size_t sessions) {
+void print_dist_metrics(const sp::dist::RunMetrics& m, std::size_t requests) {
   std::printf(
       "dist metrics%s: %zu unit(s) in %zu range(s), %zu assign(s) "
       "(%zu retried), %zu commit(s), %zu forfeit(s) (%zu unit(s) "
       "discarded), peak staged %zu, %zu worker(s), queue wait %.1f ms, "
       "cache %zu hit(s) / %zu miss(es), wall %.1f ms\n",
-      sessions > 1 ? (" (" + std::to_string(sessions) + " sessions)").c_str()
+      requests > 1 ? (" (" + std::to_string(requests) + " requests)").c_str()
                    : "",
       m.units, m.ranges, m.assigns, m.retries, m.commits, m.forfeits,
       m.units_discarded, m.peak_staged_units, m.workers_admitted,
       m.queue_wait_ms, m.cache_hits, m.cache_misses, m.wall_ms);
 }
 
+// Sums a sweep's per-grid requests.  They share one resident fleet, so
+// the worker count is the fleet's, not a sum.
 void accumulate(sp::dist::RunMetrics& acc, const sp::dist::RunMetrics& m) {
   acc.units += m.units;
   acc.ranges += m.ranges;
@@ -93,7 +88,7 @@ void accumulate(sp::dist::RunMetrics& acc, const sp::dist::RunMetrics& m) {
   acc.forfeits += m.forfeits;
   acc.units_discarded += m.units_discarded;
   acc.peak_staged_units = std::max(acc.peak_staged_units, m.peak_staged_units);
-  acc.workers_admitted += m.workers_admitted;
+  acc.workers_admitted = std::max(acc.workers_admitted, m.workers_admitted);
   acc.queue_wait_ms += m.queue_wait_ms;
   acc.cache_hits += m.cache_hits;
   acc.cache_misses += m.cache_misses;
@@ -148,6 +143,15 @@ std::string sibling_worker_bin(const char* argv0) {
   return dir + "/statpipe-worker";
 }
 
+// Port announcement is operational output, not verbosity: without
+// --spawn, externally started workers need the (possibly ephemeral) port
+// even under --quiet.
+void announce_port(const sp::dist::ClusterHandle& handle) {
+  std::printf("statpipe-run: listening on port %u\n",
+              static_cast<unsigned>(handle.port()));
+  std::fflush(stdout);
+}
+
 int run_mc(sp::dist::RunDescriptor& desc, const sp::dist::ClusterOptions& cl,
            bool check_local) {
   sp::dist::finalize_descriptor(desc);
@@ -155,8 +159,11 @@ int run_mc(sp::dist::RunDescriptor& desc, const sp::dist::ClusterOptions& cl,
               desc.workload.c_str(),
               static_cast<unsigned long long>(desc.n_samples),
               static_cast<unsigned long long>(desc.seed));
+  sp::dist::ClusterHandle handle(cl);
+  announce_port(handle);
   sp::dist::RunMetrics rm;
-  const sp::dist::TaskResult dist_result = sp::dist::run_cluster(desc, cl, &rm);
+  const sp::dist::TaskResult dist_result = handle.submit(desc, 0, &rm);
+  handle.close();
 
   const sp::stats::Gaussian g = dist_result.mc.tp_estimate();
   std::printf("T_P estimate: mu %.4f ps, sigma %.4f ps over %zu samples\n",
@@ -177,7 +184,7 @@ int run_mc(sp::dist::RunDescriptor& desc, const sp::dist::ClusterOptions& cl,
 }
 
 int run_ssta_sweep(const sp::dist::RunDescriptor& desc, std::size_t points,
-                   sp::dist::ClusterOptions cl, bool check_local) {
+                   const sp::dist::ClusterOptions& cl, bool check_local) {
   const auto names = sp::dist::split_workload_names(desc.workload);
   if (names.size() != 1) {
     std::fprintf(stderr,
@@ -189,30 +196,34 @@ int run_ssta_sweep(const sp::dist::RunDescriptor& desc, std::size_t points,
   const sp::device::AlphaPowerModel model{sp::process::Technology{}};
   const sp::process::VariationSpec spec = sp::dist::descriptor_spec(desc);
 
-  // One coordinator session per grid submission: aggregate their metrics
-  // so the final block covers the whole sweep.
+  std::printf("statpipe-run: ssta-sweep, %s, %zu sweep points\n",
+              desc.workload.c_str(), points);
+  // One resident fleet for the whole sweep; every grid is one request on
+  // it, and their metrics add up so the final block covers the sweep.
+  sp::dist::ClusterHandle handle(cl);
+  announce_port(handle);
   sp::dist::RunMetrics agg;
-  std::size_t sessions = 0;
-  cl.on_metrics = [&](const sp::dist::RunMetrics& m) {
-    accumulate(agg, m);
-    ++sessions;
-  };
-
+  std::size_t requests = 0;
   sp::opt::SweepOptions sw;
   sw.points = points;
   sw.sizer.output_load = desc.output_load;
-  sw.grid = sp::dist::grid_characterizer(cl);
+  sw.grid = sp::dist::grid_characterizer([&](const sp::dist::RunDescriptor& d) {
+    sp::dist::RunMetrics m;
+    sp::dist::TaskResult r = handle.submit(d, 0, &m);
+    accumulate(agg, m);
+    ++requests;
+    return r;
+  });
 
-  std::printf("statpipe-run: ssta-sweep, %s, %zu sweep points\n",
-              desc.workload.c_str(), points);
   sp::netlist::Netlist nl = sp::netlist::iscas_like(names.front());
   const auto dist_sweep = sp::opt::area_delay_sweep(nl, model, spec, sw);
+  handle.close();
   std::printf("area-delay curve: %zu feasible points, fastest D_stat "
               "%.4f ps\n",
               dist_sweep.curve.points().size(), dist_sweep.min_stat_delay);
   for (const auto& p : dist_sweep.curve.points())
     std::printf("  delay %.4f ps  area %.2f\n", p.delay, p.area);
-  print_dist_metrics(agg, sessions);
+  print_dist_metrics(agg, requests);
 
   if (check_local) {
     sp::opt::SweepOptions local_sw = sw;
@@ -239,62 +250,19 @@ int run_ssta_sweep(const sp::dist::RunDescriptor& desc, std::size_t points,
 // code reflects whether any request FAILED — individual request failures
 // are reported to their clients and do not stop the service.
 int run_serve(const sp::dist::ClusterOptions& cl, std::size_t serve_requests) {
-  sp::dist::ServiceOptions so;
-  so.bind_host = cl.coordinator.bind_host;
-  so.port = cl.coordinator.port;
-  so.units_per_range = cl.coordinator.units_per_range;
-  so.max_attempts = cl.coordinator.max_attempts;
-  so.idle_timeout_ms = cl.coordinator.idle_timeout_ms;
-  so.read_deadline_ms = cl.coordinator.read_deadline_ms;
-  so.auth_key = cl.coordinator.auth_key;
-  so.cache_max_bytes = cl.cache_max_bytes;
-  so.verbose = cl.coordinator.verbose;
-
-  sp::dist::Service svc(so);
+  sp::dist::ClusterHandle handle(cl);
   std::printf("statpipe-run: serving on port %u\n",
-              static_cast<unsigned>(svc.port()));
+              static_cast<unsigned>(handle.port()));
   std::fflush(stdout);
-
-  std::vector<pid_t> kids;
-  try {
-    for (std::size_t i = 0; i < cl.spawn_workers; ++i)
-      kids.push_back(sp::dist::spawn_worker_process(
-          cl.worker_bin, svc.port(), !so.verbose, so.auth_key,
-          /*serve=*/true));
-    svc.run([&] {
-      return serve_requests != 0 &&
-             svc.requests_completed() >= serve_requests;
-    });
-  } catch (...) {
-    for (const pid_t kid : kids) ::kill(kid, SIGKILL);
-    int status = 0;
-    for (const pid_t kid : kids) ::waitpid(kid, &status, 0);
-    throw;
-  }
-
+  handle.serve([&] {
+    return serve_requests != 0 &&
+           handle.stats().requests_completed >= serve_requests;
+  });
   // Fleet wind-down: kShutdown ends resident workers (--serve exits on it,
-  // not on disconnect), then reap with a grace period — draining the
-  // backlog throughout so a worker mid-reconnect is dismissed, not hung.
-  svc.shutdown_workers();
-  for (const pid_t kid : kids) {
-    bool reaped = false;
-    for (int waited_ms = 0; waited_ms < 5000; waited_ms += 20) {
-      int status = 0;
-      if (::waitpid(kid, &status, WNOHANG) == kid) {
-        reaped = true;
-        break;
-      }
-      svc.drain_backlog();
-      ::usleep(20 * 1000);
-    }
-    if (!reaped) {
-      ::kill(kid, SIGKILL);
-      int status = 0;
-      ::waitpid(kid, &status, 0);
-    }
-  }
+  // not on disconnect), then reap with a grace period.
+  handle.close();
 
-  const sp::dist::ServiceStats st = svc.stats();
+  const sp::dist::ServiceStats st = handle.stats();
   std::printf(
       "service stats: %zu request(s) submitted, %zu completed (%zu "
       "failed), %zu session(s), %zu worker(s), cache %llu hit(s) / %llu "
@@ -366,11 +334,12 @@ int run_connect_sweep(const sp::dist::RunDescriptor& desc, std::size_t points,
   const sp::device::AlphaPowerModel model{sp::process::Technology{}};
   const sp::process::VariationSpec spec = sp::dist::descriptor_spec(desc);
 
-  auto client = std::make_shared<sp::dist::ServiceClient>(host, port, key);
+  sp::dist::ServiceClient client(host, port, key);
   sp::opt::SweepOptions sw;
   sw.points = points;
   sw.sizer.output_load = desc.output_load;
-  sw.grid = sp::dist::grid_characterizer(client);
+  sw.grid = sp::dist::grid_characterizer(
+      [&](const auto& d) { return client.wait(client.submit(d)); });
 
   std::printf("statpipe-run: ssta-sweep via service at %s:%u, %s, %zu "
               "sweep points\n",
@@ -408,14 +377,6 @@ int main(int argc, char** argv) {
   sp::dist::ClusterOptions cl;
   cl.coordinator.verbose = true;
   cl.worker_bin = sibling_worker_bin(argv[0]);
-  // Port announcement is operational output, not verbosity: without
-  // --spawn, externally started workers need the (possibly ephemeral)
-  // port even under --quiet.
-  cl.on_listening = [](std::uint16_t port) {
-    std::printf("statpipe-run: listening on port %u\n",
-                static_cast<unsigned>(port));
-    std::fflush(stdout);
-  };
   std::string task = "mc";
   std::size_t points = 8;
   bool check_local = false;
