@@ -53,7 +53,8 @@ struct ClusterOptions {
 class ClusterHandle {
  public:
   /// Binds, spawns the fleet, returns immediately (workers connect in the
-  /// background — the first submit() or serve() admits them).
+  /// background — the first submit() or serve() admits them).  Descriptors
+  /// and units_per_range are validated per submit(), so after the spawn.
   explicit ClusterHandle(ClusterOptions opt);
   ~ClusterHandle();
   ClusterHandle(const ClusterHandle&) = delete;

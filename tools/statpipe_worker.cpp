@@ -11,10 +11,11 @@
 //                   [--key PASSPHRASE] [--quiet] [--serve]
 //
 // --serve keeps the daemon resident: when a session ends cleanly
-// (kShutdown or service disconnect) the worker dials back in and serves
-// again, so one fleet outlives any number of service restarts and client
-// submissions; dist::ClusterHandle spawns its fleet this way.  Without it
-// the worker exits after one session.
+// (service disconnect) the worker dials back in and serves again, so one
+// fleet outlives any number of service restarts and client submissions;
+// dist::ClusterHandle spawns its fleet this way.  A kShutdown always
+// exits, with or without --serve — it is how a handle's close() winds its
+// fleet down.  Without --serve the worker exits after one session.
 //
 // Wire authentication: --key (or the STATPIPE_WIRE_KEY environment
 // variable; the flag wins) enables the HMAC-SHA256 frame trailer and must
