@@ -2,12 +2,10 @@
 // speedup, and the determinism proof that makes it free to enable.
 //
 // Workload: the paper's "silicon" reference (section 2.4) on c3540-class
-// synthetic netlists — GateLevelMonteCarlo with inter-die + RDF variation.
-// The systematic spatial field is disabled here on purpose: its per-die
-// Cholesky multiply is O(sites^2), identical on both paths, and would
-// swamp the sampling/STA kernel comparison this bench isolates (the MC
-// engines accept it either way; see fig2_delay_distribution for runs with
-// the field enabled).
+// synthetic netlists — GateLevelMonteCarlo with inter-die, systematic
+// spatial and RDF variation.  The field costs O(sites) per die (see
+// process/variation.h), so it rides along without swamping the
+// sampling/STA kernel comparison this bench isolates.
 //
 // For each circuit the same run (same seed, same shard plan) executes at
 // every block width in {1, 8, 16, 32, 64} the active SIMD backend accepts
@@ -85,9 +83,7 @@ bool bitwise_eq(const sp::mc::McResult& a, const sp::mc::McResult& b) {
 ///                 strided normal_fill_scaled on the same streams, wrapped
 ///                 in a bench-local span so it reads back through the same
 ///                 aggregate plumbing;
-///   chol — mc.chol: the dispatched lower-triangular field multiply, from
-///          a field-enabled clone of the spec (the sweep spec above
-///          disables the field on purpose);
+///   chol — mc.chol: the systematic field's recursion over the sites;
 ///   walk — mc.walk: critical_delay_sample_block over the bound stage;
 ///   fold — mc.fold: the per-lane stats fold + pipeline max.
 /// Each number is the best (minimum) total over kReps instrumented runs,
@@ -118,7 +114,7 @@ PhaseTimes phase_breakdown(const sp::netlist::Netlist& nl,
   const std::size_t n_blocks = kSamples / W;
   sp::stats::Rng root(90210);
   std::vector<sp::stats::Rng> lanes(W, sp::stats::Rng(0));
-  std::vector<double> inter(W), rdf(n_sites * W);
+  std::vector<double> inter(W), field(n_sites * W), rdf(n_sites * W);
   static const sp::obs::SpanId kDrawScalar("bench.draw_scalar");
   pt.draw_scalar_ms = 1e300;
   for (int r = 0; r < kReps; ++r) {
@@ -130,6 +126,7 @@ PhaseTimes phase_breakdown(const sp::netlist::Netlist& nl,
         for (std::size_t j = 0; j < W; ++j) {
           lanes[j].normal_fill_scaled(spec.sigma_vth_inter, inter.data() + j,
                                       1);
+          lanes[j].normal_fill_scaled(1.0, field.data() + j, n_sites, W);
           lanes[j].normal_fill_scaled(1.0, rdf.data() + j, n_sites, W);
         }
       }
@@ -139,40 +136,25 @@ PhaseTimes phase_breakdown(const sp::netlist::Netlist& nl,
         sp::obs::snapshot().span("bench.draw_scalar").total_ns / 1e6);
   }
 
-  // draw / walk / fold from the sweep-spec engine (no field, like the
-  // width-sweep rows above).
+  // draw / chol / walk / fold from the sweep-spec engine.  The aggregates
+  // the last rep leaves behind are a full-vocabulary engine snapshot that
+  // main() embeds into the JSON record after the final circuit.
   const std::vector<const sp::netlist::Netlist*> stages{&nl};
   sp::sim::ExecutionOptions exec;
   exec.threads = 1;
   exec.samples_per_shard = 256;
   exec.block_width = W;
   const sp::mc::GateLevelMonteCarlo mc(stages, model, spec, latch);
-  pt.draw_ms = pt.walk_ms = pt.fold_ms = 1e300;
+  pt.draw_ms = pt.chol_ms = pt.walk_ms = pt.fold_ms = 1e300;
   for (int r = 0; r < kReps; ++r) {
     sp::obs::reset();
     sp::stats::Rng rng(90210);
     mc.run(kSamples, rng, exec);
     const sp::obs::MetricsSnapshot snap = sp::obs::snapshot();
     pt.draw_ms = std::min(pt.draw_ms, snap.span("mc.draw").total_ns / 1e6);
+    pt.chol_ms = std::min(pt.chol_ms, snap.span("mc.chol").total_ns / 1e6);
     pt.walk_ms = std::min(pt.walk_ms, snap.span("mc.walk").total_ns / 1e6);
     pt.fold_ms = std::min(pt.fold_ms, snap.span("mc.fold").total_ns / 1e6);
-  }
-
-  // chol from a field-enabled clone of the spec.  This loop runs last on
-  // purpose: the aggregates it leaves behind are a full-vocabulary engine
-  // snapshot (draw + chol + walk + fold) that main() embeds into the JSON
-  // record after the final circuit.
-  sp::process::VariationSpec field_spec = spec;
-  field_spec.sigma_vth_systematic = 0.010;
-  const sp::mc::GateLevelMonteCarlo mc_field(stages, model, field_spec,
-                                             latch);
-  pt.chol_ms = 1e300;
-  for (int r = 0; r < kReps; ++r) {
-    sp::obs::reset();
-    sp::stats::Rng rng(90210);
-    mc_field.run(kSamples, rng, exec);
-    pt.chol_ms = std::min(
-        pt.chol_ms, sp::obs::snapshot().span("mc.chol").total_ns / 1e6);
   }
 
   sp::obs::set_enabled(was_enabled);
@@ -215,17 +197,17 @@ int main(int argc, char** argv) {
 
   const sp::device::AlphaPowerModel model{sp::process::Technology{}};
   const sp::device::LatchModel latch{{}, model};
-  // Inter-die + RDF, no systematic field (see file comment).
+  // Inter-die + systematic field + RDF (see file comment).
   sp::process::VariationSpec spec;
   spec.sigma_vth_inter = 0.020;
-  spec.sigma_vth_systematic = 0.0;
+  spec.sigma_vth_systematic = 0.010;
   spec.enable_rdf = true;
 
   const std::size_t pool = sp::sim::ThreadPool::shared().thread_count();
   bench_util::JsonReport report("sample_sta_block");
   report.meta("samples", static_cast<double>(kSamples));
   report.meta("pool_threads", static_cast<double>(pool));
-  report.meta("spec", "inter0.020+rdf");
+  report.meta("spec", "inter0.020+sys0.010+rdf");
   // Implementation marker for the perf trajectory (tools/bench_diff.py):
   // "lanes-poly" = the shared vectorized pow core of PR 4, replacing the
   // per-lane std::pow that dominated the block kernel.
@@ -339,8 +321,8 @@ int main(int argc, char** argv) {
   }
   bench_util::csv_end();
   // Embed the metrics snapshot the last phase_breakdown left behind (its
-  // final instrumented rep: a field-enabled engine run over the last
-  // circuit), so the BENCH record carries the stable counter/span schema
+  // final instrumented rep: an engine run over the last circuit), so the
+  // BENCH record carries the stable counter/span schema
   // end-to-end — the same names --metrics and STATPIPE_TRACE report.
   report.raw("metrics", sp::obs::metrics_json(sp::obs::snapshot()));
   try {

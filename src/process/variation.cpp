@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/telemetry.h"
-#include "stats/simd.h"
 
 namespace statpipe::process {
 
@@ -91,9 +91,42 @@ VariationSampler::VariationSampler(Technology tech, VariationSpec spec,
     throw std::invalid_argument("VariationSampler: negative sigma");
   has_systematic_ = spec_.sigma_vth_systematic > 0.0 ||
                     spec_.sigma_l_systematic_rel > 0.0;
-  if (has_systematic_) {
-    systematic_chol_ = stats::cholesky_psd(
-        stats::spatial_correlation(positions_, spec_.correlation_length));
+  if (!has_systematic_) return;
+  const double L = spec_.correlation_length;
+  if (!(L > 0.0))  // also rejects NaN
+    throw std::invalid_argument(
+        "VariationSampler: correlation_length must be > 0");
+  // (position, index) pairs sort into the stable position order.
+  const std::size_t n = positions_.size();
+  std::vector<std::pair<double, std::size_t>> sorted(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!std::isfinite(positions_[i]))
+      throw std::invalid_argument(
+          "VariationSampler: site positions must be finite");
+    sorted[i] = {positions_[i], i};
+  }
+  std::sort(sorted.begin(), sorted.end());
+  order_.resize(n);
+  r_.assign(n, 0.0);
+  s_.assign(n, 1.0);
+  for (std::size_t k = 0; k < n; ++k) {
+    order_[k] = sorted[k].second;
+    if (k == 0) continue;
+    const double d = sorted[k].first - sorted[k - 1].first;
+    r_[k] = std::exp(-d / L);
+    // sqrt(1 - r^2) through expm1, which stays accurate at small gaps.
+    s_[k] = std::sqrt(-std::expm1(-2.0 * d / L));
+  }
+}
+
+void VariationSampler::correlate_field(double* f, std::size_t w) const {
+  // Lanes innermost: lane j of a width-w call executes exactly the w == 1
+  // sequence on its own column.
+  for (std::size_t k = 1; k < order_.size(); ++k) {
+    const double* prev = f + order_[k - 1] * w;
+    double* cur = f + order_[k] * w;
+    const double r = r_[k], s = s_[k];
+    for (std::size_t j = 0; j < w; ++j) cur[j] = r * prev[j] + s * cur[j];
   }
 }
 
@@ -125,14 +158,8 @@ void VariationSampler::sample_into(stats::Rng& rng, DieSample& d,
   if (has_systematic_) {
     // One correlated standard-normal field drives both Vth and L systematic
     // components (they share the same lithographic origin).
-    rng.normal_fill(ws.z, n);
-    ws.field.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      double s = 0.0;
-      for (std::size_t j = 0; j <= i; ++j)
-        s += systematic_chol_(i, j) * ws.z[j];
-      ws.field[i] = s;
-    }
+    rng.normal_fill(ws.field, n);
+    correlate_field(ws.field.data(), 1);
     if (spec_.sigma_vth_systematic > 0.0) {
       d.dvth_systematic.resize(n);
       for (std::size_t i = 0; i < n; ++i)
@@ -180,11 +207,12 @@ void VariationSampler::sample_block_into(stats::Rng* lane_rngs,
   // to lane_rngs at the end for the consumers that follow (latch draws).
   //
   // Phase 1 — inter shifts, then the field's standard normals drawn
-  // site-major straight into ws.zt (lane j at [i*W + j]): the layout the
-  // field multiply wants, with no per-lane transpose pass.
+  // site-major straight into ws.field (lane j at [i*W + j]): the layout the
+  // field recursion wants, with no per-lane transpose pass.
   // mc.draw / mc.chol spans: the block-MC phase breakdown the bench harness
   // and the Chrome trace both read (docs/OBSERVABILITY.md).  Phases 1 and 3
-  // fold into one mc.draw aggregate; the field multiply is mc.chol.
+  // fold into one mc.draw aggregate; the field recursion is mc.chol (the
+  // name predates the recursion and is kept for the tools that require it).
   static const obs::SpanId kDraw("mc.draw");
   static const obs::SpanId kChol("mc.chol");
   stats::RngBlock rb;
@@ -200,28 +228,23 @@ void VariationSampler::sample_block_into(stats::Rng* lane_rngs,
     else
       std::fill(d.dl_inter_rel.begin(), d.dl_inter_rel.end(), 0.0);
     if (has_systematic_) {
-      ws.zt.resize(n * W);
-      rb.normal_fill(1.0, ws.zt.data(), n, W);
+      ws.field.resize(n * W);
+      rb.normal_fill(1.0, ws.field.data(), n, W);
     }
   }
 
-  // Phase 2 — one lane-batched lower-triangular multiply for all W fields
-  // (dispatched to the active SIMD backend; per lane the adds run k
-  // ascending, exactly sample_into's order), then the per-component sigma
+  // Phase 2 — the field recursion for all W fields at once (per lane
+  // exactly sample_into's operations), then the per-component sigma
   // scaling as contiguous SoA sweeps.
   if (has_systematic_) {
     obs::ScopedSpan chol_span(kChol, static_cast<std::int64_t>(W));
-    ws.fieldw.resize(n * W);
-    stats::simd::kernels().chol_field_lanes(systematic_chol_.data(), n,
-                                            systematic_chol_.size(),
-                                            ws.zt.data(), W,
-                                            ws.fieldw.data());
+    correlate_field(ws.field.data(), W);
     if (sys_vth)
       for (std::size_t i = 0; i < n * W; ++i)
-        d.dvth_systematic[i] = spec_.sigma_vth_systematic * ws.fieldw[i];
+        d.dvth_systematic[i] = spec_.sigma_vth_systematic * ws.field[i];
     if (sys_l)
       for (std::size_t i = 0; i < n * W; ++i)
-        d.dl_systematic_rel[i] = spec_.sigma_l_systematic_rel * ws.fieldw[i];
+        d.dl_systematic_rel[i] = spec_.sigma_l_systematic_rel * ws.field[i];
   }
 
   // Phase 3 — RDF draws, batched site-major into the block (the target is

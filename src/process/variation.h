@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "stats/lanes.h"
-#include "stats/matrix.h"
 #include "stats/rng.h"
 
 namespace statpipe::process {
@@ -84,11 +83,10 @@ struct DieSample {
   double dl_rel_at(std::size_t i) const;
 };
 
-/// Reusable scratch buffers for VariationSampler::sample_into — one per
+/// Reusable scratch buffer for VariationSampler::sample_into — one per
 /// Monte-Carlo shard, so the per-sample loop is allocation-free.
 struct DieWorkspace {
-  std::vector<double> z;      ///< standard-normal draws for the field
-  std::vector<double> field;  ///< correlated systematic field
+  std::vector<double> field;  ///< [sites] field draws, correlated in place
 };
 
 /// Structure-of-arrays block of `width` sampled dies — the unit the
@@ -120,25 +118,28 @@ struct DieBlock {
   double dl_rel_at(std::size_t i, std::size_t j) const;
 };
 
-/// Reusable scratch for VariationSampler::sample_block_into — the SoA
-/// buffers the lane-batched draw kernel writes and the field multiply
-/// (stats/simd.h's chol_field_lanes) reads, one per Monte-Carlo shard.
-/// Layout is backend-agnostic plain arrays: which SIMD backend consumes
-/// them never changes their shape.
+/// Reusable scratch for VariationSampler::sample_block_into, one per
+/// Monte-Carlo shard: the draw kernel fills it with the field's standard
+/// normals and the field recursion correlates them in place.
 struct BlockWorkspace {
-  std::vector<double> zt;     ///< [sites*width] site-major field draws
-  std::vector<double> fieldw; ///< [sites*width] site-major correlated field
+  std::vector<double> field;  ///< [sites*width] site-major field
 };
 
 /// Generates correlated DieSamples for a fixed set of device sites.
 ///
 /// Sites are positions in normalized die coordinates [0,1]; the systematic
-/// field over sites has correlation exp(-d/correlation_length).  The
-/// Cholesky factor of that field is computed once at construction.
-/// Sampling is const and reentrant: concurrent sample()/sample_into calls
-/// on one sampler are safe as long as each caller owns its Rng/workspace.
+/// field over sites has correlation exp(-d/correlation_length).  That 1-D
+/// kernel is Markov (Ornstein-Uhlenbeck; Rasmussen & Williams, GPML 4.2),
+/// so the field is exact in O(sites): over the sites in stable position
+/// order o, f[o_0] = z[o_0] and f[o_k] = r_k f[o_{k-1}] + s_k z[o_k], with
+/// r_k = exp(-d_k/L), s_k = sqrt(1 - r_k^2) and d_k the gap to the previous
+/// site (coincident sites share the field bit for bit).  Sampling is const
+/// and reentrant: concurrent sample()/sample_into calls on one sampler are
+/// safe as long as each caller owns its Rng/workspace.
 class VariationSampler {
  public:
+  /// Throws std::invalid_argument on no sites, a negative Vth sigma, or,
+  /// with a systematic component, a non-finite position or length <= 0.
   VariationSampler(Technology tech, VariationSpec spec,
                    std::vector<double> site_positions);
 
@@ -157,9 +158,9 @@ class VariationSampler {
   /// — inter shifts, the systematic field's standard normals (written
   /// site-major directly, no transpose pass) and RDF — runs lane-batched
   /// through the active SIMD backend's draw kernels (stats::RngBlock over
-  /// stats/simd.h's normal_fill_lanes), and the field's lower-triangular
-  /// multiply lane-batched through chol_field_lanes, per-lane add order
-  /// unchanged.  Lane j consumes lane_rngs[j] with exactly the draw
+  /// stats/simd.h's normal_fill_lanes), and the field recursion runs once
+  /// over the sites with the lanes innermost, per lane in sample_into's
+  /// operation order.  Lane j consumes lane_rngs[j] with exactly the draw
   /// sequence of sample_into (lane_rngs[j] is left advanced accordingly),
   /// so lane j of the block is bitwise-identical to a scalar sample_into
   /// call on the same Rng state — the equivalence the block Monte-Carlo
@@ -176,11 +177,15 @@ class VariationSampler {
   static double implied_correlation(double sigma_shared, double sigma_private);
 
  private:
+  // The recursion in place over site-major normals, w lanes per site.
+  void correlate_field(double* f, std::size_t w) const;
+
   Technology tech_;
   VariationSpec spec_;
   std::vector<double> positions_;
-  stats::Matrix systematic_chol_;  // empty when sigma_vth_systematic == 0
   bool has_systematic_ = false;
+  std::vector<std::size_t> order_;  // the field's o, r and s; r_[0], s_[0]
+  std::vector<double> r_, s_;       // unused; empty without a field
 };
 
 /// Evenly spaced site positions in [0,1] — the default placement for a

@@ -2,8 +2,9 @@
 // correlation-matrix construction and validation.
 //
 // Correlation matrices here are at pipeline-stage granularity (a handful of
-// stages) or spatial-grid granularity (hundreds of cells), so a simple dense
-// O(n^3) Cholesky is the right tool; no external linear-algebra dependency.
+// stages), so a simple dense O(n^3) Cholesky is the right tool; no external
+// linear-algebra dependency.  The per-site field (process/variation.h) needs
+// none: spatial_correlation is only the dense reference its tests check.
 #pragma once
 
 #include <cstddef>
@@ -20,10 +21,6 @@ class Matrix {
   std::size_t size() const noexcept { return n_; }
   double& operator()(std::size_t i, std::size_t j) { return a_[i * n_ + j]; }
   double operator()(std::size_t i, std::size_t j) const { return a_[i * n_ + j]; }
-
-  /// Row-major storage (row stride == size()); for handing a factor to the
-  /// raw-pointer lane kernels (stats/simd.h) without copying.
-  const double* data() const noexcept { return a_.data(); }
 
   static Matrix identity(std::size_t n);
 

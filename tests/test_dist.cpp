@@ -57,7 +57,7 @@ sp::dist::RunDescriptor small_descriptor(
   d.samples_per_shard = samples_per_shard;
   d.block_width = 8;
   d.sigma_vth_inter = 0.020;
-  d.sigma_vth_systematic = 0.0;  // keep the O(sites^2) field out of tests
+  d.sigma_vth_systematic = 0.010;
   d.enable_rdf = 1;
   sp::dist::finalize_descriptor(d);
   return d;
@@ -305,6 +305,22 @@ TEST(DistWorkload, UnknownCircuitIsRejected) {
   d.workload = "c9999";
   d.n_samples = 16;
   EXPECT_THROW(sp::dist::finalize_descriptor(d), std::invalid_argument);
+}
+
+TEST(DistWorkload, NanCorrelationLengthIsRejectedUpFront) {
+  // A wire descriptor's field inputs reach the sampler unchecked; the
+  // sampler itself must name the bad input, not let a NaN field surface
+  // later as an out-of-range drive ratio.
+  auto d = small_descriptor();
+  d.correlation_length = std::nan("");
+  try {
+    sp::dist::finalize_descriptor(d);
+    ADD_FAILURE() << "NaN correlation_length accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("correlation_length"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DistWorkload, StructuralHashDetectsStageEdits) {

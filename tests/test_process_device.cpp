@@ -2,13 +2,18 @@
 // delay model (the SPICE stand-in).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 
 #include "device/delay_model.h"
 #include "device/gate_library.h"
 #include "device/latch.h"
 #include "process/variation.h"
 #include "stats/descriptive.h"
+#include "stats/matrix.h"
 #include "stats/rng.h"
 
 namespace sp = statpipe;
@@ -80,24 +85,145 @@ TEST(VariationSampler, RdfIndependentAcrossSites) {
   EXPECT_NEAR(sp::stats::stddev(a), tech.sigma_vth_rdf(1.0), 0.001);
 }
 
+// Shuffled positions with coincident sites: a stage boundary puts a gate,
+// its latch and the next stage's first gate at one position.
+const std::vector<double> kFieldSites = {0.7, 0.0,  0.35, 0.7, 1.0,
+                                         0.1, 0.35, 0.7,  0.55};
+
 TEST(VariationSampler, SystematicFieldSpatiallyCorrelated) {
+  // Unit sigma and no other component: dvth_systematic is the unit field.
   Technology tech;
-  auto spec = VariationSpec::inter_intra(0.0, 0.020, 0.5);
+  auto spec = VariationSpec::inter_intra(0.0, 1.0, 0.5);
   spec.enable_rdf = false;
-  sp::process::VariationSampler s(tech, spec, sp::process::linear_sites(10));
-  sp::stats::Rng rng(4);
-  std::vector<double> first, second, last;
-  for (int i = 0; i < 20000; ++i) {
-    const auto die = s.sample(rng);
-    first.push_back(die.dvth_systematic[0]);
-    second.push_back(die.dvth_systematic[1]);
-    last.push_back(die.dvth_systematic[9]);
+  const std::vector<double>& x = kFieldSites;
+  const std::size_t n = x.size();
+  const sp::process::VariationSampler s(tech, spec, x);
+  const sp::stats::Matrix want =
+      sp::stats::spatial_correlation(x, spec.correlation_length);
+
+  constexpr std::size_t kDies = 20000;
+  const std::size_t W = std::min<std::size_t>(
+      8, statpipe::stats::lanes::max_width());
+  const sp::stats::Rng root(4);
+  std::vector<std::vector<double>> scalar, block;
+  sp::process::DieSample die;
+  sp::process::DieWorkspace die_ws;
+  for (std::size_t k = 0; k < kDies; ++k) {
+    sp::stats::Rng rng = root.fork(k);
+    s.sample_into(rng, die, die_ws);
+    scalar.push_back(die.dvth_systematic);
   }
-  const double rho_near = sp::stats::pearson(first, second);
-  const double rho_far = sp::stats::pearson(first, last);
-  EXPECT_GT(rho_near, 0.7);           // neighbours strongly correlated
-  EXPECT_LT(rho_far, rho_near - 0.2); // correlation decays with distance
-  EXPECT_NEAR(rho_far, std::exp(-2.0), 0.1);  // exp(-d/L), d=1, L=0.5
+  std::vector<sp::stats::Rng> lanes(W);
+  sp::process::DieBlock b;
+  sp::process::BlockWorkspace ws;
+  for (std::size_t k = 0; k < kDies; k += W) {
+    for (std::size_t j = 0; j < W; ++j) lanes[j] = root.fork(kDies + k + j);
+    s.sample_block_into(lanes.data(), W, b, ws);
+    for (std::size_t j = 0; j < W; ++j) {
+      std::vector<double> f(n);
+      for (std::size_t i = 0; i < n; ++i) f[i] = b.dvth_systematic[i * W + j];
+      block.push_back(f);
+    }
+  }
+
+  for (const auto* fields : {&scalar, &block}) {
+    const double dies = static_cast<double>(fields->size());
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t c = a; c < n; ++c) {
+        // Zero-mean unit field: the covariance estimate sum(f_a f_c) / N
+        // has variance (1 + rho^2) / N; five standard errors.
+        double sum = 0.0;
+        for (const auto& f : *fields) sum += f[a] * f[c];
+        const double rho = want(a, c);
+        EXPECT_NEAR(sum / dies, rho, 5.0 * std::sqrt((1.0 + rho * rho) / dies))
+            << (fields == &scalar ? "sample_into" : "sample_block_into")
+            << " sites " << a << "," << c;
+        // Coincident sites (r = 1, s = 0) share the field bit for bit.
+        if (x[a] == x[c])
+          for (const auto& f : *fields)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(f[a]),
+                      std::bit_cast<std::uint64_t>(f[c]))
+                << "sites " << a << "," << c;
+      }
+    }
+  }
+}
+
+TEST(VariationSampler, FieldIsTheExponentialRecursionInPositionOrder) {
+  // Pins the z -> field map (docs/DETERMINISM.md): the field's standard
+  // normals are the die's only draws here, so a clone of the Rng replays
+  // them, and the recursion over the stably position-sorted sites must
+  // reproduce the sampled field bit for bit.
+  Technology tech;
+  auto spec = VariationSpec::inter_intra(0.0, 1.0, 0.3);
+  spec.enable_rdf = false;
+  const std::vector<double>& x = kFieldSites;
+  const sp::process::VariationSampler s(tech, spec, x);
+  sp::stats::Rng rng(11);
+  sp::stats::Rng replay = rng;
+  const auto die = s.sample(rng);
+  std::vector<double> f;
+  replay.normal_fill(f, x.size());
+  std::vector<std::size_t> o(x.size());
+  std::iota(o.begin(), o.end(), std::size_t{0});
+  std::stable_sort(o.begin(), o.end(),
+                   [&](std::size_t a, std::size_t b) { return x[a] < x[b]; });
+  for (std::size_t k = 1; k < o.size(); ++k) {
+    const double d = x[o[k]] - x[o[k - 1]];
+    const double r = std::exp(-d / spec.correlation_length);
+    const double sk = std::sqrt(-std::expm1(-2.0 * d / spec.correlation_length));
+    f[o[k]] = r * f[o[k - 1]] + sk * f[o[k]];
+  }
+  for (std::size_t i = 0; i < x.size(); ++i)
+    EXPECT_EQ(die.dvth_systematic[i], f[i]) << "site " << i;
+}
+
+TEST(VariationSampler, FieldScalesLinearlyInSites) {
+  // One draw over 100k sites: the dense factor this replaced would need
+  // 80 GB.  Spacing equal to the correlation length makes the field an
+  // AR(1) series with lag-1 correlation exp(-1).
+  Technology tech;
+  const std::size_t n = 100000;
+  auto spec = VariationSpec::inter_intra(0.0, 1.0,
+                                         1.0 / static_cast<double>(n - 1));
+  spec.enable_rdf = false;
+  const sp::process::VariationSampler s(tech, spec,
+                                        sp::process::linear_sites(n));
+  sp::stats::Rng rng(12);
+  const auto die = s.sample(rng);
+  ASSERT_EQ(die.dvth_systematic.size(), n);
+  double sum = 0.0, sum2 = 0.0, lag = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double f = die.dvth_systematic[i];
+    ASSERT_TRUE(std::isfinite(f));
+    sum += f;
+    sum2 += f * f;
+    if (i > 0) lag += f * die.dvth_systematic[i - 1];
+  }
+  const double dn = static_cast<double>(n);
+  EXPECT_NEAR(sum / dn, 0.0, 0.03);
+  EXPECT_NEAR(sum2 / dn, 1.0, 0.03);
+  EXPECT_NEAR(lag / (dn - 1.0), std::exp(-1.0), 0.03);
+}
+
+TEST(VariationSampler, RejectsBadFieldInputs) {
+  Technology tech;
+  auto spec = VariationSpec::inter_intra(0.020, 0.010, 0.5);
+  const auto sites = sp::process::linear_sites(4);
+  for (const double len : {std::nan(""), 0.0, -1.0}) {
+    spec.correlation_length = len;
+    EXPECT_THROW(sp::process::VariationSampler(tech, spec, sites),
+                 std::invalid_argument)
+        << "correlation_length " << len;
+  }
+  spec.correlation_length = 0.5;
+  EXPECT_THROW(sp::process::VariationSampler(
+                   tech, spec, {0.0, std::nan(""), 0.5, 1.0}),
+               std::invalid_argument);
+  // Without a systematic component neither input is used.
+  spec.sigma_vth_systematic = 0.0;
+  spec.correlation_length = std::nan("");
+  EXPECT_NO_THROW(sp::process::VariationSampler(tech, spec, sites));
 }
 
 TEST(VariationSampler, RdfScalesWithDeviceWidth) {

@@ -64,7 +64,7 @@ sp::dist::RunDescriptor mc_descriptor(std::uint64_t seed = 20260808,
   d.samples_per_shard = samples_per_shard;
   d.block_width = 8;
   d.sigma_vth_inter = 0.020;
-  d.sigma_vth_systematic = 0.0;  // keep the O(sites^2) field out of tests
+  d.sigma_vth_systematic = 0.010;
   d.enable_rdf = 1;
   sp::dist::finalize_descriptor(d);
   return d;
