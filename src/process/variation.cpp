@@ -107,8 +107,8 @@ VariationSampler::VariationSampler(Technology tech, VariationSpec spec,
   }
   std::sort(sorted.begin(), sorted.end());
   order_.resize(n);
-  r_.assign(n, 0.0);
-  s_.assign(n, 1.0);
+  r_.resize(n);
+  s_.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
     order_[k] = sorted[k].second;
     if (k == 0) continue;

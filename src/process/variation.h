@@ -184,8 +184,10 @@ class VariationSampler {
   VariationSpec spec_;
   std::vector<double> positions_;
   bool has_systematic_ = false;
-  std::vector<std::size_t> order_;  // the field's o, r and s; r_[0], s_[0]
-  std::vector<double> r_, s_;       // unused; empty without a field
+  // The recursion's o, r and s (class comment), empty without a field;
+  // r_[0] and s_[0] are unused.
+  std::vector<std::size_t> order_;
+  std::vector<double> r_, s_;
 };
 
 /// Evenly spaced site positions in [0,1] — the default placement for a
