@@ -178,7 +178,7 @@ TEST(VariationSampler, FieldIsTheExponentialRecursionInPositionOrder) {
     EXPECT_EQ(die.dvth_systematic[i], f[i]) << "site " << i;
 }
 
-TEST(VariationSampler, FieldScalesLinearlyInSites) {
+TEST(VariationSampler, DrawsHundredThousandSiteField) {
   // One draw over 100k sites: the dense factor this replaced would need
   // 80 GB.  Spacing equal to the correlation length makes the field an
   // AR(1) series with lag-1 correlation exp(-1).
