@@ -12,6 +12,7 @@ GateId Netlist::add_input(const std::string& name) {
   g.name = name;
   g.kind = device::GateKind::kInput;
   gates_.push_back(std::move(g));
+  is_output_.push_back(0);
   const GateId id = gates_.size() - 1;
   inputs_.push_back(id);
   topo_valid_ = false;
@@ -29,6 +30,7 @@ GateId Netlist::add_gate(const std::string& name, device::GateKind kind,
   g.fanins = fanins;
   g.size = size;
   gates_.push_back(std::move(g));
+  is_output_.push_back(0);
   const GateId id = gates_.size() - 1;
   for (GateId f : fanins) {
     if (f >= id) throw std::invalid_argument("add_gate: fanin id out of range");
@@ -40,8 +42,9 @@ GateId Netlist::add_gate(const std::string& name, device::GateKind kind,
 
 void Netlist::mark_output(GateId id) {
   if (id >= gates_.size()) throw std::out_of_range("mark_output: bad id");
-  if (std::find(outputs_.begin(), outputs_.end(), id) == outputs_.end())
-    outputs_.push_back(id);
+  if (is_output_[id]) return;
+  is_output_[id] = 1;
+  outputs_.push_back(id);
 }
 
 const std::vector<GateId>& Netlist::topological_order() const {
@@ -104,8 +107,7 @@ double Netlist::load_of(GateId id, double output_load) const {
     const Gate& snk = gates_[s];
     c += device::input_cap(snk.kind, snk.size);
   }
-  if (std::find(outputs_.begin(), outputs_.end(), id) != outputs_.end())
-    c += output_load;
+  if (is_output_[id]) c += output_load;
   return c;
 }
 

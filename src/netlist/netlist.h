@@ -62,7 +62,8 @@ class Netlist {
   /// Adds a gate driven by `fanins`; returns its id.
   GateId add_gate(const std::string& name, device::GateKind kind,
                   const std::vector<GateId>& fanins, double size = 1.0);
-  /// Marks an existing gate as driving a primary output.
+  /// Marks an existing gate as driving a primary output (once: a repeat
+  /// call is a no-op).
   void mark_output(GateId id);
 
   std::size_t size() const noexcept { return gates_.size(); }
@@ -91,6 +92,7 @@ class Netlist {
 
   /// Capacitive load seen by gate `id`: sum of fanout input caps plus
   /// `output_load` for primary-output drivers [inverter-cap units].
+  /// O(fanouts).
   double load_of(GateId id, double output_load = 2.0) const;
 
   /// Assigns evenly spaced positions along [0,1] in topological order —
@@ -129,6 +131,7 @@ class Netlist {
   std::vector<Gate> gates_;
   std::vector<GateId> inputs_;
   std::vector<GateId> outputs_;
+  std::vector<char> is_output_;  ///< per gate: listed in outputs_
   mutable std::vector<GateId> topo_cache_;
   mutable bool topo_valid_ = false;
 };

@@ -22,7 +22,8 @@ namespace statpipe::opt {
 struct SimultaneousOptions {
   double t_target = 200.0;     ///< pipeline delay target (incl. latch) [ps]
   double yield_target = 0.80;  ///< pipeline yield target
-  SizerOptions sizer;          ///< per-gate update knobs (t_target ignored)
+  SizerOptions sizer;  ///< per-gate update knobs (t_target, yield_target
+                       ///< and tolerance_ps ignored)
   double stage_softmax_theta = 0.02;  ///< stage-criticality temperature,
                                       ///< relative to the target
 };

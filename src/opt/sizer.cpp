@@ -7,99 +7,123 @@
 #include <vector>
 
 #include "obs/telemetry.h"
-#include "sim/engine.h"
-#include "sim/thread_pool.h"
-#include "sta/ssta.h"
-#include "sta/sta.h"
+#include "opt/lr_stage.h"
 
 namespace statpipe::opt {
-
-namespace {
 
 using netlist::GateId;
 using netlist::Netlist;
 
-/// Below this gate count the per-gate loops stay serial even when
-/// SizerOptions::threads allows more: a level of a small stage holds a
-/// handful of gates, and handing each level to the pool costs more than
-/// the arithmetic it parallelizes.
-constexpr std::size_t kParallelMinGates = 256;
+void validate_sizer_options(const SizerOptions& opt) {
+  if (!(opt.min_size > 0.0 && opt.max_size >= opt.min_size))
+    throw std::invalid_argument("SizerOptions: bad size bounds");
+  if (!(opt.damping > 0.0 && opt.damping <= 1.0))
+    throw std::invalid_argument("SizerOptions: damping outside (0,1]");
+  if (!(opt.softmax_theta_ps > 0.0))
+    throw std::invalid_argument("SizerOptions: softmax_theta_ps <= 0");
+}
 
-/// Level-synchronous schedule of the per-gate LR loops: the topological
-/// order bucketed by logic level (netlist::Netlist::levels()), preserving
-/// topo order within each bucket.  A gate's update reads fanins (strictly
-/// earlier levels — already updated, the Gauss-Seidel half) and fanout
-/// loads (strictly later levels — not yet updated), never a same-level
-/// gate, so running one bucket's gates concurrently computes exactly what
-/// the serial in-topo-order loop computes.
-struct LevelSchedule {
-  std::vector<std::vector<GateId>> buckets;
-  bool parallel = false;      ///< whether to fan buckets out to the pool
-  std::size_t threads = 1;    ///< worker cap when parallel
+LrStage::LrStage(Netlist& nl, const device::AlphaPowerModel& model,
+                 const process::VariationSpec& spec, const SizerOptions& opt,
+                 double z)
+    : nl_(nl),
+      model_(model),
+      spec_(spec),
+      opt_(opt),
+      z_(z),
+      sqrt_depth_(std::sqrt(
+          static_cast<double>(std::max<std::size_t>(nl.depth(), 1)))),
+      load_(nl.size(), 0.0),
+      arrival_(nl.size(), 0.0),
+      weight_(nl.size(), 0.0),
+      delay_(nl.size()) {}
 
-  LevelSchedule(const Netlist& nl, std::size_t opt_threads) {
-    const auto& topo = nl.topological_order();  // materialized before any
-                                                // parallel region (the one
-                                                // mutable Netlist cache)
-    const std::vector<std::size_t> level = nl.levels();
-    std::size_t n_levels = 0;
-    for (GateId id : topo) n_levels = std::max(n_levels, level[id] + 1);
-    buckets.resize(n_levels);
-    for (GateId id : topo) buckets[level[id]].push_back(id);
-    threads = sim::resolve_threads(opt_threads);
-    parallel = threads > 1 && nl.size() >= kParallelMinGates;
+void LrStage::evaluate() {
+  // Pseudo-gates keep arrival 0 and delay {} from construction: only real
+  // gates are written, here and in fold_ssta.
+  for (GateId id : nl_.topological_order()) {
+    const auto& g = nl_.gate(id);
+    if (g.is_pseudo()) continue;
+    double in_arr = 0.0;
+    for (GateId f : g.fanins) in_arr = std::max(in_arr, arrival_[f]);
+    const double load = nl_.load_of(id, opt_.output_load);
+    const auto sig = model_.delay_sigmas(g.kind, g.size, load, spec_);
+    const double mu = model_.nominal_delay(g.kind, g.size, load);
+    load_[id] = load;
+    arrival_[id] = in_arr + mu + z_ * sig.total() / sqrt_depth_;
+    delay_[id] = {.mu = mu,
+                  .b_inter = sig.inter,
+                  .sigma_ind = sig.random,
+                  .b_sys = sig.systematic};
   }
+}
 
-  /// Runs fn(id) for every gate, level by level; gates of one level run
-  /// concurrently when the schedule is parallel.  fn must touch only
-  /// per-gate state (see class comment) — that is what makes the result
-  /// thread-count-invariant bitwise.
-  template <class Fn>
-  void for_each_gate(const Fn& fn) const {
-    for (const auto& bucket : buckets) {
-      if (parallel && bucket.size() > 1) {
-        sim::parallel_for(
-            bucket.size(), [&](std::size_t i) { fn(bucket[i]); }, threads);
-      } else {
-        for (GateId id : bucket) fn(id);
-      }
-    }
-  }
-};
+sta::CanonicalDelay LrStage::fold_ssta() {
+  return sta::fold_ssta(nl_, delay_);
+}
 
 /// Flow-conserving criticality multipliers: seed every primary output with
 /// weight softmax(arrival), then push each gate's weight back onto its
 /// fanins proportional to exp(arrival/theta) — the LR projection step.
-std::vector<double> criticality_weights(const Netlist& nl,
-                                        const std::vector<double>& arrival,
-                                        double theta) {
-  std::vector<double> w(nl.size(), 0.0);
+void LrStage::criticality_weights() {
+  const double theta = opt_.softmax_theta_ps;
+  // exps_[k] = exp((arrival - max) / theta) of ids[k], once; returns the sum.
+  auto softmax_terms = [&](const std::vector<GateId>& ids) {
+    double amax = 0.0;
+    for (GateId i : ids) amax = std::max(amax, arrival_[i]);
+    exps_.resize(ids.size());
+    double sum = 0.0;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      exps_[k] = std::exp((arrival_[ids[k]] - amax) / theta);
+      sum += exps_[k];
+    }
+    return sum;
+  };
 
-  // Output seeding.
-  double amax = 0.0;
-  for (GateId o : nl.outputs()) amax = std::max(amax, arrival[o]);
-  double norm = 0.0;
-  for (GateId o : nl.outputs()) norm += std::exp((arrival[o] - amax) / theta);
-  for (GateId o : nl.outputs())
-    w[o] += std::exp((arrival[o] - amax) / theta) / norm;
+  std::fill(weight_.begin(), weight_.end(), 0.0);
+  const auto& outs = nl_.outputs();
+  const double norm = softmax_terms(outs);
+  for (std::size_t k = 0; k < outs.size(); ++k)
+    weight_[outs[k]] += exps_[k] / norm;
 
   // Reverse-topological back-propagation.
-  const auto& topo = nl.topological_order();
+  const auto& topo = nl_.topological_order();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const GateId id = *it;
-    const auto& g = nl.gate(id);
-    if (w[id] <= 0.0 || g.fanins.empty()) continue;
-    double fmax = 0.0;
-    for (GateId f : g.fanins) fmax = std::max(fmax, arrival[f]);
-    double fsum = 0.0;
-    for (GateId f : g.fanins) fsum += std::exp((arrival[f] - fmax) / theta);
-    for (GateId f : g.fanins)
-      w[f] += w[id] * std::exp((arrival[f] - fmax) / theta) / fsum;
+    const auto& g = nl_.gate(*it);
+    const double w = weight_[*it];
+    if (w <= 0.0 || g.fanins.empty()) continue;
+    const double fsum = softmax_terms(g.fanins);
+    for (std::size_t k = 0; k < g.fanins.size(); ++k)
+      weight_[g.fanins[k]] += w * exps_[k] / fsum;
   }
-  return w;
 }
 
-}  // namespace
+void LrStage::update(double lambda) {
+  criticality_weights();
+  const double tau = model_.technology().tau_ps;
+  // Gauss-Seidel in topological order: fanin sizes are already updated.
+  for (GateId id : nl_.topological_order()) {
+    auto& g = nl_.gate(id);
+    if (g.is_pseudo()) continue;
+    const auto& t = device::traits(g.kind);
+
+    // Pressure from this gate's own delay: lam_g * tau * load / x^2.
+    // Pressure from loading predecessors: sum over fanins p of
+    //   lam_p * tau * g_le / x_p  (per unit of our size).
+    double pred_cost = 0.0;
+    for (GateId f : g.fanins) {
+      const auto& pg = nl_.gate(f);
+      if (pg.is_pseudo()) continue;
+      pred_cost += lambda * weight_[f] * tau * t.logical_effort / pg.size;
+    }
+    const double denom = t.area + pred_cost;
+    const double x_star = std::sqrt(std::max(
+        lambda * weight_[id] * tau * std::max(load_[id], 1e-6) / denom,
+        1e-12));
+    const double x_new = std::clamp(x_star, opt_.min_size, opt_.max_size);
+    g.size = g.size * (1.0 - opt_.damping) + x_new * opt_.damping;
+  }
+}
 
 double stat_delay(const Netlist& nl, const device::AlphaPowerModel& model,
                   const process::VariationSpec& spec, double yield_target,
@@ -116,15 +140,9 @@ SizerResult size_stage(Netlist& nl, const device::AlphaPowerModel& model,
                        const SizerOptions& opt) {
   if (!(opt.yield_target > 0.0 && opt.yield_target < 1.0))
     throw std::invalid_argument("size_stage: yield_target outside (0,1)");
-  if (opt.min_size <= 0.0 || opt.max_size < opt.min_size)
-    throw std::invalid_argument("size_stage: bad size bounds");
-  if (opt.damping <= 0.0 || opt.damping > 1.0)
-    throw std::invalid_argument("size_stage: damping outside (0,1]");
+  validate_sizer_options(opt);
 
   const double z = stats::normal_icdf(opt.yield_target);
-  const double tau = model.technology().tau_ps;
-  sta::StaOptions sta_opt;
-  sta_opt.output_load = opt.output_load;
   sta::SstaOptions ssta_opt;
   ssta_opt.output_load = opt.output_load;
 
@@ -133,8 +151,7 @@ SizerResult size_stage(Netlist& nl, const device::AlphaPowerModel& model,
   // steps on the constraint violation.
   double lambda_scale = 1.0;
   double best_stat = std::numeric_limits<double>::infinity();
-  std::vector<double> best_sizes(nl.size());
-  for (std::size_t i = 0; i < nl.size(); ++i) best_sizes[i] = nl.gate(i).size;
+  std::vector<double> best_sizes = nl.sizes();
   SizerResult result;
 
   auto record_if_best = [&](double ds) {
@@ -152,36 +169,17 @@ SizerResult size_stage(Netlist& nl, const device::AlphaPowerModel& model,
     if (take || result.iterations == 1) {  // first evaluation always recorded
       best_stat = ds;
       result.area = area;
-      for (std::size_t i = 0; i < nl.size(); ++i)
-        best_sizes[i] = nl.gate(i).size;
+      best_sizes = nl.sizes();
     }
   };
 
-  // Structure-dependent schedule and padding divisor, fixed across
-  // iterations (only sizes change inside the loop).
-  const LevelSchedule sched(nl, opt.threads);
-  const double sqrt_depth = std::sqrt(
-      static_cast<double>(std::max<std::size_t>(nl.depth(), 1)));
-
+  LrStage stage(nl, model, spec, opt, z);
   for (std::size_t iter = 0; iter < opt.max_iterations; ++iter) {
-    // --- timing at current sizes: deterministic arrivals padded per gate
-    //     with its z*sigma contribution (statistical effect of [3]).
-    //     Level-parallel: a gate reads only fanin arrivals (earlier
-    //     levels) and gate sizes, which this loop never writes.
-    std::vector<double> arrival(nl.size(), 0.0);
-    sched.for_each_gate([&](GateId id) {
-      const auto& g = nl.gate(id);
-      if (g.is_pseudo()) return;
-      double in_arr = 0.0;
-      for (GateId f : g.fanins) in_arr = std::max(in_arr, arrival[f]);
-      const double load = nl.load_of(id, opt.output_load);
-      const auto sig = model.delay_sigmas(g.kind, g.size, load, spec);
-      arrival[id] = in_arr + model.nominal_delay(g.kind, g.size, load) +
-                    z * sig.total() / sqrt_depth;
-    });
-
-    const double ds = stat_delay(nl, model, spec, opt.yield_target,
-                                 opt.output_load);
+    // --- timing at current sizes: one evaluation per gate, folded into
+    //     the stage's canonical SSTA.
+    stage.evaluate();
+    const auto d = stage.fold_ssta();
+    const double ds = d.mu + z * d.sigma();
     ++result.iterations;
     static obs::Counter c_iters("opt.sizer.iterations");
     c_iters.add();
@@ -193,39 +191,12 @@ SizerResult size_stage(Netlist& nl, const device::AlphaPowerModel& model,
     lambda_scale *= std::exp(std::clamp(2.0 * violation, -0.7, 0.7));
     lambda_scale = std::clamp(lambda_scale, 1e-4, 1e6);
 
-    // --- LR projection: flow-conserving criticality weights.
-    const auto w = criticality_weights(nl, arrival, opt.softmax_theta_ps);
-
-    // --- closed-form coordinate update of every size.  Level-parallel
-    //     Gauss-Seidel: a gate reads updated fanin sizes (earlier levels,
-    //     finished buckets) and pre-update fanout sizes via load_of (later
-    //     levels, untouched buckets) — the exact serial-loop visibility.
-    sched.for_each_gate([&](GateId id) {
-      auto& g = nl.gate(id);
-      if (g.is_pseudo()) return;
-      const auto& t = device::traits(g.kind);
-      const double load = nl.load_of(id, opt.output_load);
-      const double lam_g = lambda_scale * w[id];
-
-      // Pressure from this gate's own delay: lam_g * tau * load / x^2.
-      // Pressure from loading predecessors: sum over fanins p of
-      //   lam_p * tau * g_le / x_p  (per unit of our size).
-      double pred_cost = 0.0;
-      for (GateId f : g.fanins) {
-        const auto& pg = nl.gate(f);
-        if (pg.is_pseudo()) continue;
-        pred_cost += lambda_scale * w[f] * tau * t.logical_effort / pg.size;
-      }
-      const double denom = t.area + pred_cost;
-      const double x_star = std::sqrt(
-          std::max(lam_g * tau * std::max(load, 1e-6) / denom, 1e-12));
-      const double x_new = std::clamp(x_star, opt.min_size, opt.max_size);
-      g.size = g.size * (1.0 - opt.damping) + x_new * opt.damping;
-    });
+    // --- LR projection and closed-form coordinate update of every size.
+    stage.update(lambda_scale);
   }
 
   // Restore the best sizes seen.
-  for (std::size_t i = 0; i < nl.size(); ++i) nl.gate(i).size = best_sizes[i];
+  nl.set_sizes(best_sizes);
   const auto final_d = sta::analyze_ssta(nl, model, spec, ssta_opt);
   result.delay = final_d.as_gaussian();
   result.stat_delay = final_d.mu + z * final_d.sigma();

@@ -43,17 +43,6 @@ struct SizerOptions {
   double damping = 0.5;           ///< size-update damping in (0,1]
   double output_load = 2.0;
   double tolerance_ps = 0.05;     ///< convergence window on D_stat
-
-  /// Worker cap for the per-gate timing/size-update loops inside one LR
-  /// iteration: 0 = every shared-pool thread, 1 = serial.  The loops run
-  /// level-synchronously (gates of one logic level in parallel, levels in
-  /// sequence), and every dependency of a gate's update — fanin arrivals
-  /// and sizes at earlier levels, fanout loads at later levels — crosses
-  /// levels, so the schedule computes exactly the serial loop's values:
-  /// results are bitwise-invariant to this knob, only wall-clock changes.
-  /// Small stages (under an internal gate-count threshold) stay serial
-  /// regardless — the per-level fan-out overhead would dominate.
-  std::size_t threads = 0;
 };
 
 struct SizerResult {

@@ -134,9 +134,18 @@ CanonicalDelay analyze_ssta(const netlist::Netlist& nl,
                             const device::AlphaPowerModel& model,
                             const process::VariationSpec& spec,
                             const SstaOptions& opt) {
+  std::vector<CanonicalDelay> arrival(nl.size());
+  for (netlist::GateId id = 0; id < nl.size(); ++id)
+    arrival[id] = gate_canonical_delay(nl, id, model, spec, opt);
+  return fold_ssta(nl, arrival);
+}
+
+CanonicalDelay fold_ssta(const netlist::Netlist& nl,
+                         std::vector<CanonicalDelay>& arrival) {
   if (nl.outputs().empty())
     throw std::logic_error("ssta: netlist has no primary outputs");
-  std::vector<CanonicalDelay> arrival(nl.size());
+  if (arrival.size() != nl.size())
+    throw std::invalid_argument("ssta: one delay per gate expected");
   for (netlist::GateId id : nl.topological_order()) {
     const auto& g = nl.gate(id);
     if (g.is_pseudo()) continue;
@@ -146,7 +155,7 @@ CanonicalDelay analyze_ssta(const netlist::Netlist& nl,
       in = first ? arrival[f] : canonical_max(in, arrival[f]);
       first = false;
     }
-    arrival[id] = in + gate_canonical_delay(nl, id, model, spec, opt);
+    arrival[id] = in + arrival[id];
   }
   CanonicalDelay out{};
   bool first = true;

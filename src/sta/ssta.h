@@ -21,6 +21,8 @@
 //         Clark eq. 6), the residual keeps the total variance exact.
 #pragma once
 
+#include <vector>
+
 #include "device/delay_model.h"
 #include "netlist/netlist.h"
 #include "process/variation.h"
@@ -92,10 +94,20 @@ CanonicalDelay gate_canonical_delay(const netlist::Netlist& nl,
                                     const process::VariationSpec& spec,
                                     const SstaOptions& opt = {});
 
-/// Full-netlist SSTA: canonical arrival at the critical output.
+/// Full-netlist SSTA: canonical arrival at the critical output.  This is
+/// fold_ssta over every gate's gate_canonical_delay.
 CanonicalDelay analyze_ssta(const netlist::Netlist& nl,
                             const device::AlphaPowerModel& model,
                             const process::VariationSpec& spec,
                             const SstaOptions& opt = {});
+
+/// The SSTA fold over precomputed per-gate delays, in topological order:
+/// on entry `arrival[id]` holds gate id's own canonical delay ({} for
+/// pseudo-gates, as gate_canonical_delay returns), on exit its canonical
+/// arrival.  Returns the arrival at the critical output.  For callers that
+/// already evaluate every gate (the LR sizer) — bitwise what analyze_ssta
+/// returns at the same sizes.
+CanonicalDelay fold_ssta(const netlist::Netlist& nl,
+                         std::vector<CanonicalDelay>& arrival);
 
 }  // namespace statpipe::sta

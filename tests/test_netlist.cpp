@@ -63,6 +63,35 @@ TEST(Netlist, AreaAndLoad) {
   EXPECT_NEAR(n.load_of(n.find("nand")), 2.0, 1e-12);
 }
 
+TEST(Netlist, MarkOutputTwiceCountsOnce) {
+  auto n = tiny();
+  const auto inv = n.find("inv");
+  const auto nand = n.find("nand");
+  n.mark_output(nand);  // already an output
+  n.mark_output(inv);
+  n.mark_output(inv);
+  EXPECT_EQ(n.outputs(), (std::vector<nl::GateId>{nand, inv}));
+  // One output load each, on top of inv's nand2 fanout (4/3).
+  EXPECT_EQ(n.load_of(nand, 3.0), 3.0);
+  EXPECT_NEAR(n.load_of(inv, 0.0), 4.0 / 3.0, 1e-12);
+  EXPECT_EQ(n.load_of(inv, 3.0), n.load_of(inv, 0.0) + 3.0);
+  EXPECT_EQ(n.load_of(n.find("in"), 3.0), n.load_of(n.find("in"), 0.0));
+
+  // A copy keeps the flags and keeps deduplicating, also for gates it
+  // gains after the copy.
+  auto c = n;
+  c.mark_output(inv);
+  EXPECT_EQ(c.outputs(), n.outputs());
+  EXPECT_EQ(c.load_of(inv, 3.0), n.load_of(inv, 3.0));
+  const auto extra = c.add_gate("extra", GateKind::kNot, {nand});
+  c.mark_output(extra);
+  c.mark_output(extra);
+  EXPECT_EQ(c.outputs().size(), 3u);
+  EXPECT_EQ(c.load_of(extra, 3.0), 3.0);
+  EXPECT_EQ(n.outputs().size(), 2u);
+  EXPECT_THROW(n.mark_output(n.size()), std::out_of_range);
+}
+
 TEST(Netlist, ScaleSizes) {
   auto n = tiny();
   n.scale_sizes(2.0);

@@ -2,6 +2,8 @@
 // reference).
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "netlist/generators.h"
 #include "opt/simultaneous.h"
 #include "opt/sizer.h"
@@ -104,8 +106,22 @@ TEST(Simultaneous, RejectsBadInputs) {
   EXPECT_THROW(sp::opt::size_pipeline_simultaneous(e.ptrs, e.model, e.spec,
                                                    e.latch, so),
                std::invalid_argument);
-  std::vector<sp::netlist::Netlist*> empty;
   so.yield_target = 0.8;
+  // The shared sizer-option check: theta <= 0 or NaN, bad damping.
+  for (const double theta : {0.0, -1.0, std::nan("")}) {
+    so.sizer.softmax_theta_ps = theta;
+    EXPECT_THROW(sp::opt::size_pipeline_simultaneous(e.ptrs, e.model, e.spec,
+                                                     e.latch, so),
+                 std::invalid_argument)
+        << "theta " << theta;
+  }
+  so.sizer.softmax_theta_ps = 1.5;
+  so.sizer.damping = 1.5;
+  EXPECT_THROW(sp::opt::size_pipeline_simultaneous(e.ptrs, e.model, e.spec,
+                                                   e.latch, so),
+               std::invalid_argument);
+  so.sizer.damping = 0.5;
+  std::vector<sp::netlist::Netlist*> empty;
   EXPECT_THROW(sp::opt::size_pipeline_simultaneous(empty, e.model, e.spec,
                                                    e.latch, so),
                std::invalid_argument);
