@@ -83,40 +83,13 @@ AlphaPowerModel::variation_kernel_params() const noexcept {
           kMaxDriveRatio};
 }
 
-double AlphaPowerModel::nominal_delay(GateKind kind, double size,
-                                      double load_cap) const {
-  const auto& t = traits(kind);
-  if (t.is_pseudo) return 0.0;
-  if (size <= 0.0) throw std::invalid_argument("nominal_delay: size <= 0");
-  if (load_cap < 0.0) throw std::invalid_argument("nominal_delay: load < 0");
-  return tech_.tau_ps * (t.parasitic + load_cap / size);
+void AlphaPowerModel::throw_bad_cell(const char* what) {
+  throw std::invalid_argument(what);
 }
 
 double AlphaPowerModel::delay(GateKind kind, double size, double load_cap,
                               double dvth, double dl_rel) const {
   return nominal_delay(kind, size, load_cap) * variation_factor(dvth, dl_rel);
-}
-
-double AlphaPowerModel::dvth_sensitivity(GateKind kind, double size,
-                                         double load_cap) const {
-  // d/dVth [ (drive0/(drive0 - dvth))^alpha ] at dvth=0  =  alpha/drive0.
-  const double drive0 = tech_.vdd - tech_.vth0;
-  return nominal_delay(kind, size, load_cap) * tech_.alpha / drive0;
-}
-
-double AlphaPowerModel::DelaySigmas::total() const {
-  return std::sqrt(inter * inter + systematic * systematic + random * random);
-}
-
-AlphaPowerModel::DelaySigmas AlphaPowerModel::delay_sigmas(
-    GateKind kind, double size, double load_cap,
-    const process::VariationSpec& spec) const {
-  const double sens = dvth_sensitivity(kind, size, load_cap);
-  DelaySigmas s;
-  s.inter = sens * spec.sigma_vth_inter;
-  s.systematic = sens * spec.sigma_vth_systematic;
-  if (spec.enable_rdf) s.random = sens * tech_.sigma_vth_rdf(size);
-  return s;
 }
 
 }  // namespace statpipe::device

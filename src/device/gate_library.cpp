@@ -9,27 +9,7 @@ namespace statpipe::device {
 
 namespace {
 
-constexpr int kKindCount = 16;
-
-constexpr std::array<GateTraits, kKindCount> kTraits = {{
-    // g,     p,    area, fanin, pseudo
-    {0.0, 0.0, 0.0, 0, true},      // kInput
-    {0.0, 0.0, 0.0, 1, true},      // kOutput
-    {1.0, 2.0, 2.0, 1, false},     // kBuf (two inverters lumped)
-    {1.0, 1.0, 1.0, 1, false},     // kNot
-    {4.0 / 3.0, 2.0, 1.6, 2, false},   // kNand2
-    {5.0 / 3.0, 3.0, 2.2, 3, false},   // kNand3
-    {6.0 / 3.0, 4.0, 2.8, 4, false},   // kNand4
-    {5.0 / 3.0, 2.0, 1.9, 2, false},   // kNor2
-    {7.0 / 3.0, 3.0, 2.7, 3, false},   // kNor3
-    {9.0 / 3.0, 4.0, 3.5, 4, false},   // kNor4
-    {4.0 / 3.0, 3.0, 2.6, 2, false},   // kAnd2 (nand+inv lumped)
-    {5.0 / 3.0, 4.0, 3.2, 3, false},   // kAnd3
-    {5.0 / 3.0, 3.0, 2.9, 2, false},   // kOr2 (nor+inv lumped)
-    {7.0 / 3.0, 4.0, 3.7, 3, false},   // kOr3
-    {4.0, 4.0, 4.5, 2, false},         // kXor2
-    {4.0, 4.0, 4.5, 2, false},         // kXnor2
-}};
+constexpr std::size_t kKindCount = detail::kTraits.size();
 
 constexpr std::array<std::string_view, kKindCount> kNames = {
     "INPUT", "OUTPUT", "BUFF", "NOT",  "NAND",  "NAND3", "NAND4", "NOR",
@@ -37,10 +17,8 @@ constexpr std::array<std::string_view, kKindCount> kNames = {
 
 }  // namespace
 
-const GateTraits& traits(GateKind kind) {
-  const auto i = static_cast<std::size_t>(kind);
-  if (i >= kTraits.size()) throw std::out_of_range("traits: bad GateKind");
-  return kTraits[i];
+void detail::throw_bad_kind() {
+  throw std::out_of_range("traits: bad GateKind");
 }
 
 std::string_view to_string(GateKind kind) {
@@ -73,18 +51,6 @@ GateKind gate_kind_from_string(std::string_view name) {
   if (up == "XNOR") return GateKind::kXnor2;
   throw std::invalid_argument("gate_kind_from_string: unknown gate '" +
                               std::string(name) + "'");
-}
-
-double input_cap(GateKind kind, double size) {
-  const auto& t = traits(kind);
-  if (t.is_pseudo) return 0.0;
-  return size * t.logical_effort;
-}
-
-double cell_area(GateKind kind, double size) {
-  const auto& t = traits(kind);
-  if (t.is_pseudo) return 0.0;
-  return size * t.area;
 }
 
 }  // namespace statpipe::device

@@ -73,6 +73,8 @@ class Netlist {
 
   const std::vector<GateId>& inputs() const noexcept { return inputs_; }
   const std::vector<GateId>& outputs() const noexcept { return outputs_; }
+  /// True if gate `id` is listed in outputs().  O(1).
+  bool is_output(GateId id) const { return is_output_.at(id) != 0; }
 
   /// Gate ids in topological order (inputs first).  Cached; invalidated by
   /// structural edits.  Throws std::logic_error on a combinational cycle.

@@ -87,6 +87,16 @@ GlobalOptimizerResult GlobalPipelineOptimizer::optimize(
   if (comb_target <= 0.0)
     throw std::invalid_argument("optimize: latch overhead exceeds target");
 
+  // The sizes size_stage reaches on a copy of `nl` at each target, sized as
+  // lanes of one sizer walk.
+  auto grid_sizes = [&](const netlist::Netlist& nl,
+                        const std::vector<double>& targets) {
+    std::vector<std::vector<double>> sizes;
+    for (auto& lane : size_stage_grid(nl, *model_, spec_, opt.sizer, targets))
+      sizes.push_back(std::move(lane.sizes));
+    return sizes;
+  };
+
   // --- step 1: area-delay curves + elasticities at current operating point.
   // Each stage's sweep runs on a private copy of its netlist, so all stages
   // evaluate concurrently with nothing to save/restore.
@@ -168,20 +178,15 @@ GlobalOptimizerResult GlobalPipelineOptimizer::optimize(
                                       opt.sizer.yield_target,
                                       opt.sizer.output_load);
       // Evaluate the speed-up factors as independent candidates: each sizes
-      // a copy of the stage; the grid's SSTA then runs as one batch (one
-      // topological walk, one size lane per factor), and each lane scores
-      // the pipeline by substituting into the cached characterizations.
+      // a copy of the stage, all as lanes of one sizer walk; the grid's
+      // SSTA then runs as one batch (one topological walk, one size lane
+      // per factor), and each lane scores the pipeline by substituting
+      // into the cached characterizations.
       static constexpr double kFactors[] = {0.97, 0.93, 0.88, 0.82};
       constexpr std::size_t kNf = std::size(kFactors);
-      std::vector<std::vector<double>> cand_sizes(kNf);
-      (void)nl.topological_order();
-      sim::parallel_for(kNf, [&](std::size_t j) {
-        netlist::Netlist work = nl;  // starts at `saved` sizes
-        SizerOptions so = opt.sizer;
-        so.t_target = d_now * kFactors[j];
-        (void)size_stage(work, *model_, spec_, so);
-        cand_sizes[j] = work.sizes();
-      });
+      std::vector<double> targets;
+      for (const double f : kFactors) targets.push_back(d_now * f);
+      const auto cand_sizes = grid_sizes(nl, targets);
       const auto cand_chars =
           sta::characterize_grid(nl, *model_, cand_sizes, spec_, {}, opt.grid);
       const sta::StageCharacterization cs_saved = cs[i];
@@ -212,8 +217,8 @@ GlobalOptimizerResult GlobalPipelineOptimizer::optimize(
   //
   // For the chosen stage we scan a deterministic grid of combinational
   // stat-delay targets; every grid point sizes a private copy of the stage
-  // and scores pipeline yield with the copy substituted, so all candidates
-  // evaluate concurrently on the sim engine.  Selection then picks, in
+  // (all of them lanes of one sizer walk) and scores pipeline yield with
+  // the copy substituted.  Selection then picks, in
   // fixed target order:
   //  * the cheapest (minimum-area) candidate that meets the pipeline yield
   //    goal — kEnsureYield buys the goal without over-spending, and
@@ -242,23 +247,16 @@ GlobalOptimizerResult GlobalPipelineOptimizer::optimize(
       const std::size_t probes = std::max<std::size_t>(opt.budget_probes, 1);
       static obs::Counter c_probes("opt.global.probes");
       c_probes.add(probes);
-      std::vector<std::vector<double>> grid_sizes(probes);
-      (void)nl.topological_order();
-      sim::parallel_for(probes, [&](std::size_t p) {
-        const double t_stage =
-            lo + (hi - lo) * static_cast<double>(p + 1) /
-                     static_cast<double>(probes + 1);
-        netlist::Netlist work = nl;  // starts at `saved` sizes
-        SizerOptions so = opt.sizer;
-        so.t_target = t_stage;
-        (void)size_stage(work, *model_, spec_, so);
-        grid_sizes[p] = work.sizes();
-      });
+      std::vector<double> targets(probes);
+      for (std::size_t p = 0; p < probes; ++p)
+        targets[p] = lo + (hi - lo) * static_cast<double>(p + 1) /
+                              static_cast<double>(probes + 1);
+      const auto probe_sizes = grid_sizes(nl, targets);
       // One batched SSTA over the whole probe grid (the changed stage's K
       // size lanes); each lane's pipeline yield substitutes that lane into
       // the cached characterizations of the unchanged stages.
       const auto grid_chars =
-          sta::characterize_grid(nl, *model_, grid_sizes, spec_, {}, opt.grid);
+          sta::characterize_grid(nl, *model_, probe_sizes, spec_, {}, opt.grid);
       const sta::StageCharacterization cs_saved = cs[i];
       std::vector<double> grid_yield(probes);
       for (std::size_t p = 0; p < probes; ++p) {
@@ -293,7 +291,7 @@ GlobalOptimizerResult GlobalPipelineOptimizer::optimize(
       // (bitwise what a full rebuild would recompute).
       double y_after = y_now;
       if (best_p != probes) {
-        nl.set_sizes(grid_sizes[best_p]);
+        nl.set_sizes(probe_sizes[best_p]);
         cs[i] = grid_chars[best_p];
         y_after = grid_yield[best_p];
       } else {

@@ -30,7 +30,7 @@ SimultaneousResult size_pipeline_simultaneous(
 
   const std::size_t m = stages.size();
   const double z = stats::normal_icdf(opt.yield_target);
-  std::vector<LrStage> lr;
+  std::vector<LrStage<1>> lr;
   lr.reserve(m);
   for (auto* s : stages) lr.emplace_back(*s, model, spec, so, z);
 
@@ -95,9 +95,12 @@ SimultaneousResult size_pipeline_simultaneous(
 
     // --- joint gate update: every gate of every stage, weighted by its
     //     stage criticality.
+    static constexpr char kRunning = 1;
     for (std::size_t s = 0; s < m; ++s) {
+      const double lambda = lambda_scale * static_cast<double>(m) * crit[s];
       lr[s].evaluate();
-      lr[s].update(lambda_scale * static_cast<double>(m) * crit[s]);
+      lr[s].update(&lambda, &kRunning);
+      stages[s]->set_sizes(lr[s].sizes());
     }
   }
 

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "obs/telemetry.h"
 #include "opt/lr_stage.h"
+#include "sim/engine.h"
+#include "sim/thread_pool.h"
 
 namespace statpipe::opt {
 
@@ -21,109 +24,181 @@ void validate_sizer_options(const SizerOptions& opt) {
     throw std::invalid_argument("SizerOptions: damping outside (0,1]");
   if (!(opt.softmax_theta_ps > 0.0))
     throw std::invalid_argument("SizerOptions: softmax_theta_ps <= 0");
+  if (!(opt.output_load >= 0.0))
+    throw std::invalid_argument("SizerOptions: output_load < 0 or NaN");
 }
 
-LrStage::LrStage(Netlist& nl, const device::AlphaPowerModel& model,
-                 const process::VariationSpec& spec, const SizerOptions& opt,
-                 double z)
+template <std::size_t kLanes>
+LrStage<kLanes>::LrStage(const Netlist& nl,
+                         const device::AlphaPowerModel& model,
+                         const process::VariationSpec& spec,
+                         const SizerOptions& opt, double z, std::size_t lanes)
     : nl_(nl),
+      gates_(nl.gates()),
+      topo_(nl.topological_order()),
       model_(model),
       spec_(spec),
       opt_(opt),
       z_(z),
       sqrt_depth_(std::sqrt(
           static_cast<double>(std::max<std::size_t>(nl.depth(), 1)))),
-      load_(nl.size(), 0.0),
-      arrival_(nl.size(), 0.0),
-      weight_(nl.size(), 0.0),
-      delay_(nl.size()) {}
+      lanes_(lanes),
+      size_(nl.size() * lanes),
+      load_(nl.size() * lanes, 0.0),
+      arrival_(nl.size() * lanes, 0.0),
+      weight_(nl.size() * lanes, 0.0),
+      delay_(nl.size(), lanes),
+      in_(lanes),
+      amax_(lanes),
+      sum_(lanes),
+      pred_(lanes) {
+  if (kLanes > 0 && lanes != kLanes)
+    throw std::logic_error("LrStage: lane count differs from kLanes");
+  for (GateId id = 0; id < nl.size(); ++id)
+    std::fill_n(&size_[id * lanes], lanes, gates_[id].size);
+}
 
-void LrStage::evaluate() {
+template <std::size_t kLanes>
+void LrStage<kLanes>::evaluate() {
+  const std::size_t L = lanes();
+  double* in = in_.data();
   // Pseudo-gates keep arrival 0 and delay {} from construction: only real
   // gates are written, here and in fold_ssta.
-  for (GateId id : nl_.topological_order()) {
-    const auto& g = nl_.gate(id);
+  for (GateId id : topo_) {
+    const netlist::Gate& g = gates_[id];
     if (g.is_pseudo()) continue;
-    double in_arr = 0.0;
-    for (GateId f : g.fanins) in_arr = std::max(in_arr, arrival_[f]);
-    const double load = nl_.load_of(id, opt_.output_load);
-    const auto sig = model_.delay_sigmas(g.kind, g.size, load, spec_);
-    const double mu = model_.nominal_delay(g.kind, g.size, load);
-    load_[id] = load;
-    arrival_[id] = in_arr + mu + z_ * sig.total() / sqrt_depth_;
-    delay_[id] = {.mu = mu,
-                  .b_inter = sig.inter,
-                  .sigma_ind = sig.random,
-                  .b_sys = sig.systematic};
+    std::fill_n(in, L, 0.0);
+    for (GateId f : g.fanins) {
+      const double* a = &arrival_[f * L];
+      for (std::size_t k = 0; k < L; ++k) in[k] = std::max(in[k], a[k]);
+    }
+    // load_of in every lane: fanout input caps in list order, plus the
+    // primary-output load.
+    double* load = &load_[id * L];
+    std::fill_n(load, L, 0.0);
+    for (GateId s : g.fanouts)
+      device::add_input_cap_lanes(gates_[s].kind, &size_[s * L], L, load);
+    if (nl_.is_output(id))
+      for (std::size_t k = 0; k < L; ++k) load[k] += opt_.output_load;
+
+    const double* x = &size_[id * L];
+    const sta::CanonicalLanes d = delay_.at(id);
+    model_.nominal_delay_lanes(g.kind, x, load, L, d.mu);
+    model_.delay_sigmas_lanes(g.kind, x, load, L, spec_,
+                              {d.b_inter, d.b_sys, d.sigma_ind});
+    double* arr = &arrival_[id * L];
+    for (std::size_t k = 0; k < L; ++k) {
+      const device::AlphaPowerModel::DelaySigmas sig{d.b_inter[k], d.b_sys[k],
+                                                     d.sigma_ind[k]};
+      arr[k] = in[k] + d.mu[k] + z_ * sig.total() / sqrt_depth_;
+    }
   }
 }
 
-sta::CanonicalDelay LrStage::fold_ssta() {
-  return sta::fold_ssta(nl_, delay_);
+template <std::size_t kLanes>
+void LrStage<kLanes>::area(double* out) const {
+  const std::size_t L = lanes();
+  std::fill_n(out, L, 0.0);
+  for (GateId id = 0; id < gates_.size(); ++id)
+    device::add_cell_area_lanes(gates_[id].kind, &size_[id * L], L, out);
+}
+
+template <std::size_t kLanes>
+void LrStage<kLanes>::softmax_terms(const std::vector<GateId>& ids) {
+  const std::size_t L = lanes();
+  const double theta = opt_.softmax_theta_ps;
+  double* amax = amax_.data();
+  double* sum = sum_.data();
+  std::fill_n(amax, L, 0.0);
+  for (GateId i : ids) {
+    const double* a = &arrival_[i * L];
+    for (std::size_t k = 0; k < L; ++k) amax[k] = std::max(amax[k], a[k]);
+  }
+  exps_.resize(ids.size() * L);
+  std::fill_n(sum, L, 0.0);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const double* a = &arrival_[ids[i] * L];
+    double* e = &exps_[i * L];
+    for (std::size_t k = 0; k < L; ++k) {
+      e[k] = std::exp((a[k] - amax[k]) / theta);
+      sum[k] += e[k];
+    }
+  }
 }
 
 /// Flow-conserving criticality multipliers: seed every primary output with
 /// weight softmax(arrival), then push each gate's weight back onto its
 /// fanins proportional to exp(arrival/theta) — the LR projection step.
-void LrStage::criticality_weights() {
-  const double theta = opt_.softmax_theta_ps;
-  // exps_[k] = exp((arrival - max) / theta) of ids[k], once; returns the sum.
-  auto softmax_terms = [&](const std::vector<GateId>& ids) {
-    double amax = 0.0;
-    for (GateId i : ids) amax = std::max(amax, arrival_[i]);
-    exps_.resize(ids.size());
-    double sum = 0.0;
-    for (std::size_t k = 0; k < ids.size(); ++k) {
-      exps_[k] = std::exp((arrival_[ids[k]] - amax) / theta);
-      sum += exps_[k];
-    }
-    return sum;
-  };
-
+template <std::size_t kLanes>
+void LrStage<kLanes>::criticality_weights() {
+  const std::size_t L = lanes();
+  const double* sum = sum_.data();
   std::fill(weight_.begin(), weight_.end(), 0.0);
   const auto& outs = nl_.outputs();
-  const double norm = softmax_terms(outs);
-  for (std::size_t k = 0; k < outs.size(); ++k)
-    weight_[outs[k]] += exps_[k] / norm;
+  softmax_terms(outs);
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    double* w = &weight_[outs[i] * L];
+    const double* e = &exps_[i * L];
+    for (std::size_t k = 0; k < L; ++k) w[k] += e[k] / sum[k];
+  }
 
-  // Reverse-topological back-propagation.
-  const auto& topo = nl_.topological_order();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const auto& g = nl_.gate(*it);
-    const double w = weight_[*it];
-    if (w <= 0.0 || g.fanins.empty()) continue;
-    const double fsum = softmax_terms(g.fanins);
-    for (std::size_t k = 0; k < g.fanins.size(); ++k)
-      weight_[g.fanins[k]] += w * exps_[k] / fsum;
+  // Reverse-topological back-propagation; a lane skips a gate whose weight
+  // is not positive there.
+  for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
+    const auto& fanins = gates_[*it].fanins;
+    const double* w = &weight_[*it * L];
+    bool any = false;
+    for (std::size_t k = 0; k < L; ++k) any = any || !(w[k] <= 0.0);
+    if (!any || fanins.empty()) continue;
+    softmax_terms(fanins);
+    for (std::size_t i = 0; i < fanins.size(); ++i) {
+      double* wf = &weight_[fanins[i] * L];
+      const double* e = &exps_[i * L];
+      for (std::size_t k = 0; k < L; ++k)
+        if (!(w[k] <= 0.0)) wf[k] += w[k] * e[k] / sum[k];
+    }
   }
 }
 
-void LrStage::update(double lambda) {
+template <std::size_t kLanes>
+void LrStage<kLanes>::update(const double* lambda, const char* running) {
   criticality_weights();
+  const std::size_t L = lanes();
   const double tau = model_.technology().tau_ps;
+  double* pred_cost = pred_.data();
   // Gauss-Seidel in topological order: fanin sizes are already updated.
-  for (GateId id : nl_.topological_order()) {
-    auto& g = nl_.gate(id);
+  for (GateId id : topo_) {
+    const netlist::Gate& g = gates_[id];
     if (g.is_pseudo()) continue;
     const auto& t = device::traits(g.kind);
 
     // Pressure from this gate's own delay: lam_g * tau * load / x^2.
     // Pressure from loading predecessors: sum over fanins p of
     //   lam_p * tau * g_le / x_p  (per unit of our size).
-    double pred_cost = 0.0;
+    std::fill_n(pred_cost, L, 0.0);
     for (GateId f : g.fanins) {
-      const auto& pg = nl_.gate(f);
-      if (pg.is_pseudo()) continue;
-      pred_cost += lambda * weight_[f] * tau * t.logical_effort / pg.size;
+      if (gates_[f].is_pseudo()) continue;
+      const double* wf = &weight_[f * L];
+      const double* xf = &size_[f * L];
+      for (std::size_t k = 0; k < L; ++k)
+        pred_cost[k] += lambda[k] * wf[k] * tau * t.logical_effort / xf[k];
     }
-    const double denom = t.area + pred_cost;
-    const double x_star = std::sqrt(std::max(
-        lambda * weight_[id] * tau * std::max(load_[id], 1e-6) / denom,
-        1e-12));
-    const double x_new = std::clamp(x_star, opt_.min_size, opt_.max_size);
-    g.size = g.size * (1.0 - opt_.damping) + x_new * opt_.damping;
+    const double* w = &weight_[id * L];
+    const double* load = &load_[id * L];
+    double* x = &size_[id * L];
+    for (std::size_t k = 0; k < L; ++k) {
+      const double denom = t.area + pred_cost[k];
+      const double x_star = std::sqrt(std::max(
+          lambda[k] * w[k] * tau * std::max(load[k], 1e-6) / denom, 1e-12));
+      const double x_new = std::clamp(x_star, opt_.min_size, opt_.max_size);
+      const double next = x[k] * (1.0 - opt_.damping) + x_new * opt_.damping;
+      x[k] = running[k] ? next : x[k];
+    }
   }
 }
+
+template class LrStage<0>;
+template class LrStage<1>;
 
 double stat_delay(const Netlist& nl, const device::AlphaPowerModel& model,
                   const process::VariationSpec& spec, double yield_target,
@@ -135,74 +210,162 @@ double stat_delay(const Netlist& nl, const device::AlphaPowerModel& model,
   return d.mu + z * d.sigma();
 }
 
+namespace {
+
+/// size_stage's input checks, over every target before any lane runs.
+void check_stage_inputs(const SizerOptions& opt, const double* t_target,
+                        std::size_t lanes) {
+  if (!(opt.yield_target > 0.0 && opt.yield_target < 1.0))
+    throw std::invalid_argument("size_stage: yield_target outside (0,1)");
+  if (!(opt.tolerance_ps >= 0.0))
+    throw std::invalid_argument("size_stage: tolerance_ps < 0 or NaN");
+  for (std::size_t k = 0; k < lanes; ++k)
+    if (!std::isfinite(t_target[k]))
+      throw std::invalid_argument("size_stage: t_target not finite");
+  validate_sizer_options(opt);
+}
+
+/// size_stage's LR loop, run for every lane of one walk: lane k sizes
+/// against t_target[k] and lands in out[k].  A lane that converges stops
+/// updating while the others go on.
+template <std::size_t kLanes>
+void size_lanes(const Netlist& nl, const device::AlphaPowerModel& model,
+                const process::VariationSpec& spec, const SizerOptions& opt,
+                const double* t_target, std::size_t lanes, SizedLane* out) {
+  static obs::Counter c_iters("opt.sizer.iterations");
+  const double z = stats::normal_icdf(opt.yield_target);
+  LrStage<kLanes> stage(nl, model, spec, opt, z, lanes);
+  const std::size_t L = stage.lanes();
+
+  // Per lane: the Lagrange multiplier on the delay constraint (it scales
+  // the criticality weights against area in the size update and moves by
+  // subgradient steps on the constraint violation), the best point seen,
+  // and whether the lane still iterates.
+  std::vector<double> lambda(L, 1.0);
+  std::vector<double> best_stat(L, std::numeric_limits<double>::infinity());
+  std::vector<sta::CanonicalDelay> best(L);
+  std::vector<double> best_sizes = stage.sizes();
+  std::vector<double> area(L);
+  std::vector<char> running(L, 1), take(L, 0);
+  std::size_t n_running = L;
+  sta::CanonicalLaneArrays timing(1, L);
+  const sta::CanonicalLanes d = timing.at(0);
+
+  for (std::size_t iter = 0; iter < opt.max_iterations && n_running > 0;
+       ++iter) {
+    // --- timing at current sizes: one evaluation per gate and lane,
+    //     folded into each lane's canonical SSTA.
+    stage.evaluate();
+    stage.fold_ssta(d);
+    stage.area(area.data());
+    c_iters.add(n_running);
+    for (std::size_t k = 0; k < L; ++k) {
+      take[k] = 0;
+      if (!running[k]) continue;
+      SizerResult& r = out[k].result;
+      const sta::CanonicalDelay dk = d.load(k);
+      const double ds = dk.mu + z * dk.sigma();
+      ++r.iterations;
+      // Track the closest-to-target feasible point, or the fastest seen;
+      // the first evaluation is always recorded.
+      const double window = t_target[k] + opt.tolerance_ps;
+      const bool feas = ds <= window;
+      const bool best_feas = best_stat[k] <= window;
+      bool better = false;
+      if (feas && best_feas)
+        better = area[k] < r.area;  // both meet target: prefer smaller area
+      else if (feas != best_feas)
+        better = feas;              // feasibility first
+      else
+        better = ds < best_stat[k];  // both infeasible: prefer faster
+      if (better || r.iterations == 1) {
+        best_stat[k] = ds;
+        r.area = area[k];
+        best[k] = dk;
+        take[k] = 1;
+      }
+      if (std::abs(ds - t_target[k]) <= opt.tolerance_ps) {
+        running[k] = 0;
+        --n_running;
+        continue;
+      }
+      // --- subgradient step on the constraint multiplier.
+      const double violation =
+          (ds - t_target[k]) / std::max(t_target[k], 1.0);
+      lambda[k] *= std::exp(std::clamp(2.0 * violation, -0.7, 0.7));
+      lambda[k] = std::clamp(lambda[k], 1e-4, 1e6);
+    }
+    const std::vector<double>& x = stage.sizes();
+    for (std::size_t i = 0; i < x.size(); i += L)
+      for (std::size_t k = 0; k < L; ++k)
+        if (take[k]) best_sizes[i + k] = x[i + k];
+
+    // --- LR projection and closed-form coordinate update of every size.
+    if (n_running > 0) stage.update(lambda.data(), running.data());
+  }
+  if (opt.max_iterations == 0) {  // no iteration: report the start point
+    stage.evaluate();
+    stage.fold_ssta(d);
+    stage.area(area.data());
+    for (std::size_t k = 0; k < L; ++k) {
+      best[k] = d.load(k);
+      out[k].result.area = area[k];
+    }
+  }
+
+  // The best point's canonical delay is bitwise analyze_ssta at its sizes
+  // (sta::fold_ssta_lanes' contract), so no closing analysis runs.
+  for (std::size_t k = 0; k < L; ++k) {
+    SizerResult& r = out[k].result;
+    r.delay = best[k].as_gaussian();
+    r.stat_delay = best[k].mu + z * best[k].sigma();
+    r.feasible = r.stat_delay <= t_target[k] + opt.tolerance_ps;
+    out[k].sizes.resize(nl.size());
+    for (GateId id = 0; id < nl.size(); ++id)
+      out[k].sizes[id] = best_sizes[id * L + k];
+  }
+}
+
+}  // namespace
+
 SizerResult size_stage(Netlist& nl, const device::AlphaPowerModel& model,
                        const process::VariationSpec& spec,
                        const SizerOptions& opt) {
-  if (!(opt.yield_target > 0.0 && opt.yield_target < 1.0))
-    throw std::invalid_argument("size_stage: yield_target outside (0,1)");
-  validate_sizer_options(opt);
+  check_stage_inputs(opt, &opt.t_target, 1);
+  SizedLane lane;
+  size_lanes<1>(nl, model, spec, opt, &opt.t_target, 1, &lane);
+  nl.set_sizes(lane.sizes);
+  return lane.result;
+}
 
-  const double z = stats::normal_icdf(opt.yield_target);
-  sta::SstaOptions ssta_opt;
-  ssta_opt.output_load = opt.output_load;
-
-  // Lagrange multiplier on the delay constraint: scales the criticality
-  // weights against area in the size update; grown/shrunk by subgradient
-  // steps on the constraint violation.
-  double lambda_scale = 1.0;
-  double best_stat = std::numeric_limits<double>::infinity();
-  std::vector<double> best_sizes = nl.sizes();
-  SizerResult result;
-
-  auto record_if_best = [&](double ds) {
-    // Track the closest-to-target feasible point, or the fastest seen.
-    const bool feas = ds <= opt.t_target + opt.tolerance_ps;
-    const bool best_feas = best_stat <= opt.t_target + opt.tolerance_ps;
-    const double area = nl.total_area();
-    bool take = false;
-    if (feas && best_feas)
-      take = area < result.area;   // both meet target: prefer smaller area
-    else if (feas != best_feas)
-      take = feas;                 // feasibility first
+std::vector<SizedLane> size_stage_grid(const Netlist& nl,
+                                       const device::AlphaPowerModel& model,
+                                       const process::VariationSpec& spec,
+                                       const SizerOptions& base,
+                                       const std::vector<double>& t_targets) {
+  const std::size_t n = t_targets.size();
+  check_stage_inputs(base, t_targets.data(), n);
+  std::vector<SizedLane> out(n);
+  if (n == 0) return out;
+  (void)nl.topological_order();  // cached before the blocks share it
+  // Contiguous blocks as even as the lane count allows, one per pool
+  // worker at most; a nested call runs them inline on its worker.
+  const std::size_t blocks =
+      std::min(n, sim::ThreadPool::shared().thread_count());
+  sim::parallel_for(blocks, [&](std::size_t b) {
+    const std::size_t begin = n * b / blocks;
+    const std::size_t end = n * (b + 1) / blocks;
+    static const obs::SpanId kBlock("opt.size_grid");
+    obs::ScopedSpan span(kBlock, static_cast<std::int64_t>(end - begin));
+    // A one-lane block runs size_stage's engine, whose lane loops compile
+    // away; the bits are the same either way.
+    if (end - begin == 1)
+      size_lanes<1>(nl, model, spec, base, &t_targets[begin], 1, &out[begin]);
     else
-      take = ds < best_stat;       // both infeasible: prefer faster
-    if (take || result.iterations == 1) {  // first evaluation always recorded
-      best_stat = ds;
-      result.area = area;
-      best_sizes = nl.sizes();
-    }
-  };
-
-  LrStage stage(nl, model, spec, opt, z);
-  for (std::size_t iter = 0; iter < opt.max_iterations; ++iter) {
-    // --- timing at current sizes: one evaluation per gate, folded into
-    //     the stage's canonical SSTA.
-    stage.evaluate();
-    const auto d = stage.fold_ssta();
-    const double ds = d.mu + z * d.sigma();
-    ++result.iterations;
-    static obs::Counter c_iters("opt.sizer.iterations");
-    c_iters.add();
-    record_if_best(ds);
-    if (std::abs(ds - opt.t_target) <= opt.tolerance_ps) break;
-
-    // --- subgradient step on the constraint multiplier.
-    const double violation = (ds - opt.t_target) / std::max(opt.t_target, 1.0);
-    lambda_scale *= std::exp(std::clamp(2.0 * violation, -0.7, 0.7));
-    lambda_scale = std::clamp(lambda_scale, 1e-4, 1e6);
-
-    // --- LR projection and closed-form coordinate update of every size.
-    stage.update(lambda_scale);
-  }
-
-  // Restore the best sizes seen.
-  nl.set_sizes(best_sizes);
-  const auto final_d = sta::analyze_ssta(nl, model, spec, ssta_opt);
-  result.delay = final_d.as_gaussian();
-  result.stat_delay = final_d.mu + z * final_d.sigma();
-  result.area = nl.total_area();
-  result.feasible = result.stat_delay <= opt.t_target + opt.tolerance_ps;
-  return result;
+      size_lanes<0>(nl, model, spec, base, &t_targets[begin], end - begin,
+                    &out[begin]);
+  });
+  return out;
 }
 
 }  // namespace statpipe::opt

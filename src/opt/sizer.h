@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "device/delay_model.h"
 #include "netlist/netlist.h"
@@ -56,10 +57,31 @@ struct SizerResult {
 /// Sizes `nl` in place: minimizes area subject to
 /// mu + Phi^-1(yield)*sigma <= t_target.  If the target is unreachable even
 /// at maximum sizes, returns feasible=false with the fastest sizing found.
+/// Throws std::invalid_argument for a yield outside (0,1), a non-finite
+/// t_target, a negative or NaN tolerance_ps and the sizer-option checks.
 SizerResult size_stage(netlist::Netlist& nl,
                        const device::AlphaPowerModel& model,
                        const process::VariationSpec& spec,
                        const SizerOptions& opt);
+
+/// One target of size_stage_grid: the result and the sizes it reached
+/// (Netlist::sizes() layout).
+struct SizedLane {
+  SizerResult result;
+  std::vector<double> sizes;
+};
+
+/// size_stage at every target of `t_targets` on copies of `nl`: entry k is
+/// bitwise what size_stage returns, and leaves on the copy, with
+/// base.t_target = t_targets[k].  `nl` is not modified.  The targets run as
+/// lanes of one LR walk, split into at most pool-width contiguous blocks
+/// (inline when called from a pool task); the bits do not depend on the
+/// split.  Checks every target before any lane runs.
+std::vector<SizedLane> size_stage_grid(const netlist::Netlist& nl,
+                                       const device::AlphaPowerModel& model,
+                                       const process::VariationSpec& spec,
+                                       const SizerOptions& base,
+                                       const std::vector<double>& t_targets);
 
 /// Statistical delay mu + z*sigma of a stage at its current sizes.
 double stat_delay(const netlist::Netlist& nl,

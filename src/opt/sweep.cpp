@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "sim/engine.h"
 #include "sta/characterize.h"
 #include "sta/ssta_batch.h"
 #include "stats/gaussian.h"
@@ -45,7 +44,7 @@ SweepResult area_delay_sweep(netlist::Netlist& nl,
                              const SweepOptions& opt) {
   if (opt.points < 2)
     throw std::invalid_argument("area_delay_sweep: need >= 2 points");
-  if (opt.slow_factor <= 1.0)
+  if (!(opt.slow_factor > 1.0))
     throw std::invalid_argument("area_delay_sweep: slow_factor must be > 1");
 
   // Find the fastest achievable statistical delay: size everything at an
@@ -58,23 +57,19 @@ SweepResult area_delay_sweep(netlist::Netlist& nl,
       stat_delay(nl, model, spec, opt.yield_target, opt.sizer.output_load);
 
   // Candidate delay targets all size independent copies of the fast-point
-  // netlist, so the design-space points evaluate concurrently and the
-  // outcome does not depend on sweep (or thread) order.
-  (void)nl.topological_order();  // warm the cache the copies inherit
+  // netlist, as lanes of one sizer walk, so the outcome does not depend on
+  // sweep (or thread) order.
   const double d_max = d_min * opt.slow_factor;
-  auto target_at = [&](std::size_t k) {
-    return d_min * 1.02 + (d_max - d_min * 1.02) * static_cast<double>(k) /
-                              static_cast<double>(opt.points - 1);
-  };
-  std::vector<std::vector<double>> cand_sizes(opt.points);
-  sim::parallel_for(opt.points, [&](std::size_t k) {
-    netlist::Netlist work = nl;
-    SizerOptions so = opt.sizer;
-    so.yield_target = opt.yield_target;
-    so.t_target = target_at(k);
-    (void)size_stage(work, model, spec, so);
-    cand_sizes[k] = work.sizes();
-  });
+  std::vector<double> targets(opt.points);
+  for (std::size_t k = 0; k < opt.points; ++k)
+    targets[k] = d_min * 1.02 + (d_max - d_min * 1.02) *
+                                    static_cast<double>(k) /
+                                    static_cast<double>(opt.points - 1);
+  SizerOptions so = opt.sizer;
+  so.yield_target = opt.yield_target;
+  std::vector<std::vector<double>> cand_sizes;
+  for (auto& lane : size_stage_grid(nl, model, spec, so, targets))
+    cand_sizes.push_back(std::move(lane.sizes));
 
   // Score the whole candidate grid in one batched SSTA pass: one topological
   // walk, opt.points size lanes.  Stat-delay, area and feasibility are
@@ -95,7 +90,7 @@ SweepResult area_delay_sweep(netlist::Netlist& nl,
   for (std::size_t k = 0; k < cand_sizes.size(); ++k) {
     const double sd = chars[k].delay.mean + z * chars[k].delay.sigma;
     const double area = chars[k].area;
-    if (sd > target_at(k) + opt.sizer.tolerance_ps) continue;  // infeasible
+    if (sd > targets[k] + opt.sizer.tolerance_ps) continue;  // infeasible
     if (!pts.empty() && area >= pts.back().area) continue;
     if (!pts.empty() && sd <= pts.back().delay) continue;
     pts.push_back({sd, area});

@@ -12,7 +12,7 @@ namespace statpipe::process {
 double Technology::sigma_vth_rdf(double width_mult) const {
   if (width_mult <= 0.0)
     throw std::invalid_argument("sigma_vth_rdf: width_mult must be > 0");
-  return avt / std::sqrt(width_mult * wmin * leff);
+  return sigma_vth_rdf_unchecked(width_mult);
 }
 
 VariationSpec VariationSpec::intra_only() {

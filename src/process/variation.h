@@ -19,6 +19,7 @@
 // devices, netlists, timing or anything above them.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -42,8 +43,17 @@ struct Technology {
   /// consistent with sub-100nm random-dopant-fluctuation data [6].
   double avt = 30e-3 * 9.899494936611665e-8;  // 30mV * sqrt(140e-9 * 70e-9)
 
-  /// sigma_Vth(RDF) for a device of `width_mult` minimum widths.
+  /// sigma_Vth(RDF) for a device of `width_mult` minimum widths.  Throws
+  /// std::invalid_argument unless width_mult > 0.
   double sigma_vth_rdf(double width_mult) const;
+
+  /// sigma_vth_rdf's arithmetic without the width check: the one body the
+  /// checked call and the delay model's lane forms share (those check every
+  /// width first).
+  __attribute__((always_inline)) double sigma_vth_rdf_unchecked(
+      double width_mult) const {
+    return avt / std::sqrt(width_mult * wmin * leff);
+  }
 };
 
 /// Strengths of each variation component.

@@ -65,6 +65,12 @@ CanonicalDelay canonical_max(const CanonicalDelay& a, const CanonicalDelay& b) {
 
 void canonical_max_lanes(const CanonicalLanes& acc, const CanonicalLanes& other,
                          std::size_t lanes) {
+  // Bitwise the same by this function's contract, and the chunked path
+  // below only pays off from two lanes up.
+  if (lanes == 1) {
+    acc.store(0, canonical_max(acc.load(0), other.load(0)));
+    return;
+  }
   // Fixed-size chunks keep the SoA scratch (sigmas, correlations, Clark
   // outputs) on the stack while feeding clark_max_lanes contiguous blocks.
   // Per lane the sequence is exactly canonical_max's: correlation ->
@@ -164,6 +170,40 @@ CanonicalDelay fold_ssta(const netlist::Netlist& nl,
     first = false;
   }
   return out;
+}
+
+void fold_ssta_lanes(const netlist::Netlist& nl, CanonicalLaneArrays& arrival,
+                     const CanonicalLanes& out) {
+  if (nl.outputs().empty())
+    throw std::logic_error("ssta: netlist has no primary outputs");
+  if (arrival.mu.size() != nl.size() * arrival.lanes)
+    throw std::invalid_argument("ssta: one delay per gate and lane expected");
+  const std::size_t lanes = arrival.lanes;
+  // out = fold canonical_max over `ids`, the first copying: fold_ssta's
+  // `in` and `out` accumulators, per lane.
+  auto fold_max = [&](const std::vector<netlist::GateId>& ids) {
+    const CanonicalLanes first = arrival.at(ids.front());
+    std::copy_n(first.mu, lanes, out.mu);
+    std::copy_n(first.b_inter, lanes, out.b_inter);
+    std::copy_n(first.sigma_ind, lanes, out.sigma_ind);
+    std::copy_n(first.b_sys, lanes, out.b_sys);
+    for (std::size_t i = 1; i < ids.size(); ++i)
+      canonical_max_lanes(out, arrival.at(ids[i]), lanes);
+  };
+  const auto& gates = nl.gates();
+  for (netlist::GateId id : nl.topological_order()) {
+    const auto& g = gates[id];
+    if (g.is_pseudo()) continue;
+    if (g.fanins.empty()) {
+      for (std::size_t k = 0; k < lanes; ++k) out.store(k, {});
+    } else {
+      fold_max(g.fanins);
+    }
+    const CanonicalLanes a = arrival.at(id);
+    for (std::size_t k = 0; k < lanes; ++k)
+      a.store(k, out.load(k) + a.load(k));
+  }
+  fold_max(nl.outputs());
 }
 
 }  // namespace statpipe::sta

@@ -79,9 +79,32 @@ struct CanonicalLanes {
 /// acc[k] = canonical_max(acc[k], other[k]) for every lane — exactly the
 /// scalar operator per lane (bitwise-identical), evaluated over contiguous
 /// lane blocks via stats::clark_max_lanes so one gate visit of the batched
-/// propagation services all K sweep configurations.
+/// propagation services all K sweep configurations.  One lane runs the
+/// scalar operator itself.
 void canonical_max_lanes(const CanonicalLanes& acc, const CanonicalLanes& other,
                          std::size_t lanes);
+
+/// Owning gate-major lane storage behind CanonicalLanes views: four vectors
+/// of gates * lanes doubles, gate g's lanes contiguous at
+/// [g * lanes, (g + 1) * lanes).  The layout fold_ssta_lanes walks.
+struct CanonicalLaneArrays {
+  std::vector<double> mu, b_inter, sigma_ind, b_sys;
+  std::size_t lanes = 0;
+
+  CanonicalLaneArrays(std::size_t gates, std::size_t n_lanes)
+      : mu(gates * n_lanes, 0.0),
+        b_inter(gates * n_lanes, 0.0),
+        sigma_ind(gates * n_lanes, 0.0),
+        b_sys(gates * n_lanes, 0.0),
+        lanes(n_lanes) {}
+
+  /// Gate g's lanes.
+  CanonicalLanes at(std::size_t g) {
+    const std::size_t off = g * lanes;
+    return {mu.data() + off, b_inter.data() + off, sigma_ind.data() + off,
+            b_sys.data() + off};
+  }
+};
 
 struct SstaOptions {
   double output_load = 2.0;
@@ -104,10 +127,19 @@ CanonicalDelay analyze_ssta(const netlist::Netlist& nl,
 /// The SSTA fold over precomputed per-gate delays, in topological order:
 /// on entry `arrival[id]` holds gate id's own canonical delay ({} for
 /// pseudo-gates, as gate_canonical_delay returns), on exit its canonical
-/// arrival.  Returns the arrival at the critical output.  For callers that
-/// already evaluate every gate (the LR sizer) — bitwise what analyze_ssta
-/// returns at the same sizes.
+/// arrival.  Returns the arrival at the critical output: analyze_ssta's
+/// fold, and the scalar reference fold_ssta_lanes is held to.
 CanonicalDelay fold_ssta(const netlist::Netlist& nl,
                          std::vector<CanonicalDelay>& arrival);
+
+/// Lane form of fold_ssta: arrival.lanes size configurations of `nl` in one
+/// topological walk.  On entry gate id's lanes hold its own canonical delay
+/// (zeros for pseudo-gates), on exit its canonical arrival.  `out`, one gate
+/// of lanes, receives each lane's arrival at the critical output; it is
+/// also the walk's fanin-max workspace.  Lane k is bitwise fold_ssta over
+/// lane k's delays.  The LR sizer's lane engine and SstaBatch both fold
+/// through it.
+void fold_ssta_lanes(const netlist::Netlist& nl, CanonicalLaneArrays& arrival,
+                     const CanonicalLanes& out);
 
 }  // namespace statpipe::sta

@@ -46,58 +46,11 @@ std::vector<StageCharacterization> characterize_grid(
 SstaBatch::SstaBatch(const netlist::Netlist& nl,
                      const device::AlphaPowerModel& model,
                      const SstaOptions& opt)
-    : model_(&model), opt_(opt) {
-  if (nl.outputs().empty())
+    : model_(&model), opt_(opt), nl_(nl) {
+  if (nl_.outputs().empty())
     throw std::logic_error("SstaBatch: netlist has no primary outputs");
-  topo_ = nl.topological_order();
-  outputs_ = nl.outputs();
-  gates_.resize(nl.size());
-  for (netlist::GateId id = 0; id < nl.size(); ++id) {
-    const auto& g = nl.gate(id);
-    BoundGate& b = gates_[id];
-    b.kind = g.kind;
-    b.pseudo = g.is_pseudo();
-    b.drives_output =
-        std::find(outputs_.begin(), outputs_.end(), id) != outputs_.end();
-    b.base_size = g.size;
-    b.fanins = g.fanins;
-    b.fanouts = g.fanouts;
-  }
+  (void)nl_.topological_order();  // cached before lane blocks share it
 }
-
-namespace {
-
-/// Owning SoA lane storage: four parallel vectors of `gates * lanes`
-/// doubles, gate-major (gate g's lanes are contiguous at [g*lanes, ...)).
-struct LaneArrays {
-  std::vector<double> mu, b_inter, sigma_ind, b_sys;
-  std::size_t lanes = 0;
-
-  LaneArrays(std::size_t gates, std::size_t n_lanes)
-      : mu(gates * n_lanes, 0.0),
-        b_inter(gates * n_lanes, 0.0),
-        sigma_ind(gates * n_lanes, 0.0),
-        b_sys(gates * n_lanes, 0.0),
-        lanes(n_lanes) {}
-
-  CanonicalLanes at(netlist::GateId id) {
-    const std::size_t off = id * lanes;
-    return {mu.data() + off, b_inter.data() + off, sigma_ind.data() + off,
-            b_sys.data() + off};
-  }
-
-  /// Copies gate `src`'s lanes into the fold workspace `dst` — the "first
-  /// element initializes the fold" step of both the fanin and output max.
-  void copy_lanes(netlist::GateId src, const CanonicalLanes& dst) const {
-    const std::size_t s = src * lanes;
-    std::copy_n(mu.data() + s, lanes, dst.mu);
-    std::copy_n(b_inter.data() + s, lanes, dst.b_inter);
-    std::copy_n(sigma_ind.data() + s, lanes, dst.sigma_ind);
-    std::copy_n(b_sys.data() + s, lanes, dst.b_sys);
-  }
-};
-
-}  // namespace
 
 void SstaBatch::run_block(const std::vector<SstaConfig>& configs,
                           std::size_t lane_begin, std::size_t lane_count,
@@ -108,77 +61,56 @@ void SstaBatch::run_block(const std::vector<SstaConfig>& configs,
                              static_cast<std::int64_t>(lane_count));
   static obs::Counter c_lanes("sta.grid_lanes");
   c_lanes.add(lane_count);
-  const std::size_t n = gates_.size();
+  const std::size_t n = nl_.size();
   const std::size_t L = lane_count;
+  const auto& gates = nl_.gates();
   auto size_of = [&](netlist::GateId id, std::size_t k) {
     const auto& sizes = configs[lane_begin + k].sizes;
-    return sizes.empty() ? gates_[id].base_size : sizes[id];
+    return sizes.empty() ? gates[id].size : sizes[id];
   };
 
-  LaneArrays arrival(n, L);
-  // Fold workspace for the fanin max (the scalar path's `in` accumulator).
-  LaneArrays work(1, L);
-  // Nominal (variation-free) arrivals ride along in the same walk when a
-  // full characterization is requested; they reuse the per-lane load and
+  // Every gate's own canonical delay per lane, then one lane fold.  Nominal
+  // (variation-free) arrivals ride along in the same walk when a full
+  // characterization is requested; they reuse the per-lane load and
   // nominal-delay values, which the scalar path computes identically in its
   // separate sta::analyze pass.
+  CanonicalLaneArrays arrival(n, L);
   std::vector<double> nom_arrival;
   if (chars != nullptr) nom_arrival.assign(n * L, 0.0);
-
-  for (netlist::GateId id : topo_) {
-    const BoundGate& g = gates_[id];
-    if (g.pseudo) continue;
-
-    // in = fold canonical_max over fanins (first fanin copies).
-    CanonicalLanes acc = work.at(0);
-    if (g.fanins.empty()) {
-      std::fill_n(acc.mu, L, 0.0);
-      std::fill_n(acc.b_inter, L, 0.0);
-      std::fill_n(acc.sigma_ind, L, 0.0);
-      std::fill_n(acc.b_sys, L, 0.0);
-    } else {
-      arrival.copy_lanes(g.fanins.front(), acc);
-      for (std::size_t fi = 1; fi < g.fanins.size(); ++fi)
-        canonical_max_lanes(acc, arrival.at(g.fanins[fi]), L);
-    }
-
-    // arrival[id] = in + gate canonical delay, per lane.
-    CanonicalLanes dst = arrival.at(id);
+  for (netlist::GateId id : nl_.topological_order()) {
+    const auto& g = gates[id];
+    if (g.is_pseudo()) continue;
+    const CanonicalLanes dst = arrival.at(id);
     for (std::size_t k = 0; k < L; ++k) {
       // load_of with this lane's sizes: fanout input caps in list order,
       // plus the primary-output load.
       double load = 0.0;
       for (netlist::GateId s : g.fanouts)
-        load += device::input_cap(gates_[s].kind, size_of(s, k));
-      if (g.drives_output) load += opt_.output_load;
+        load += device::input_cap(gates[s].kind, size_of(s, k));
+      if (nl_.is_output(id)) load += opt_.output_load;
 
       const double size = size_of(id, k);
       const auto sig =
           model_->delay_sigmas(g.kind, size, load, configs[lane_begin + k].spec);
-      CanonicalDelay d;
-      d.mu = model_->nominal_delay(g.kind, size, load);
-      d.b_inter = sig.inter;
-      d.b_sys = sig.systematic;
-      d.sigma_ind = sig.random;
-      dst.store(k, acc.load(k) + d);
+      const double mu = model_->nominal_delay(g.kind, size, load);
+      dst.store(k, {.mu = mu,
+                    .b_inter = sig.inter,
+                    .sigma_ind = sig.random,
+                    .b_sys = sig.systematic});
 
       if (chars != nullptr) {
         double in_arr = 0.0;
         for (netlist::GateId f : g.fanins)
           in_arr = std::max(in_arr, nom_arrival[f * L + k]);
-        nom_arrival[id * L + k] = in_arr + d.mu;
+        nom_arrival[id * L + k] = in_arr + mu;
       }
     }
   }
-
-  // out = fold canonical_max over primary outputs (first output copies).
-  CanonicalLanes res = work.at(0);
-  arrival.copy_lanes(outputs_.front(), res);
-  for (std::size_t oi = 1; oi < outputs_.size(); ++oi)
-    canonical_max_lanes(res, arrival.at(outputs_[oi]), L);
+  CanonicalLaneArrays res(1, L);
+  fold_ssta_lanes(nl_, arrival, res.at(0));
 
   for (std::size_t k = 0; k < L; ++k) {
-    const CanonicalDelay d = res.load(k);
+    const CanonicalDelay d = res.at(0).load(k);
     if (out != nullptr) out[lane_begin + k] = d;
     if (chars != nullptr) {
       StageCharacterization c;
@@ -189,10 +121,10 @@ void SstaBatch::run_block(const std::vector<SstaConfig>& configs,
       c.sigma_private = std::sqrt(d.b_sys * d.b_sys + d.sigma_ind * d.sigma_ind);
       double area = 0.0;
       for (netlist::GateId id = 0; id < n; ++id)
-        area += device::cell_area(gates_[id].kind, size_of(id, k));
+        area += device::cell_area(gates[id].kind, size_of(id, k));
       c.area = area;
       double critical = 0.0;
-      for (netlist::GateId o : outputs_)
+      for (netlist::GateId o : nl_.outputs())
         if (nom_arrival[o * L + k] >= critical) critical = nom_arrival[o * L + k];
       c.nominal_delay = critical;
       chars[lane_begin + k] = c;
@@ -215,7 +147,7 @@ void validate_configs(const std::vector<SstaConfig>& configs,
 std::vector<CanonicalDelay> SstaBatch::analyze(
     const std::vector<SstaConfig>& configs,
     const sim::ExecutionOptions& exec) const {
-  validate_configs(configs, gates_.size());
+  validate_configs(configs, nl_.size());
   std::vector<CanonicalDelay> out(configs.size());
   if (configs.empty()) return out;
   const auto shards = sim::plan_shards(
@@ -233,7 +165,7 @@ std::vector<CanonicalDelay> SstaBatch::analyze(
 std::vector<StageCharacterization> SstaBatch::characterize(
     const std::vector<SstaConfig>& configs,
     const sim::ExecutionOptions& exec) const {
-  validate_configs(configs, gates_.size());
+  validate_configs(configs, nl_.size());
   std::vector<StageCharacterization> out(configs.size());
   if (configs.empty()) return out;
   const auto shards = sim::plan_shards(

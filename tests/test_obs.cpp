@@ -24,6 +24,7 @@
 #include "netlist/generators.h"
 #include "obs/log.h"
 #include "obs/telemetry.h"
+#include "opt/sizer.h"
 #include "sim/engine.h"
 #include "stats/rng.h"
 
@@ -245,6 +246,7 @@ TEST_F(ObsTest, ChromeTraceWellFormedFromEngineRun) {
 // off, then on (counters, spans and trace events all live) — and every
 // pair must be bitwise-identical.  All eight runs must also agree with
 // each other (the existing thread/width invariance, now under telemetry).
+// A size_stage_grid leg holds the optimizer to the same rule.
 TEST_F(ObsTest, EnabledDisabledBitwiseInvarianceMatrix) {
   const auto nl = sp::netlist::iscas_like("c432");
   sp::mc::McResult reference;
@@ -277,6 +279,34 @@ TEST_F(ObsTest, EnabledDisabledBitwiseInvarianceMatrix) {
       }
     }
   }
+
+  // The optimizer's leg: a size_stage_grid run, off then on.
+  const sp::device::AlphaPowerModel model{sp::process::Technology{}};
+  const auto spec = sp::process::VariationSpec::inter_intra(0.020, 0.010, 0.5);
+  sp::opt::SizerOptions so;
+  const double d0 = sp::opt::stat_delay(nl, model, spec, so.yield_target);
+  const std::vector<double> targets{d0 * 0.8, d0, d0 * 1.2};
+  sp::obs::set_enabled(false);
+  const auto grid_off = sp::opt::size_stage_grid(nl, model, spec, so, targets);
+  sp::obs::set_enabled(true);
+  sp::obs::reset();
+  const auto grid_on = sp::opt::size_stage_grid(nl, model, spec, so, targets);
+  const auto snap = sp::obs::snapshot();
+  sp::obs::set_enabled(false);
+  std::uint64_t iterations = 0;
+  for (std::size_t k = 0; k < targets.size(); ++k) {
+    const auto& off = grid_off[k];
+    const auto& on = grid_on[k];
+    EXPECT_EQ(off.sizes, on.sizes) << "lane " << k;
+    EXPECT_EQ(off.result.iterations, on.result.iterations);
+    EXPECT_EQ(off.result.area, on.result.area);
+    EXPECT_EQ(off.result.stat_delay, on.result.stat_delay);
+    EXPECT_EQ(off.result.delay.mean, on.result.delay.mean);
+    EXPECT_EQ(off.result.delay.sigma, on.result.delay.sigma);
+    iterations += on.result.iterations;
+  }
+  EXPECT_GT(snap.span("opt.size_grid").count, 0u);
+  EXPECT_EQ(snap.counter("opt.sizer.iterations"), iterations);
 }
 
 // Process-count leg of the matrix: a 2-worker cluster run with telemetry

@@ -4,15 +4,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "core/characterized_pipeline.h"
 #include "netlist/generators.h"
+#include "obs/telemetry.h"
 #include "opt/global_optimizer.h"
 #include "opt/sizer.h"
 #include "opt/sweep.h"
+#include "sim/thread_pool.h"
 #include "sta/ssta.h"
 
 namespace sp = statpipe;
@@ -216,6 +219,17 @@ sp::opt::SizerResult reference_size_stage(sp::netlist::Netlist& nl,
   return r;
 }
 
+// Every field of two sizer results, bitwise.
+void expect_same_result(const sp::opt::SizerResult& r,
+                        const sp::opt::SizerResult& e) {
+  EXPECT_EQ(r.feasible, e.feasible);
+  EXPECT_EQ(r.iterations, e.iterations);
+  EXPECT_EQ(r.area, e.area);
+  EXPECT_EQ(r.stat_delay, e.stat_delay);
+  EXPECT_EQ(r.delay.mean, e.delay.mean);
+  EXPECT_EQ(r.delay.sigma, e.delay.sigma);
+}
+
 }  // namespace
 
 TEST(Sizer, MatchesPlainReferenceLoopBitwise) {
@@ -249,6 +263,78 @@ TEST(Sizer, MatchesPlainReferenceLoopBitwise) {
   }
 }
 
+TEST(Sizer, GridLanesMatchReferenceLoopBitwise) {
+  // Per circuit and yield, four targets: one that never converges (1e-3),
+  // the current stat delay (converges at iteration 1), a reachable and an
+  // infeasible one.  c2670 drives 140 primary outputs.  A grid splits into
+  // one contiguous block per pool worker, so grids of 4, 1 and 3 targets
+  // per worker, cycling through the four, run blocks of 4, 1 and 3 lanes
+  // at any pool width.
+  const auto m = model();
+  const auto spec = VariationSpec::inter_intra(0.020, 0.010, 0.5);
+  const std::size_t workers = sp::sim::ThreadPool::shared().thread_count();
+  for (const char* name : {"c432", "c2670", "c3540"}) {
+    for (const double y : {0.80, 0.95}) {
+      SCOPED_TRACE(std::string(name) + " y=" + std::to_string(y));
+      const auto nl = sp::netlist::iscas_like(name);
+      const std::vector<double> before = nl.sizes();
+      const double d0 = stat_delay_of(nl, m, spec, y);
+      const double kinds[] = {1e-3, d0, d0 * 0.9, d0 * 0.2};
+      sp::opt::SizerOptions so;
+      so.yield_target = y;
+
+      std::vector<sp::opt::SizerResult> ref;
+      std::vector<std::vector<double>> ref_sizes;
+      for (const double t : kinds) {
+        auto ref_nl = nl;
+        so.t_target = t;
+        ref.push_back(reference_size_stage(ref_nl, m, spec, so));
+        ref_sizes.push_back(ref_nl.sizes());
+      }
+      EXPECT_EQ(ref[0].iterations, so.max_iterations);
+      EXPECT_EQ(ref[1].iterations, 1u);
+      EXPECT_TRUE(ref[2].feasible);
+      EXPECT_FALSE(ref[3].feasible);
+
+      for (const std::size_t per_worker : {4, 1, 3}) {
+        SCOPED_TRACE("lanes per block " + std::to_string(per_worker));
+        std::vector<double> targets(per_worker * workers);
+        for (std::size_t k = 0; k < targets.size(); ++k)
+          targets[k] = kinds[k % 4];
+        sp::obs::set_enabled(true);
+        sp::obs::reset();
+        const auto grid = sp::opt::size_stage_grid(nl, m, spec, so, targets);
+        const std::uint64_t counted =
+            sp::obs::snapshot().counter("opt.sizer.iterations");
+        sp::obs::set_enabled(false);
+        ASSERT_EQ(grid.size(), targets.size());
+        EXPECT_EQ(nl.sizes(), before);
+
+        std::uint64_t iterations = 0;
+        for (std::size_t k = 0; k < targets.size(); ++k) {
+          SCOPED_TRACE("lane " + std::to_string(k));
+          expect_same_result(grid[k].result, ref[k % 4]);
+          EXPECT_EQ(grid[k].sizes, ref_sizes[k % 4]);
+          iterations += grid[k].result.iterations;
+        }
+        EXPECT_EQ(counted, iterations);
+      }
+
+      // No iteration at all: every lane reports its starting point.
+      so.max_iterations = 0;
+      so.t_target = kinds[2];
+      auto start_nl = nl;
+      const auto start = reference_size_stage(start_nl, m, spec, so);
+      EXPECT_EQ(start.iterations, 0u);
+      for (const auto& lane :
+           sp::opt::size_stage_grid(nl, m, spec, so, {kinds[2], kinds[2]})) {
+        expect_same_result(lane.result, start);
+        EXPECT_EQ(lane.sizes, before);
+      }
+    }
+  }
+}
+
 TEST(Sizer, RejectsBadOptions) {
   auto nl = sp::netlist::inverter_chain(4);
   const auto m = model();
@@ -270,6 +356,42 @@ TEST(Sizer, RejectsBadOptions) {
     EXPECT_THROW(sp::opt::size_stage(nl, m, spec, so), std::invalid_argument)
         << "theta " << theta;
   }
+  so.softmax_theta_ps = 1.5;
+  // A NaN target would run every iteration on NaN and return the unsized
+  // netlist; a NaN output load makes every delay NaN.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double t : {std::nan(""), inf, -inf}) {
+    so.t_target = t;
+    EXPECT_THROW(sp::opt::size_stage(nl, m, spec, so), std::invalid_argument)
+        << "t_target " << t;
+  }
+  so.t_target = 100.0;
+  for (const double tol : {-0.01, std::nan("")}) {
+    so.tolerance_ps = tol;
+    EXPECT_THROW(sp::opt::size_stage(nl, m, spec, so), std::invalid_argument)
+        << "tolerance " << tol;
+  }
+  so.tolerance_ps = 0.05;
+  for (const double load : {-1.0, std::nan("")}) {
+    so.output_load = load;
+    EXPECT_THROW(sp::opt::size_stage(nl, m, spec, so), std::invalid_argument)
+        << "output_load " << load;
+  }
+  so.output_load = 2.0;
+
+  // The grid checks every target before any lane runs.
+  const std::vector<double> sizes = nl.sizes();
+  sp::obs::set_enabled(true);
+  sp::obs::reset();
+  EXPECT_THROW(
+      sp::opt::size_stage_grid(nl, m, spec, so, {100.0, 50.0, std::nan("")}),
+      std::invalid_argument);
+  EXPECT_EQ(sp::obs::snapshot().counter("opt.sizer.iterations"), 0u);
+  sp::obs::set_enabled(false);
+  EXPECT_EQ(nl.sizes(), sizes);
+  so.tolerance_ps = -1.0;
+  EXPECT_THROW(sp::opt::size_stage_grid(nl, m, spec, so, {100.0}),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------------------- sweep
@@ -300,6 +422,14 @@ TEST(Sweep, RejectsDegenerateOptions) {
   EXPECT_THROW(
       sp::opt::area_delay_sweep(nl, m, VariationSpec::intra_only(), so),
       std::invalid_argument);
+  so.points = 4;
+  for (const double slow : {1.0, 0.5, std::nan("")}) {
+    so.slow_factor = slow;
+    EXPECT_THROW(
+        sp::opt::area_delay_sweep(nl, m, VariationSpec::intra_only(), so),
+        std::invalid_argument)
+        << "slow_factor " << slow;
+  }
 }
 
 // -------------------------------------------------------- global optimizer

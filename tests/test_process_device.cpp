@@ -411,6 +411,58 @@ TEST(AlphaPower, LaneFactorRejectsBadLaneBeforeWriting) {
   EXPECT_THROW(m.variation_factor_lanes(dvth, dl, 4, out), std::domain_error);
 }
 
+TEST(AlphaPower, CellLaneFormsMatchScalarAndCheckFirst) {
+  // The LR sizer evaluates gates through the lane forms; lane k must be
+  // the scalar call on lane k's arguments, for real and pseudo cells and
+  // with the RDF term on and off.
+  AlphaPowerModel m{Technology{}};
+  sp::stats::Rng rng(2024);
+  constexpr std::size_t kN = 8;
+  double size[kN], load[kN], mu[kN], inter[kN], sys[kN], rnd[kN], cap[kN],
+      area[kN];
+  for (const GateKind kind :
+       {GateKind::kNot, GateKind::kNand3, GateKind::kXor2, GateKind::kInput}) {
+    for (const bool rdf : {true, false}) {
+      VariationSpec spec = VariationSpec::inter_intra(0.020, 0.010, 0.5);
+      spec.enable_rdf = rdf;
+      for (std::size_t k = 0; k < kN; ++k) {
+        size[k] = 0.5 + 4.0 * rng.uniform();
+        load[k] = 10.0 * rng.uniform();
+        cap[k] = area[k] = load[k];
+      }
+      m.nominal_delay_lanes(kind, size, load, kN, mu);
+      m.delay_sigmas_lanes(kind, size, load, kN, spec, {inter, sys, rnd});
+      sp::device::add_input_cap_lanes(kind, size, kN, cap);
+      sp::device::add_cell_area_lanes(kind, size, kN, area);
+      for (std::size_t k = 0; k < kN; ++k) {
+        const auto s = m.delay_sigmas(kind, size[k], load[k], spec);
+        EXPECT_EQ(mu[k], m.nominal_delay(kind, size[k], load[k]));
+        EXPECT_EQ(inter[k], s.inter);
+        EXPECT_EQ(sys[k], s.systematic);
+        EXPECT_EQ(rnd[k], s.random);
+        EXPECT_EQ(cap[k], load[k] + sp::device::input_cap(kind, size[k]));
+        EXPECT_EQ(area[k], load[k] + sp::device::cell_area(kind, size[k]));
+      }
+    }
+  }
+  // A bad lane throws the scalar call's exception before anything is
+  // written.
+  const VariationSpec spec = VariationSpec::intra_only();
+  double sz[4] = {1.0, 1.0, 0.0, 1.0};  // lane 2: size <= 0
+  double ld[4] = {1.0, 1.0, 1.0, 1.0};
+  double out[4] = {-1.0, -1.0, -1.0, -1.0};
+  EXPECT_THROW(m.nominal_delay_lanes(GateKind::kNot, sz, ld, 4, out),
+               std::invalid_argument);
+  EXPECT_THROW(
+      m.delay_sigmas_lanes(GateKind::kNot, sz, ld, 4, spec, {out, out, out}),
+      std::invalid_argument);
+  sz[2] = 1.0;
+  ld[3] = -1.0;  // lane 3: negative load
+  EXPECT_THROW(m.nominal_delay_lanes(GateKind::kNot, sz, ld, 4, out),
+               std::invalid_argument);
+  for (double v : out) EXPECT_EQ(v, -1.0);
+}
+
 TEST(AlphaPower, FactorAgreesWithLibmPow) {
   // variation_factor now runs on the shared polynomial pow core; it must
   // still track the libm formula to ~1e-13 relative over the sampling

@@ -121,6 +121,15 @@ TEST(Simultaneous, RejectsBadInputs) {
                                                    e.latch, so),
                std::invalid_argument);
   so.sizer.damping = 0.5;
+  // The output load enters every stage's loads.
+  for (const double load : {-1.0, std::nan("")}) {
+    so.sizer.output_load = load;
+    EXPECT_THROW(sp::opt::size_pipeline_simultaneous(e.ptrs, e.model, e.spec,
+                                                     e.latch, so),
+                 std::invalid_argument)
+        << "output_load " << load;
+  }
+  so.sizer.output_load = 2.0;
   std::vector<sp::netlist::Netlist*> empty;
   EXPECT_THROW(sp::opt::size_pipeline_simultaneous(empty, e.model, e.spec,
                                                    e.latch, so),
