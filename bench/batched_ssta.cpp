@@ -1,17 +1,18 @@
-// Batched vs. scalar SSTA characterization — the PR-2 inner-loop speedup.
+// Batched vs. scalar SSTA characterization of a candidate size grid.
 //
 // Workload: the sizer's characteristic access pattern — one stage netlist,
 // K candidate size assignments (a sweep grid), full SSTA characterization
 // per candidate.  The scalar loop pays a netlist copy + topological walk +
-// per-gate structure chasing per candidate; SstaBatch binds the structure
-// once and propagates all K canonical-form lanes in one walk.
+// per-gate structure chasing per candidate; sta::characterize_grid walks
+// the structure once per lane block and evaluates every lane of the block
+// in that walk.
 //
 // Prints per-circuit timings (best of kReps) for:
-//   scalar-1t  : copy + characterize_ssta per config, serial
-//   scalar-Nt  : same, fanned out over the shared pool (the pre-PR path)
-//   batch-1t   : SstaBatch::characterize, one shard
-//   batch-Nt   : SstaBatch::characterize, sharded over the pool
-// and verifies the batch results are bitwise-equal to the scalar loop.
+//   scalar-1t  : copy + characterize_ssta per lane, serial
+//   scalar-Nt  : same, fanned out over the shared pool
+//   batch-Nt   : sta::characterize_grid, lane blocks over the pool
+// and verifies the batch results are bitwise-equal to the scalar loop
+// (exit 1 otherwise).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -34,17 +35,14 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-std::vector<sp::sta::SstaConfig> make_grid(const sp::netlist::Netlist& nl,
-                                           const sp::process::VariationSpec& spec) {
-  std::vector<sp::sta::SstaConfig> cfgs(kLanes);
-  for (std::size_t k = 0; k < kLanes; ++k) {
-    cfgs[k].spec = spec;
-    cfgs[k].sizes.resize(nl.size());
+std::vector<std::vector<double>> make_grid(const sp::netlist::Netlist& nl) {
+  std::vector<std::vector<double>> grid(kLanes,
+                                        std::vector<double>(nl.size()));
+  for (std::size_t k = 0; k < kLanes; ++k)
     for (std::size_t g = 0; g < nl.size(); ++g)
-      cfgs[k].sizes[g] =
+      grid[k][g] =
           nl.gate(g).size * (0.6 + 0.1 * static_cast<double>((k + g) % 8));
-  }
-  return cfgs;
+  return grid;
 }
 
 template <typename Fn>
@@ -77,7 +75,8 @@ int main(int argc, char** argv) {
   }
   bench_util::banner(
       "batched_ssta",
-      "Batched (SstaBatch) vs scalar SSTA characterization, K=32 sweep grid");
+      "Batched (characterize_grid) vs scalar SSTA characterization, K=32 "
+      "sweep grid");
 
   const sp::device::AlphaPowerModel model{sp::process::Technology{}};
   const auto spec = sp::process::VariationSpec::inter_intra(0.020, 0.010, 0.5);
@@ -85,42 +84,39 @@ int main(int argc, char** argv) {
   bench_util::JsonReport report("batched_ssta");
   report.meta("lanes", static_cast<double>(kLanes));
 
-  bench_util::row({"circuit", "gates", "scalar-1t", "scalar-Nt", "batch-1t",
-                   "batch-Nt", "speedup", "bitwise"});
+  bench_util::row({"circuit", "gates", "scalar-1t", "scalar-Nt", "batch-Nt",
+                   "speedup", "bitwise"});
   bench_util::csv_begin("batched_ssta",
-                        "circuit,gates,scalar_1t_ms,scalar_nt_ms,batch_1t_ms,"
-                        "batch_nt_ms,speedup_nt,bitwise_equal");
+                        "circuit,gates,scalar_1t_ms,scalar_nt_ms,batch_nt_ms,"
+                        "speedup_nt,bitwise_equal");
 
   bool all_equal = true;
   bool all_faster = true;
   for (const char* name : {"c432", "c1908", "c3540", "c6288"}) {
     const auto nl = sp::netlist::iscas_like(name);
     (void)nl.topological_order();
-    const auto cfgs = make_grid(nl, spec);
+    const auto grid = make_grid(nl);
 
     std::vector<sp::sta::StageCharacterization> scalar(kLanes);
     const double scalar_1t = best_of([&] {
       for (std::size_t k = 0; k < kLanes; ++k) {
         sp::netlist::Netlist work = nl;
-        work.set_sizes(cfgs[k].sizes);
+        work.set_sizes(grid[k]);
         scalar[k] = sp::sta::characterize_ssta(work, model, spec);
       }
     });
     const double scalar_nt = best_of([&] {
       sp::sim::parallel_for(kLanes, [&](std::size_t k) {
         sp::netlist::Netlist work = nl;
-        work.set_sizes(cfgs[k].sizes);
+        work.set_sizes(grid[k]);
         scalar[k] = sp::sta::characterize_ssta(work, model, spec);
       });
     });
 
-    const sp::sta::SstaBatch batch(nl, model);
     std::vector<sp::sta::StageCharacterization> batched;
-    const double batch_1t = best_of([&] {
-      batched = batch.characterize(cfgs, sp::sim::ExecutionOptions{1, kLanes});
+    const double batch_nt = best_of([&] {
+      batched = sp::sta::characterize_grid(nl, model, grid, spec, {});
     });
-    const double batch_nt = best_of(
-        [&] { batched = batch.characterize(cfgs); });
 
     bool equal = true;
     for (std::size_t k = 0; k < kLanes; ++k)
@@ -132,19 +128,16 @@ int main(int argc, char** argv) {
     bench_util::row({name, std::to_string(nl.gate_count()),
                      bench_util::fmt(scalar_1t) + "ms",
                      bench_util::fmt(scalar_nt) + "ms",
-                     bench_util::fmt(batch_1t) + "ms",
                      bench_util::fmt(batch_nt) + "ms",
                      bench_util::fmt(speedup) + "x", equal ? "yes" : "NO"});
-    std::printf("%s,%zu,%.3f,%.3f,%.3f,%.3f,%.2f,%d\n", name, nl.gate_count(),
-                scalar_1t, scalar_nt, batch_1t, batch_nt, speedup,
-                equal ? 1 : 0);
+    std::printf("%s,%zu,%.3f,%.3f,%.3f,%.2f,%d\n", name, nl.gate_count(),
+                scalar_1t, scalar_nt, batch_nt, speedup, equal ? 1 : 0);
 
     report.row();
     report.col("circuit", name);
     report.col("gates", static_cast<double>(nl.gate_count()));
     report.col("scalar_1t_ms", scalar_1t);
     report.col("scalar_nt_ms", scalar_nt);
-    report.col("batch_1t_ms", batch_1t);
     report.col("batch_nt_ms", batch_nt);
     report.col("speedup_nt", speedup);
     report.col("bitwise_equal", equal ? 1.0 : 0.0);

@@ -7,8 +7,8 @@
 // through the sta::GridCharacterizer seam (sta/ssta_batch.h), and
 // grid_characterizer() below manufactures a cluster-backed implementation
 // of that seam.  Every submission carries the full determinism contract:
-// the returned lanes are bitwise-identical to the local SstaBatch path
-// (docs/DETERMINISM.md, tests/test_dist.cpp).
+// the returned lanes are bitwise-identical to the local characterize_grid
+// path (docs/DETERMINISM.md, tests/test_dist.cpp).
 //
 // Layer contract (src/dist, see docs/ARCHITECTURE.md): the distributed
 // execution layer sits on top of mc/sta/sim/stats and may depend on all of

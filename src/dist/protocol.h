@@ -5,7 +5,7 @@
 // RunDescriptor (dist/serialize.h); the unit of work depends on the kind:
 //
 //   kMonteCarlo  unit = one sim shard; unit payload = one mc::McResult
-//   kSstaGrid    unit = one sweep-config lane of an sta::SstaBatch grid;
+//   kSstaGrid    unit = one lane of an sta::characterize_grid size grid;
 //                unit payload = one sta::StageCharacterization
 //
 // Every message is a frame (wire v4):

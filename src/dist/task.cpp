@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
-#include <utility>
 
 #include "dist/workload.h"
 #include "process/variation.h"
@@ -15,24 +14,14 @@ namespace statpipe::dist {
 
 namespace {
 
-/// Grid-task workload with stable addresses: the rebuilt stage netlist,
-/// the delay model (descriptor technology, like Workload), the bound
-/// SstaBatch — which keeps a pointer to the model for its lifetime — and
-/// the size grid itself, owned here so the session's range runner does
-/// not duplicate the K x G doubles in its closure.
+/// Grid-task workload, shared by the session's range runner: the rebuilt
+/// stage netlist, the delay model (descriptor technology, like Workload)
+/// and the size grid itself, owned here so the runner does not duplicate
+/// the K x G doubles in its closure.
 struct GridWorkload {
   netlist::Netlist nl;
   device::AlphaPowerModel model;
-  sta::SstaBatch batch;
   std::vector<std::vector<double>> size_grid;
-
-  GridWorkload(netlist::Netlist n, const process::Technology& tech,
-               const sta::SstaOptions& opt,
-               std::vector<std::vector<double>> grid)
-      : nl(std::move(n)),
-        model(tech),
-        batch(nl, model, opt),
-        size_grid(std::move(grid)) {}
 };
 
 }  // namespace
@@ -61,26 +50,24 @@ std::size_t task_unit_wire_bytes(const RunDescriptor& desc) {
 
 UnitRangeRunner make_unit_runner(const RunDescriptor& desc) {
   if (desc.task_kind == TaskKind::kSstaGrid) {
-    // shared_ptr: the runner outlives this call and the batch must keep
-    // its netlist/model addresses stable for the whole session.
+    // shared_ptr: the runner outlives this call.
+    auto wl = std::make_shared<GridWorkload>(
+        build_grid_stage(desc),
+        device::AlphaPowerModel{descriptor_technology(desc)}, desc.size_grid);
     sta::SstaOptions opt;
     opt.output_load = desc.output_load;
-    auto wl = std::make_shared<GridWorkload>(build_grid_stage(desc),
-                                             descriptor_technology(desc), opt,
-                                             desc.size_grid);
     const process::VariationSpec spec = descriptor_spec(desc);
-    return [wl, spec](std::size_t begin, std::size_t end,
-                      const UnitSink& emit) {
+    return [wl, spec, opt](std::size_t begin, std::size_t end,
+                           const UnitSink& emit) {
       sim::check_shard_range(wl->size_grid.size(), begin, end);
-      // Characterize only the assigned lanes: lane results carry no random
-      // state and execute the scalar path's exact floating-point sequence
-      // per lane, so a sub-grid batch is bitwise-identical to the same
-      // lanes of the full local batch under any partitioning.
-      std::vector<std::vector<double>> sub(
+      // Characterize only the assigned lanes: no lane depends on the
+      // others or on its block, so the sub-grid's lanes are bitwise those
+      // of the full local call under any partitioning.
+      const std::vector<std::vector<double>> sub(
           wl->size_grid.begin() + static_cast<std::ptrdiff_t>(begin),
           wl->size_grid.begin() + static_cast<std::ptrdiff_t>(end));
       const std::vector<sta::StageCharacterization> lanes =
-          wl->batch.characterize(sta::make_configs(sub, spec));
+          sta::characterize_grid(wl->nl, wl->model, sub, spec, opt);
       for (std::size_t i = 0; i < lanes.size(); ++i) {
         ByteWriter w;
         write_stage_characterization(w, lanes[i]);

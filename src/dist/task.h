@@ -73,7 +73,7 @@ UnitRangeRunner make_unit_runner(const RunDescriptor& desc);
 /// Runs the descriptor's task to completion in this process — the
 /// single-process reference every distributed run is bitwise-compared
 /// against: GateLevelMonteCarlo::run for kMonteCarlo,
-/// SstaBatch::characterize over the whole grid for kSstaGrid.
+/// sta::characterize_grid over the whole grid for kSstaGrid.
 TaskResult run_local_task(const RunDescriptor& desc);
 
 /// Bitwise distributed-vs-local acceptance predicate across kinds:

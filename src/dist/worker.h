@@ -7,9 +7,10 @@
 // drops it when the service is done with the request.  Per assignment the
 // worker executes the contiguous unit range — Monte-Carlo shard ranges
 // via GateLevelMonteCarlo::run_shard_range, SSTA grid lane ranges via
-// sta::SstaBatch — and STREAMS one kResult frame per unit (unmerged,
-// ascending, as units complete), finishing the range with a kRangeDone
-// commit marker; every outbound frame is scoped to (session, request).
+// sta::characterize_grid — and STREAMS one kResult frame per unit
+// (unmerged, ascending, as units complete), finishing the range with a
+// kRangeDone commit marker; every outbound frame is scoped to (session,
+// request).
 // The service stages the stream and commits it atomically on the marker,
 // so a worker that dies mid-range forfeits everything it streamed and the
 // run stays bitwise-deterministic.  Workload construction failures

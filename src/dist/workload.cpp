@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "netlist/generators.h"
+#include "sta/size_lanes.h"
 #include "stats/rng.h"
 
 namespace statpipe::dist {
@@ -116,13 +117,8 @@ netlist::Netlist build_grid_stage(const RunDescriptor& desc) {
   if (desc.size_grid.empty())
     throw std::invalid_argument(
         "dist: ssta-grid descriptor with an empty size grid");
-  for (std::size_t k = 0; k < desc.size_grid.size(); ++k)
-    if (desc.size_grid[k].size() != nl.size())
-      throw std::invalid_argument(
-          "dist: size grid lane " + std::to_string(k) + " carries " +
-          std::to_string(desc.size_grid[k].size()) + " sizes for a netlist "
-          "of " + std::to_string(nl.size()) +
-          " gates (every lane must be a full size vector)");
+  sta::check_size_grid(nl, desc.size_grid,
+                       sta::SstaOptions{.output_load = desc.output_load});
   if (desc.netlist_hash != 0) {
     const std::uint64_t h =
         netlist::fnv1a_fold(netlist::kFnvOffsetBasis, nl.structural_hash());

@@ -47,7 +47,7 @@ struct GlobalOptimizerOptions {
   SizerOptions sizer;                 ///< inner LR sizer options
   SweepOptions sweep;                 ///< curve-extraction options
   /// Whole-grid characterization backend for the pre-phase and probe
-  /// candidate grids: empty = local SstaBatch,
+  /// candidate grids: empty = local sta::characterize_grid,
   /// dist::grid_characterizer(...) = cluster submission.  Never changes
   /// results (the bitwise contract in sta/ssta_batch.h); note it is
   /// separate from sweep.grid, which covers the curve-extraction grids.
@@ -98,7 +98,7 @@ class GlobalPipelineOptimizer {
  private:
   /// Per-stage SSTA characterizations at the current sizes — the cached
   /// "all other stages" half of a candidate-grid evaluation.  Candidate
-  /// grids batch-characterize the changed stage's size lanes (sta::SstaBatch)
+  /// grids characterize the changed stage's size lanes in one grid call
   /// and substitute each lane into a copy of this vector, which reproduces
   /// the full per-candidate pipeline rebuild bitwise at 1/N of the SSTA cost.
   std::vector<sta::StageCharacterization> characterize_stages() const;

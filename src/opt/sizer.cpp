@@ -33,91 +33,31 @@ LrStage<kLanes>::LrStage(const Netlist& nl,
                          const device::AlphaPowerModel& model,
                          const process::VariationSpec& spec,
                          const SizerOptions& opt, double z, std::size_t lanes)
-    : nl_(nl),
-      gates_(nl.gates()),
-      topo_(nl.topological_order()),
-      model_(model),
-      spec_(spec),
+    : sta::SizeLanes<kLanes>(nl, model, spec, opt.output_load, z, lanes),
+      nl_(nl),
       opt_(opt),
-      z_(z),
-      sqrt_depth_(std::sqrt(
-          static_cast<double>(std::max<std::size_t>(nl.depth(), 1)))),
-      lanes_(lanes),
-      size_(nl.size() * lanes),
-      load_(nl.size() * lanes, 0.0),
-      arrival_(nl.size() * lanes, 0.0),
+      tau_(model.technology().tau_ps),
       weight_(nl.size() * lanes, 0.0),
-      delay_(nl.size(), lanes),
-      in_(lanes),
       amax_(lanes),
       sum_(lanes),
-      pred_(lanes) {
-  if (kLanes > 0 && lanes != kLanes)
-    throw std::logic_error("LrStage: lane count differs from kLanes");
-  for (GateId id = 0; id < nl.size(); ++id)
-    std::fill_n(&size_[id * lanes], lanes, gates_[id].size);
-}
-
-template <std::size_t kLanes>
-void LrStage<kLanes>::evaluate() {
-  const std::size_t L = lanes();
-  double* in = in_.data();
-  // Pseudo-gates keep arrival 0 and delay {} from construction: only real
-  // gates are written, here and in fold_ssta.
-  for (GateId id : topo_) {
-    const netlist::Gate& g = gates_[id];
-    if (g.is_pseudo()) continue;
-    std::fill_n(in, L, 0.0);
-    for (GateId f : g.fanins) {
-      const double* a = &arrival_[f * L];
-      for (std::size_t k = 0; k < L; ++k) in[k] = std::max(in[k], a[k]);
-    }
-    // load_of in every lane: fanout input caps in list order, plus the
-    // primary-output load.
-    double* load = &load_[id * L];
-    std::fill_n(load, L, 0.0);
-    for (GateId s : g.fanouts)
-      device::add_input_cap_lanes(gates_[s].kind, &size_[s * L], L, load);
-    if (nl_.is_output(id))
-      for (std::size_t k = 0; k < L; ++k) load[k] += opt_.output_load;
-
-    const double* x = &size_[id * L];
-    const sta::CanonicalLanes d = delay_.at(id);
-    model_.nominal_delay_lanes(g.kind, x, load, L, d.mu);
-    model_.delay_sigmas_lanes(g.kind, x, load, L, spec_,
-                              {d.b_inter, d.b_sys, d.sigma_ind});
-    double* arr = &arrival_[id * L];
-    for (std::size_t k = 0; k < L; ++k) {
-      const device::AlphaPowerModel::DelaySigmas sig{d.b_inter[k], d.b_sys[k],
-                                                     d.sigma_ind[k]};
-      arr[k] = in[k] + d.mu[k] + z_ * sig.total() / sqrt_depth_;
-    }
-  }
-}
-
-template <std::size_t kLanes>
-void LrStage<kLanes>::area(double* out) const {
-  const std::size_t L = lanes();
-  std::fill_n(out, L, 0.0);
-  for (GateId id = 0; id < gates_.size(); ++id)
-    device::add_cell_area_lanes(gates_[id].kind, &size_[id * L], L, out);
-}
+      pred_(lanes) {}
 
 template <std::size_t kLanes>
 void LrStage<kLanes>::softmax_terms(const std::vector<GateId>& ids) {
-  const std::size_t L = lanes();
+  const std::size_t L = this->lanes();
+  const std::vector<double>& arrival = this->arrivals();
   const double theta = opt_.softmax_theta_ps;
   double* amax = amax_.data();
   double* sum = sum_.data();
   std::fill_n(amax, L, 0.0);
   for (GateId i : ids) {
-    const double* a = &arrival_[i * L];
+    const double* a = &arrival[i * L];
     for (std::size_t k = 0; k < L; ++k) amax[k] = std::max(amax[k], a[k]);
   }
   exps_.resize(ids.size() * L);
   std::fill_n(sum, L, 0.0);
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    const double* a = &arrival_[ids[i] * L];
+    const double* a = &arrival[ids[i] * L];
     double* e = &exps_[i * L];
     for (std::size_t k = 0; k < L; ++k) {
       e[k] = std::exp((a[k] - amax[k]) / theta);
@@ -131,7 +71,7 @@ void LrStage<kLanes>::softmax_terms(const std::vector<GateId>& ids) {
 /// fanins proportional to exp(arrival/theta) — the LR projection step.
 template <std::size_t kLanes>
 void LrStage<kLanes>::criticality_weights() {
-  const std::size_t L = lanes();
+  const std::size_t L = this->lanes();
   const double* sum = sum_.data();
   std::fill(weight_.begin(), weight_.end(), 0.0);
   const auto& outs = nl_.outputs();
@@ -144,8 +84,10 @@ void LrStage<kLanes>::criticality_weights() {
 
   // Reverse-topological back-propagation; a lane skips a gate whose weight
   // is not positive there.
-  for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-    const auto& fanins = gates_[*it].fanins;
+  const auto& topo = nl_.topological_order();
+  const auto& gates = nl_.gates();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const auto& fanins = gates[*it].fanins;
     const double* w = &weight_[*it * L];
     bool any = false;
     for (std::size_t k = 0; k < L; ++k) any = any || !(w[k] <= 0.0);
@@ -163,12 +105,13 @@ void LrStage<kLanes>::criticality_weights() {
 template <std::size_t kLanes>
 void LrStage<kLanes>::update(const double* lambda, const char* running) {
   criticality_weights();
-  const std::size_t L = lanes();
-  const double tau = model_.technology().tau_ps;
+  const std::size_t L = this->lanes();
+  const auto& gates = nl_.gates();
+  std::vector<double>& size = this->sizes();
   double* pred_cost = pred_.data();
   // Gauss-Seidel in topological order: fanin sizes are already updated.
-  for (GateId id : topo_) {
-    const netlist::Gate& g = gates_[id];
+  for (GateId id : nl_.topological_order()) {
+    const netlist::Gate& g = gates[id];
     if (g.is_pseudo()) continue;
     const auto& t = device::traits(g.kind);
 
@@ -177,19 +120,19 @@ void LrStage<kLanes>::update(const double* lambda, const char* running) {
     //   lam_p * tau * g_le / x_p  (per unit of our size).
     std::fill_n(pred_cost, L, 0.0);
     for (GateId f : g.fanins) {
-      if (gates_[f].is_pseudo()) continue;
+      if (gates[f].is_pseudo()) continue;
       const double* wf = &weight_[f * L];
-      const double* xf = &size_[f * L];
+      const double* xf = &size[f * L];
       for (std::size_t k = 0; k < L; ++k)
-        pred_cost[k] += lambda[k] * wf[k] * tau * t.logical_effort / xf[k];
+        pred_cost[k] += lambda[k] * wf[k] * tau_ * t.logical_effort / xf[k];
     }
     const double* w = &weight_[id * L];
-    const double* load = &load_[id * L];
-    double* x = &size_[id * L];
+    const double* load = &this->loads()[id * L];
+    double* x = &size[id * L];
     for (std::size_t k = 0; k < L; ++k) {
       const double denom = t.area + pred_cost[k];
       const double x_star = std::sqrt(std::max(
-          lambda[k] * w[k] * tau * std::max(load[k], 1e-6) / denom, 1e-12));
+          lambda[k] * w[k] * tau_ * std::max(load[k], 1e-6) / denom, 1e-12));
       const double x_new = std::clamp(x_star, opt_.min_size, opt_.max_size);
       const double next = x[k] * (1.0 - opt_.damping) + x_new * opt_.damping;
       x[k] = running[k] ? next : x[k];

@@ -21,7 +21,7 @@ struct SweepOptions {
   double slow_factor = 2.0;       ///< slowest target = fastest * slow_factor
   SizerOptions sizer;             ///< inner sizing options (t_target ignored)
   /// Whole-grid characterization backend for the sweep's candidate grids
-  /// (an ExecutionOptions-style switch): empty = the local SstaBatch path;
+  /// (an ExecutionOptions-style switch): empty = the local path;
   /// dist::grid_characterizer(...) = submit each grid to a cluster.  Any
   /// backend must honor the bitwise contract in sta/ssta_batch.h, so the
   /// sweep result never depends on this knob (docs/DETERMINISM.md).

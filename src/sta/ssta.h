@@ -137,8 +137,8 @@ CanonicalDelay fold_ssta(const netlist::Netlist& nl,
 /// (zeros for pseudo-gates), on exit its canonical arrival.  `out`, one gate
 /// of lanes, receives each lane's arrival at the critical output; it is
 /// also the walk's fanin-max workspace.  Lane k is bitwise fold_ssta over
-/// lane k's delays.  The LR sizer's lane engine and SstaBatch both fold
-/// through it.
+/// lane k's delays.  The lane evaluator (sta::SizeLanes, behind both
+/// characterize_grid and the LR sizer) folds through it.
 void fold_ssta_lanes(const netlist::Netlist& nl, CanonicalLaneArrays& arrival,
                      const CanonicalLanes& out);
 

@@ -5,8 +5,8 @@
 // paper's stage-delay decomposition SD = Tc-q + T_comb + T_setup consumes.
 //
 // Layer contract (src/sta, see docs/ARCHITECTURE.md): owns timing analysis
-// over one netlist — deterministic STA, canonical-form SSTA, the batched
-// SstaBatch and stage characterization.  May depend on stats/process/
+// over one netlist — deterministic STA, canonical-form SSTA, the lane
+// evaluator, grid and stage characterization.  May depend on stats/process/
 // device/netlist, and on src/sim only to fan batched lanes out; must not
 // know about Monte-Carlo engines, pipeline models or optimizers.
 #pragma once

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <latch>
 #include <random>
@@ -617,6 +618,24 @@ TEST(DistWorkload, GridDescriptorValidation) {
   }
 }
 
+// A NaN size or output_load used to pass every grid check, so a worker
+// computed NaN lanes and the service cached them.  Descriptor
+// finalization, worker setup (make_unit_runner, which also screens remote
+// submissions) and the local reference now all refuse such a grid.
+TEST(DistWorkload, GridDescriptorRejectsNonFiniteValues) {
+  auto nan_lane = grid_descriptor("c432", 3);
+  nan_lane.size_grid[1][nan_lane.size_grid[1].size() / 2] = std::nan("");
+  auto nan_load = grid_descriptor("c432", 3);
+  nan_load.output_load = std::nan("");
+  for (const auto* d : {&nan_lane, &nan_load}) {
+    EXPECT_THROW(sp::dist::build_grid_stage(*d), std::invalid_argument);
+    auto again = *d;
+    EXPECT_THROW(sp::dist::finalize_descriptor(again), std::invalid_argument);
+    EXPECT_THROW((void)sp::dist::make_unit_runner(*d), std::invalid_argument);
+    EXPECT_THROW((void)sp::dist::run_local_task(*d), std::invalid_argument);
+  }
+}
+
 TEST(DistCluster, WorkloadNameForVerifiesStructure) {
   auto nl = sp::netlist::iscas_like("c432");
   EXPECT_EQ(sp::dist::workload_name_for(nl), "c432");
@@ -632,9 +651,9 @@ TEST(DistCluster, WorkloadNameForVerifiesStructure) {
 }
 
 // The grid acceptance contract: a sweep grid split across TWO worker
-// PROCESSES reassembles to the exact bytes of the local SstaBatch run —
-// both the run_local_task reference and a caller-side batch at the same
-// configs.
+// PROCESSES reassembles to the exact bytes of the local characterize_grid
+// run — both the run_local_task reference and a caller-side call at the
+// same grid.
 TEST(DistEndToEnd, TwoWorkerSstaGridMatchesLocalBatchBitwise) {
   const auto desc = grid_descriptor("c432", 6);
   sp::dist::ServiceOptions opt;
@@ -654,14 +673,13 @@ TEST(DistEndToEnd, TwoWorkerSstaGridMatchesLocalBatchBitwise) {
   const sp::dist::TaskResult local = sp::dist::run_local_task(desc);
   EXPECT_TRUE(sp::dist::bitwise_equal(dist_result, local));
 
-  // And against a directly-bound batch, the way an optimizer would see it.
+  // And against a direct local call, the way an optimizer would see it.
   const auto nl = sp::netlist::iscas_like("c432");
   const sp::device::AlphaPowerModel model{sp::process::Technology{}};
   sp::sta::SstaOptions sopt;
   sopt.output_load = desc.output_load;
-  const sp::sta::SstaBatch batch(nl, model, sopt);
-  const auto direct = batch.characterize(sp::sta::make_configs(
-      desc.size_grid, sp::dist::descriptor_spec(desc)));
+  const auto direct = sp::sta::characterize_grid(
+      nl, model, desc.size_grid, sp::dist::descriptor_spec(desc), sopt);
   EXPECT_TRUE(sp::dist::bitwise_equal(dist_result.lanes, direct));
 }
 
@@ -688,16 +706,15 @@ TEST(DistEndToEnd, NonDefaultTechnologyCrossesTheWire) {
   const auto nl = sp::netlist::iscas_like("c432");
   sp::sta::SstaOptions sopt;
   sopt.output_load = desc.output_load;
-  const sp::sta::SstaBatch batch(nl, model, sopt);
-  const auto direct = batch.characterize(sp::sta::make_configs(
-      desc.size_grid, sp::dist::descriptor_spec(desc)));
+  const auto direct = sp::sta::characterize_grid(
+      nl, model, desc.size_grid, sp::dist::descriptor_spec(desc), sopt);
   EXPECT_TRUE(sp::dist::bitwise_equal(dist_result.lanes, direct));
   // And the tweaked technology actually changes the numbers (the test
   // would be vacuous if defaults happened to match).
   const sp::device::AlphaPowerModel default_model{sp::process::Technology{}};
-  const sp::sta::SstaBatch default_batch(nl, default_model, sopt);
-  const auto with_defaults = default_batch.characterize(sp::sta::make_configs(
-      desc.size_grid, sp::dist::descriptor_spec(desc)));
+  const auto with_defaults = sp::sta::characterize_grid(
+      nl, default_model, desc.size_grid, sp::dist::descriptor_spec(desc),
+      sopt);
   EXPECT_FALSE(sp::dist::bitwise_equal(dist_result.lanes, with_defaults));
 }
 
@@ -739,7 +756,7 @@ TEST(DistEndToEnd, SstaGridWorkerFailureReassignmentStaysBitwise) {
 // The tentpole acceptance contract: opt::area_delay_sweep with its grid
 // submitted to a 2-process cluster — WITH an injected worker failure
 // mid-run — produces bitwise-identical results to the single-process
-// SstaBatch path.
+// characterize_grid path.
 TEST(DistEndToEnd, DistributedSweepWithWorkerFailureMatchesLocalBitwise) {
   const sp::device::AlphaPowerModel model{sp::process::Technology{}};
   sp::process::VariationSpec spec;
@@ -749,7 +766,7 @@ TEST(DistEndToEnd, DistributedSweepWithWorkerFailureMatchesLocalBitwise) {
   sp::opt::SweepOptions sw;
   sw.points = 6;
 
-  // Local reference first (the hook left empty = SstaBatch path).
+  // Local reference first (the hook left empty = local path).
   sp::netlist::Netlist nl_local = sp::netlist::iscas_like("c432");
   const auto local = sp::opt::area_delay_sweep(nl_local, model, spec, sw);
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -324,21 +325,34 @@ TEST_F(ObsTest, TwoProcessClusterBitwiseInvariant) {
   opt.worker_bin = STATPIPE_WORKER_BIN;
   opt.coordinator.units_per_range = 2;
   opt.coordinator.idle_timeout_ms = 120000;
-  auto run_leg = [&](sp::dist::RunMetrics* rm) {
+  auto run_leg = [&](sp::dist::RunMetrics* rm, sp::dist::TaskResult* out) {
     sp::dist::ClusterHandle handle(opt);
-    return handle.submit(desc, 0, rm);
+    // Admit both spawned workers before submitting: otherwise one of them
+    // can finish every range before the other connects.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    handle.serve([&] {
+      return handle.stats().workers_admitted >= 2 ||
+             std::chrono::steady_clock::now() > deadline;
+    });
+    ASSERT_EQ(handle.stats().workers_admitted, 2u);
+    *out = handle.submit(desc, 0, rm);
   };
 
   sp::obs::set_enabled(false);
   sp::dist::RunMetrics rm_off;
-  const sp::dist::TaskResult off = run_leg(&rm_off);
+  sp::dist::TaskResult off;
+  run_leg(&rm_off, &off);
+  ASSERT_FALSE(HasFatalFailure());
 
   sp::obs::set_enabled(true);
   sp::obs::reset();
   sp::dist::RunMetrics rm_on;
-  const sp::dist::TaskResult on = run_leg(&rm_on);
+  sp::dist::TaskResult on;
+  run_leg(&rm_on, &on);
   const auto snap = sp::obs::snapshot();
   sp::obs::set_enabled(false);
+  ASSERT_FALSE(HasFatalFailure());
 
   EXPECT_TRUE(sp::dist::bitwise_equal(off.mc, local));
   EXPECT_TRUE(sp::dist::bitwise_equal(on.mc, local))

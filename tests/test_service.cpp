@@ -535,12 +535,23 @@ TEST(ClusterHandleTest, ResidentFleetServesManyDescriptorsAndCaches) {
   cl.spawn_workers = 2;
   cl.worker_bin = STATPIPE_WORKER_BIN;
   cl.coordinator.units_per_range = 2;
+  cl.coordinator.idle_timeout_ms = 120000;  // bounds the admission wait
   sp::dist::ClusterHandle handle(cl);
 
   const auto d_mc = mc_descriptor();
   const auto d_grid = grid_descriptor(5);
   const auto ref_mc = sp::dist::run_local_task(d_mc);
   const auto ref_grid = sp::dist::run_local_task(d_grid);
+
+  // Admit both spawned workers before submitting, so the fleet-size check
+  // below cannot race a slow second worker.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  handle.serve([&] {
+    return handle.stats().workers_admitted >= 2 ||
+           std::chrono::steady_clock::now() > deadline;
+  });
+  ASSERT_EQ(handle.stats().workers_admitted, 2u);
 
   sp::dist::RunMetrics m1;
   const auto r1 = handle.submit(d_mc, 0, &m1);

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "device/delay_model.h"
 #include "netlist/generators.h"
 #include "process/variation.h"
-#include "sim/engine.h"
 #include "sta/characterize.h"
+#include "sta/size_lanes.h"
 #include "sta/ssta.h"
 #include "sta/ssta_batch.h"
 #include "sta/sta.h"
@@ -288,145 +291,277 @@ TEST(Ssta, AgreesWithMonteCarloOnDag) {
   EXPECT_NEAR(d.sigma(), mc.delay.sigma, 0.25 * mc.delay.sigma);
 }
 
-// ------------------------------------------------------------- batched SSTA
+// ------------------------------------------------- lane evaluator and grids
 
 namespace {
 
-// A K-point sizing grid around the netlist's current sizes, deterministic in
-// (nl, k): lane k scales gate g by 0.6 + 0.1*((k + g) % 8).
-std::vector<sp::sta::SstaConfig> sweep_grid(const sp::netlist::Netlist& nl,
+// Lanes first .. first + k_lanes of a size grid around the netlist's
+// current sizes, deterministic and distinct per lane: lane k scales gate g
+// by 0.6 + 0.1*((k + g) % 8) + 0.013*k.
+std::vector<std::vector<double>> sweep_grid(const sp::netlist::Netlist& nl,
                                             std::size_t k_lanes,
-                                            const VariationSpec& spec) {
-  std::vector<sp::sta::SstaConfig> cfgs(k_lanes);
-  for (std::size_t k = 0; k < k_lanes; ++k) {
-    cfgs[k].spec = spec;
-    cfgs[k].sizes.resize(nl.size());
+                                            std::size_t first = 0) {
+  std::vector<std::vector<double>> grid(k_lanes,
+                                        std::vector<double>(nl.size()));
+  for (std::size_t i = 0; i < k_lanes; ++i) {
+    const std::size_t k = first + i;
     for (std::size_t g = 0; g < nl.size(); ++g)
-      cfgs[k].sizes[g] =
-          nl.gate(g).size * (0.6 + 0.1 * static_cast<double>((k + g) % 8));
+      grid[i][g] = nl.gate(g).size *
+                   (0.6 + 0.1 * static_cast<double>((k + g) % 8) +
+                    0.013 * static_cast<double>(k));
   }
-  return cfgs;
+  return grid;
 }
 
-void expect_bitwise_eq(const sp::sta::CanonicalDelay& a,
-                       const sp::sta::CanonicalDelay& b) {
-  EXPECT_EQ(a.mu, b.mu);
-  EXPECT_EQ(a.b_inter, b.b_inter);
-  EXPECT_EQ(a.sigma_ind, b.sigma_ind);
-  EXPECT_EQ(a.b_sys, b.b_sys);
+sp::netlist::Netlist with_sizes(const sp::netlist::Netlist& nl,
+                                const std::vector<double>& sizes) {
+  auto work = nl;
+  work.set_sizes(sizes);
+  return work;
+}
+
+void expect_bitwise_eq(const sp::sta::StageCharacterization& a,
+                       const sp::sta::StageCharacterization& b) {
+  EXPECT_EQ(a.delay.mean, b.delay.mean);
+  EXPECT_EQ(a.delay.sigma, b.delay.sigma);
+  EXPECT_EQ(a.sigma_inter, b.sigma_inter);
+  EXPECT_EQ(a.sigma_private, b.sigma_private);
+  EXPECT_EQ(a.area, b.area);
+  EXPECT_EQ(a.nominal_delay, b.nominal_delay);
+}
+
+// Every lane of the grid through characterize_grid equals characterize_ssta
+// on a copy carrying its sizes, bitwise.
+void expect_grid_matches_scalar(const sp::netlist::Netlist& nl,
+                                const std::vector<std::vector<double>>& grid,
+                                const VariationSpec& spec,
+                                double output_load = 2.0) {
+  const auto m = model();
+  const auto chars = sp::sta::characterize_grid(
+      nl, m, grid, spec, sp::sta::SstaOptions{.output_load = output_load});
+  ASSERT_EQ(chars.size(), grid.size());
+  sp::sta::CharacterizeOptions co;
+  co.output_load = output_load;
+  for (std::size_t k = 0; k < grid.size(); ++k) {
+    SCOPED_TRACE("lane " + std::to_string(k));
+    expect_bitwise_eq(
+        chars[k],
+        sp::sta::characterize_ssta(with_sizes(nl, grid[k]), m, spec, co));
+  }
+}
+
+// Sets `grid` (one size vector per lane) into a lane evaluator built at
+// z = 0, evaluates, and holds every lane, bitwise, to the scalar references
+// on a copy carrying its sizes: loads, per-gate canonical delays, nominal
+// arrivals and critical delay, and area.  Then folds, as characterize_grid
+// does, so a second call checks re-evaluation of the same evaluator.
+template <std::size_t kLanes>
+void expect_lanes_match_scalar(sp::sta::SizeLanes<kLanes>& lanes,
+                               const sp::netlist::Netlist& nl,
+                               const std::vector<std::vector<double>>& grid,
+                               const VariationSpec& spec, double output_load) {
+  const auto m = model();
+  const std::size_t L = grid.size();
+  ASSERT_EQ(lanes.lanes(), L);
+  for (std::size_t g = 0; g < nl.size(); ++g)
+    for (std::size_t k = 0; k < L; ++k) lanes.sizes()[g * L + k] = grid[k][g];
+  lanes.evaluate();
+  std::vector<double> area(L);
+  lanes.area(area.data());
+
+  const sp::sta::SstaOptions so{.output_load = output_load};
+  const sp::sta::StaOptions sta_opt{.output_load = output_load};
+  const auto& d = lanes.delays();
+  for (std::size_t k = 0; k < L; ++k) {
+    SCOPED_TRACE("width " + std::to_string(L) + ", lane " + std::to_string(k));
+    const auto work = with_sizes(nl, grid[k]);
+    const auto sta = sp::sta::analyze(work, m, sta_opt);
+    std::size_t bad = 0;
+    for (sp::netlist::GateId g = 0; g < nl.size(); ++g) {
+      const std::size_t i = g * L + k;
+      const auto c = sp::sta::gate_canonical_delay(work, g, m, spec, so);
+      if (!nl.gate(g).is_pseudo() &&
+          lanes.loads()[i] != work.load_of(g, output_load))
+        ++bad;
+      if (d.mu[i] != c.mu || d.b_inter[i] != c.b_inter ||
+          d.sigma_ind[i] != c.sigma_ind || d.b_sys[i] != c.b_sys)
+        ++bad;
+      if (lanes.arrivals()[i] != sta.arrival[g]) ++bad;
+    }
+    EXPECT_EQ(bad, 0u) << "gate values differ from the scalar references";
+    double critical = 0.0;
+    for (sp::netlist::GateId o : nl.outputs())
+      if (lanes.arrivals()[o * L + k] >= critical)
+        critical = lanes.arrivals()[o * L + k];
+    EXPECT_EQ(critical, sta.critical_delay);
+    EXPECT_EQ(area[k], work.total_area());
+  }
+  sp::sta::CanonicalLaneArrays res(1, L);
+  lanes.fold_ssta(res.at(0));
 }
 
 }  // namespace
 
-TEST(SstaBatch, GridBitwiseEqualsScalarRuns) {
-  // The PR's core invariant: a K>=8 sweep grid through SstaBatch is
-  // bitwise-identical to K independent analyze_ssta runs.
+TEST(SizeLanes, EveryLaneMatchesScalarReferencesBitwise) {
+  // The compile-time one-lane evaluator and run-time widths 2, 3 and 9,
+  // each lane with its own sizes, each evaluator at two size sets.
   const auto nl = sp::netlist::iscas_like("c432");
   const auto m = model();
   const auto spec = VariationSpec::inter_intra(0.020, 0.010, 0.5);
-  const auto cfgs = sweep_grid(nl, 9, spec);
-
-  const auto batch = sp::sta::SstaBatch(nl, m).analyze(cfgs);
-  ASSERT_EQ(batch.size(), cfgs.size());
-  for (std::size_t k = 0; k < cfgs.size(); ++k) {
-    auto work = nl;
-    work.set_sizes(cfgs[k].sizes);
-    expect_bitwise_eq(batch[k], sp::sta::analyze_ssta(work, m, cfgs[k].spec));
+  sp::sta::SizeLanes<1> one(nl, m, spec, 2.0, 0.0);
+  expect_lanes_match_scalar(one, nl, sweep_grid(nl, 1), spec, 2.0);
+  expect_lanes_match_scalar(one, nl, sweep_grid(nl, 1, 5), spec, 2.0);
+  for (std::size_t width : {2, 3, 9}) {
+    sp::sta::SizeLanes<0> lanes(nl, m, spec, 3.25, 0.0, width);
+    expect_lanes_match_scalar(lanes, nl, sweep_grid(nl, width), spec, 3.25);
+    expect_lanes_match_scalar(lanes, nl, sweep_grid(nl, width, width), spec,
+                              3.25);
   }
 }
 
-TEST(SstaBatch, SingleLaneEqualsScalar) {
-  const auto nl = sp::netlist::iscas_like("c880");
+TEST(SizeLanes, RejectsALaneCountOtherThanKLanes) {
+  const auto nl = sp::netlist::inverter_chain(4);
   const auto m = model();
-  const auto spec = VariationSpec::inter_intra(0.015, 0.010, 0.4);
-  const auto cfgs = sweep_grid(nl, 1, spec);
-  const auto batch = sp::sta::SstaBatch(nl, m).analyze(cfgs);
-  auto work = nl;
-  work.set_sizes(cfgs[0].sizes);
-  expect_bitwise_eq(batch[0], sp::sta::analyze_ssta(work, m, spec));
+  const VariationSpec spec;
+  EXPECT_THROW(sp::sta::SizeLanes<1>(nl, m, spec, 2.0, 0.0, 2),
+               std::logic_error);
 }
 
-TEST(SstaBatch, EmptySizesUseNetlistSizes) {
-  const auto nl = sp::netlist::inverter_chain(12);
-  const auto m = model();
+TEST(CharacterizeGrid, GridBitwiseEqualsScalarRuns) {
+  // A K >= 8 sweep grid through characterize_grid is bitwise-identical to
+  // K independent characterize_ssta runs.  At 40 lanes the multi-lane
+  // blocks outnumber the pool workers at any width, so blocks reuse pooled
+  // evaluators.
+  const auto nl = sp::netlist::iscas_like("c432");
   const auto spec = VariationSpec::inter_intra(0.020, 0.010, 0.5);
-  std::vector<sp::sta::SstaConfig> cfgs(2);
-  cfgs[0].spec = spec;
-  cfgs[1].spec = VariationSpec::inter_only(0.040);
-  const auto batch = sp::sta::SstaBatch(nl, m).analyze(cfgs);
-  expect_bitwise_eq(batch[0], sp::sta::analyze_ssta(nl, m, cfgs[0].spec));
-  expect_bitwise_eq(batch[1], sp::sta::analyze_ssta(nl, m, cfgs[1].spec));
+  expect_grid_matches_scalar(nl, sweep_grid(nl, 9), spec);
+  expect_grid_matches_scalar(nl, sweep_grid(nl, 40), spec);
 }
 
-TEST(SstaBatch, ZeroVarianceLaneIsDegenerateButExact) {
-  // A degenerate all-zero-variance config rides in the same batch as live
-  // lanes: its canonical form collapses to the deterministic delay.
+TEST(CharacterizeGrid, SingleLaneEqualsScalar) {
+  const auto nl = sp::netlist::iscas_like("c880");
+  expect_grid_matches_scalar(nl, sweep_grid(nl, 1),
+                             VariationSpec::inter_intra(0.015, 0.010, 0.4));
+}
+
+TEST(CharacterizeGrid, OutputLoadReachesEveryLane) {
+  const auto nl = sp::netlist::iscas_like("c499");
+  expect_grid_matches_scalar(nl, sweep_grid(nl, 8),
+                             VariationSpec::inter_intra(0.020, 0.010, 0.5),
+                             3.5);
+}
+
+TEST(CharacterizeGrid, ZeroVarianceGridIsDegenerateButExact) {
+  // Every variation source off, as its own one-spec call: each lane's
+  // canonical form collapses to its deterministic delay.
   const auto nl = sp::netlist::iscas_like("c432");
   const auto m = model();
-  auto cfgs = sweep_grid(nl, 4, VariationSpec::inter_intra(0.020, 0.010, 0.5));
-  VariationSpec frozen;  // every variation source off
+  const auto grid = sweep_grid(nl, 4);
+  VariationSpec frozen;
   frozen.sigma_vth_inter = 0.0;
   frozen.sigma_vth_systematic = 0.0;
   frozen.enable_rdf = false;
-  cfgs[2].spec = frozen;
-  const auto batch = sp::sta::SstaBatch(nl, m).analyze(cfgs);
-  for (std::size_t k = 0; k < cfgs.size(); ++k) {
-    auto work = nl;
-    work.set_sizes(cfgs[k].sizes);
-    expect_bitwise_eq(batch[k], sp::sta::analyze_ssta(work, m, cfgs[k].spec));
-  }
-  EXPECT_EQ(batch[2].sigma(), 0.0);
-  auto work = nl;
-  work.set_sizes(cfgs[2].sizes);
-  EXPECT_NEAR(batch[2].mu, sp::sta::analyze(work, m).critical_delay, 1e-9);
-}
-
-TEST(SstaBatch, CharacterizeBitwiseEqualsScalar) {
-  const auto nl = sp::netlist::iscas_like("c499");
-  const auto m = model();
-  const auto spec = VariationSpec::inter_intra(0.020, 0.010, 0.5);
-  const auto cfgs = sweep_grid(nl, 8, spec);
-  const auto chars = sp::sta::SstaBatch(nl, m).characterize(cfgs);
-  for (std::size_t k = 0; k < cfgs.size(); ++k) {
-    auto work = nl;
-    work.set_sizes(cfgs[k].sizes);
-    const auto c = sp::sta::characterize_ssta(work, m, cfgs[k].spec);
-    EXPECT_EQ(chars[k].delay.mean, c.delay.mean);
-    EXPECT_EQ(chars[k].delay.sigma, c.delay.sigma);
-    EXPECT_EQ(chars[k].sigma_inter, c.sigma_inter);
-    EXPECT_EQ(chars[k].sigma_private, c.sigma_private);
-    EXPECT_EQ(chars[k].area, c.area);
-    EXPECT_EQ(chars[k].nominal_delay, c.nominal_delay);
+  expect_grid_matches_scalar(nl, grid, frozen);
+  const auto chars = sp::sta::characterize_grid(nl, m, grid, frozen, {});
+  for (std::size_t k = 0; k < grid.size(); ++k) {
+    EXPECT_EQ(chars[k].delay.sigma, 0.0);
+    EXPECT_NEAR(chars[k].delay.mean, chars[k].nominal_delay, 1e-9);
   }
 }
 
-TEST(SstaBatch, ResultIndependentOfShardingAndThreads) {
-  // No RNG is involved, so any (samples_per_shard, threads) pair gives the
-  // same lanes bitwise.
+TEST(CharacterizeGrid, SubRangesEqualTheFullCall) {
+  // No lane depends on the others or on its block: characterize_grid over
+  // sub-ranges gives exactly those lanes of the full call, as the dist
+  // grid task's worker ranges assume.  CI runs this binary at 1 and 8 pool
+  // threads, the only other thing that re-cuts the blocks.
   const auto nl = sp::netlist::iscas_like("c432");
   const auto m = model();
-  const auto cfgs =
-      sweep_grid(nl, 16, VariationSpec::inter_intra(0.020, 0.010, 0.5));
-  const sp::sta::SstaBatch batch(nl, m);
-  const auto serial = batch.analyze(cfgs, sp::sim::ExecutionOptions{1, 1024});
-  const auto narrow = batch.analyze(cfgs, sp::sim::ExecutionOptions{0, 1});
-  const auto chunky = batch.analyze(cfgs, sp::sim::ExecutionOptions{0, 3});
-  for (std::size_t k = 0; k < cfgs.size(); ++k) {
-    expect_bitwise_eq(serial[k], narrow[k]);
-    expect_bitwise_eq(serial[k], chunky[k]);
+  const auto spec = VariationSpec::inter_intra(0.020, 0.010, 0.5);
+  const auto grid = sweep_grid(nl, 16);
+  const auto full = sp::sta::characterize_grid(nl, m, grid, spec, {});
+  ASSERT_EQ(full.size(), grid.size());
+  for (const auto& [begin, end] :
+       std::vector<std::pair<std::size_t, std::size_t>>{{0, 1}, {1, 4},
+                                                        {4, 16}}) {
+    const std::vector<std::vector<double>> sub(
+        grid.begin() + static_cast<std::ptrdiff_t>(begin),
+        grid.begin() + static_cast<std::ptrdiff_t>(end));
+    const auto part = sp::sta::characterize_grid(nl, m, sub, spec, {});
+    ASSERT_EQ(part.size(), end - begin);
+    for (std::size_t i = 0; i < part.size(); ++i) {
+      SCOPED_TRACE("lane " + std::to_string(begin + i));
+      expect_bitwise_eq(part[i], full[begin + i]);
+    }
   }
 }
 
-TEST(SstaBatch, RejectsBadConfigAndMissingOutputs) {
-  const auto nl = sp::netlist::inverter_chain(4);
+TEST(CharacterizeGrid, RejectsLanesOfTheWrongLength) {
+  // An empty lane is not "the netlist's own sizes": every lane must be a
+  // full size vector, and the error names the lane.
+  const auto nl = sp::netlist::iscas_like("c432");
   const auto m = model();
-  std::vector<sp::sta::SstaConfig> bad(1);
-  bad[0].sizes = {1.0, 2.0};  // wrong length
-  EXPECT_THROW(sp::sta::SstaBatch(nl, m).analyze(bad), std::invalid_argument);
+  const VariationSpec spec;
+  auto expect_rejects_lane = [&](const std::vector<std::vector<double>>& grid,
+                                 const std::string& lane) {
+    try {
+      (void)sp::sta::characterize_grid(nl, m, grid, spec, {});
+      ADD_FAILURE() << "accepted a grid with a bad " << lane;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(lane), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejects_lane({{}, nl.sizes()}, "lane 0");
+  auto short_lane = nl.sizes();
+  short_lane.pop_back();
+  expect_rejects_lane({nl.sizes(), short_lane}, "lane 1");
+  auto long_lane = nl.sizes();
+  long_lane.push_back(1.0);
+  expect_rejects_lane({nl.sizes(), nl.sizes(), long_lane}, "lane 2");
+}
 
+TEST(CharacterizeGrid, RejectsNonFiniteOrNonPositiveValues) {
+  const auto nl = sp::netlist::iscas_like("c432");
+  const auto m = model();
+  const VariationSpec spec;
+  const sp::netlist::GateId g = nl.outputs().front();
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL, 0.0, -1.0}) {
+    SCOPED_TRACE("size " + std::to_string(bad));
+    auto sizes = nl.sizes();
+    sizes[g] = bad;
+    EXPECT_THROW(
+        (void)sp::sta::characterize_grid(nl, m, {nl.sizes(), sizes}, spec, {}),
+        std::invalid_argument);
+  }
+  for (double bad : {std::nan(""), HUGE_VAL, -1.0}) {
+    SCOPED_TRACE("output_load " + std::to_string(bad));
+    EXPECT_THROW((void)sp::sta::characterize_grid(
+                     nl, m, {nl.sizes()}, spec,
+                     sp::sta::SstaOptions{.output_load = bad}),
+                 std::invalid_argument);
+  }
+  // The check runs before a hook sees the grid.
+  bool called = false;
+  const sp::sta::GridCharacterizer hook =
+      [&](const auto&, const auto&, const auto& grid, const auto&,
+          const auto&) {
+        called = true;
+        return std::vector<sp::sta::StageCharacterization>(grid.size());
+      };
+  auto sizes = nl.sizes();
+  sizes[g] = std::nan("");
+  EXPECT_THROW((void)sp::sta::characterize_grid(nl, m, {sizes}, spec, {}, hook),
+               std::invalid_argument);
+  EXPECT_FALSE(called);
+}
+
+TEST(CharacterizeGrid, RejectsMissingOutputs) {
+  const auto m = model();
   sp::netlist::Netlist empty("empty");
   empty.add_input("a");
-  EXPECT_THROW(sp::sta::SstaBatch(empty, m), std::logic_error);
+  EXPECT_THROW((void)sp::sta::characterize_grid(empty, m, {empty.sizes()},
+                                                VariationSpec{}, {}),
+               std::logic_error);
 }
 
 // --------------------------------------------------------- characterization

@@ -227,17 +227,17 @@ int run_ssta_sweep(const sp::dist::RunDescriptor& desc, std::size_t points,
 
   if (check_local) {
     sp::opt::SweepOptions local_sw = sw;
-    local_sw.grid = {};  // the single-process SstaBatch reference
+    local_sw.grid = {};  // the single-process characterize_grid reference
     sp::netlist::Netlist nl2 = sp::netlist::iscas_like(names.front());
     const auto local_sweep =
         sp::opt::area_delay_sweep(nl2, model, spec, local_sw);
     if (!sp::opt::bitwise_equal(dist_sweep, local_sweep)) {
       std::printf("FAIL: distributed sweep diverges from the "
-                  "single-process SstaBatch run\n");
+                  "single-process characterize_grid run\n");
       return EXIT_FAILURE;
     }
     std::printf("distributed sweep is bitwise-identical to the "
-                "single-process SstaBatch run\n");
+                "single-process characterize_grid run\n");
   }
   return EXIT_SUCCESS;
 }
@@ -355,17 +355,17 @@ int run_connect_sweep(const sp::dist::RunDescriptor& desc, std::size_t points,
 
   if (check_local) {
     sp::opt::SweepOptions local_sw = sw;
-    local_sw.grid = {};  // the single-process SstaBatch reference
+    local_sw.grid = {};  // the single-process characterize_grid reference
     sp::netlist::Netlist nl2 = sp::netlist::iscas_like(names.front());
     const auto local_sweep =
         sp::opt::area_delay_sweep(nl2, model, spec, local_sw);
     if (!sp::opt::bitwise_equal(dist_sweep, local_sweep)) {
       std::printf("FAIL: service sweep diverges from the single-process "
-                  "SstaBatch run\n");
+                  "characterize_grid run\n");
       return EXIT_FAILURE;
     }
     std::printf("service sweep is bitwise-identical to the "
-                "single-process SstaBatch run\n");
+                "single-process characterize_grid run\n");
   }
   return EXIT_SUCCESS;
 }

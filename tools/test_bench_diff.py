@@ -101,6 +101,18 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
         self.assertNotIn("REGRESSION", r.stdout)
 
+    def test_columns_in_one_record_only_are_skipped(self):
+        # A bench may drop or add a column (batched_ssta dropped
+        # batch_1t_ms); only the columns both records share are compared.
+        r = self.diff([{"circuit": "c432", "batch_1t_ms": 1.0,
+                        "batch_nt_ms": 2.0}],
+                      [{"circuit": "c432", "batch_nt_ms": 2.0,
+                        "fresh_ms": 99.0}], "--strict")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertNotIn("batch_1t_ms", r.stdout)
+        self.assertNotIn("fresh_ms", r.stdout)
+        self.assertIn("c432.batch_nt_ms", r.stdout)
+
     # ----------------------------------------------- backend mismatch
 
     def test_backend_mismatch_skips_flagging_even_under_strict(self):
