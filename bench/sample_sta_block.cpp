@@ -1,5 +1,6 @@
-// Block-vectorized vs scalar gate-level Monte-Carlo — the PR-3 hot-path
-// speedup, and the determinism proof that makes it free to enable.
+// Gate-level Monte-Carlo across lane-block widths — the block kernels'
+// speedup over one-lane blocks, and the determinism proof that makes the
+// width free to choose.
 //
 // Workload: the paper's "silicon" reference (section 2.4) on c3540-class
 // synthetic netlists — GateLevelMonteCarlo with inter-die, systematic
@@ -9,10 +10,11 @@
 //
 // For each circuit the same run (same seed, same shard plan) executes at
 // every block width in {1, 8, 16, 32, 64} the active SIMD backend accepts
-// (width 1 is the scalar path), single-threaded, plus the backend's
+// (width 1 runs one-lane blocks), single-threaded, plus the backend's
 // preferred width on the full pool; the bench reports each width's speedup
-// over width-1 and verifies all runs are bitwise-identical —
-// exec.block_width is a pure throughput knob.
+// over width 1 and verifies all runs are bitwise-identical —
+// exec.block_width is a pure throughput knob.  The engine's scalar oracle
+// is GateMc.MatchesPlainScalarReferenceLoopBitwise (tests/test_mc.cpp).
 //
 // The JSON meta records the active SIMD backend and its width cap: timing
 // rows are only comparable across records taken on the same backend
@@ -84,7 +86,7 @@ bool bitwise_eq(const sp::mc::McResult& a, const sp::mc::McResult& b) {
 ///                 in a bench-local span so it reads back through the same
 ///                 aggregate plumbing;
 ///   chol — mc.chol: the systematic field's recursion over the sites;
-///   walk — mc.walk: critical_delay_sample_block over the bound stage;
+///   walk — mc.walk: critical_delay_sample_block over the bound stages;
 ///   fold — mc.fold: the per-lane stats fold + pipeline max.
 /// Each number is the best (minimum) total over kReps instrumented runs,
 /// obs::reset() between reps so aggregates never mix repetitions.
@@ -191,7 +193,7 @@ int main(int argc, char** argv) {
 
   bench_util::banner(
       "sample_sta_block",
-      "Block (SoA DieBlock) vs scalar gate-level MC on SIMD backend '" +
+      "Gate-level MC lane blocks vs one-lane blocks on SIMD backend '" +
           std::string(kt->name) + "', widths {1,8,16,32,64} clipped to " +
           std::to_string(kt->max_width) + ", bitwise-checked");
 
@@ -333,10 +335,11 @@ int main(int argc, char** argv) {
   }
 
   if (!all_equal) {
-    std::printf("FAIL: block gate-level MC diverged from the scalar path\n");
+    std::printf("FAIL: gate-level MC diverged across block widths\n");
     return EXIT_FAILURE;
   }
-  std::printf("block path is bitwise-identical to scalar on backend '%s'; "
-              "best block speedup %.2fx\n", kt->name, best_speedup);
+  std::printf("every block width is bitwise-identical to one-lane blocks on "
+              "backend '%s'; best block speedup %.2fx\n", kt->name,
+              best_speedup);
   return EXIT_SUCCESS;
 }

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "stats/lanes.h"
-#include "stats/simd.h"
 
 namespace statpipe::device {
 
@@ -45,36 +44,6 @@ double AlphaPowerModel::variation_factor(double dvth, double dl_rel) const {
     throw std::domain_error(
         "variation_factor: drive ratio beyond physical range");
   return stats::lanes::pow_pos(ratio, tech_.alpha) * lf * lf;
-}
-
-// The arithmetic loop is dispatched to the active SIMD backend's kernel
-// (stats/simd.h), which compiled the identical straight-line C++ under
-// that backend's -m flags.  FP semantics are unchanged across backends —
-// the project-wide -ffp-contract=off forbids fusion and no backend is
-// built with -mfma — which is what keeps the vector lanes bitwise-equal
-// to the scalar variation_factor path on every backend.
-void AlphaPowerModel::variation_factor_lanes(const double* dvth,
-                                             const double* dl_rel,
-                                             std::size_t n,
-                                             double* out) const {
-  const double drive0 = tech_.vdd - tech_.vth0;
-  const double alpha = tech_.alpha;
-  // Domain checks hoisted out of the hot loop (and completed before any
-  // write) so the dispatched kernel is straight-line vectorizable code.
-  for (std::size_t j = 0; j < n; ++j) {
-    const double drive = drive0 - dvth[j];
-    if (drive <= 0.0)
-      throw std::domain_error(
-          "variation_factor: Vth shift drives gate out of saturation");
-    if (1.0 + dl_rel[j] <= 0.0)
-      throw std::domain_error("variation_factor: channel length <= 0");
-    const double ratio = drive0 / drive;
-    if (!(ratio >= kMinDriveRatio && ratio <= kMaxDriveRatio))
-      throw std::domain_error(
-          "variation_factor: drive ratio beyond physical range");
-  }
-  stats::simd::kernels().variation_factor_lanes(drive0, alpha, dvth, dl_rel,
-                                                n, out);
 }
 
 AlphaPowerModel::VariationKernelParams

@@ -47,19 +47,10 @@ class AlphaPowerModel {
   /// (Vdd - Vth <= 0) — a die that badly broken is a functional failure,
   /// not a timing sample.
   /// The exponentiation runs on the shared vectorizable pow core
-  /// (stats::lanes::pow_pos), the same per-element function the lane form
-  /// below evaluates — so the scalar and block sample-STA paths stay
-  /// bitwise-identical by construction.
+  /// (stats::lanes::pow_pos), the same per-element function the block
+  /// sample-STA walk evaluates — so the scalar and block sample-STA paths
+  /// stay bitwise-identical by construction.
   double variation_factor(double dvth, double dl_rel = 0.0) const;
-
-  /// Lane form: out[j] = variation_factor(dvth[j], dl_rel[j]) for j < n,
-  /// bitwise-equal to n scalar calls (same pow core, same operation order
-  /// per element) but dispatched to the active SIMD backend's vectorized
-  /// kernel (stats/simd.h) — this call is the hot kernel of the block
-  /// sample STA.  Domain violations are checked for every lane up front
-  /// and throw std::domain_error before anything is written to `out`.
-  void variation_factor_lanes(const double* dvth, const double* dl_rel,
-                              std::size_t n, double* out) const;
 
   /// The variation-factor arithmetic flattened to plain doubles, for
   /// callers that inline the computation into a dispatched SIMD kernel
@@ -87,9 +78,9 @@ class AlphaPowerModel {
   }
 
   /// Lane form: out[k] = nominal_delay(kind, size[k], load_cap[k]) for
-  /// k < n, bitwise (the same inline body).  As in variation_factor_lanes,
-  /// every lane is checked before anything is written, and the first bad
-  /// lane throws the scalar call's exception.
+  /// k < n, bitwise (the same inline body).  Every lane is checked before
+  /// anything is written, and the first bad lane throws the scalar call's
+  /// exception.
   __attribute__((always_inline)) void nominal_delay_lanes(
       GateKind kind, const double* size, const double* load_cap,
       std::size_t n, double* out) const {

@@ -1,6 +1,7 @@
 #include "mc/pipeline_mc.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -191,15 +192,21 @@ GateLevelMonteCarlo::GateLevelMonteCarlo(
         return process::VariationSampler(model.technology(), spec,
                                          std::move(l.positions));
       }()) {
-  // Materialize every stage's topological order now so the shards' sample
-  // STA is read-only on shared netlists (the lazy cache is the one mutable
+  // A NaN load would make every output arrival NaN, which the output max
+  // then skips; an infinite one makes every sample infinite.
+  if (!(std::isfinite(sta_opt_.output_load) && sta_opt_.output_load >= 0.0))
+    throw std::invalid_argument("GateLevelMonteCarlo: output_load " +
+                                std::to_string(sta_opt_.output_load) +
+                                " is not finite and >= 0");
+  // Materialize every stage's topological order now so concurrent runs
+  // bind read-only on shared netlists (the lazy cache is the one mutable
   // member of Netlist).
   for (const netlist::Netlist* s : stages_) (void)s->topological_order();
 }
 
-McResult GateLevelMonteCarlo::run_shard(const sim::Shard& shard,
-                                        const stats::Rng& root,
-                                        std::size_t block_width) const {
+McResult GateLevelMonteCarlo::run_shard(
+    const sim::Shard& shard, const stats::Rng& root, std::size_t block_width,
+    const std::vector<sta::BoundStage>& bound) const {
   // Per-sample streams: sample k of this shard draws from
   // shard_rng.fork(k) — die draws first, then the per-stage latch draws —
   // so the values a sample sees depend only on (seed, shard, k), never on
@@ -210,25 +217,24 @@ McResult GateLevelMonteCarlo::run_shard(const sim::Shard& shard,
                              static_cast<std::int64_t>(shard.index));
   static obs::Counter c_samples("mc.samples");
   static obs::Counter c_blocks("mc.blocks");
-  static obs::Counter c_tail("mc.scalar_tail_samples");
   c_samples.add(shard.count);
   const std::size_t n_stages = stages_.size();
   McResult r;
   r.tp_samples.reserve(shard.count);
   r.stage_stats.resize(n_stages);
-  // Sim-owned per-shard arenas: the loops below are allocation-free in
+  // Sim-owned per-shard arenas: the loop below is allocation-free in
   // steady state (die block, systematic-field batch, arrival lane arena and
   // RNG streams all reused across shards via the workspace pool).
   auto ws = scratch_.acquire();
-  const std::size_t W = block_width;
-  ws->lane_rngs.resize(W);
-  ws->latch_dvth.resize(W);
-  ws->latch_overhead.resize(W);
-  ws->stage_delay.resize(n_stages * W);
-  ws->sta_block.resize(n_stages);
+  ws->lane_rngs.resize(block_width);
+  ws->latch_dvth.resize(block_width);
+  ws->latch_overhead.resize(block_width);
+  ws->stage_delay.resize(n_stages * block_width);
 
-  std::size_t k = 0;
-  for (; W > 1 && k + W <= shard.count; k += W) {
+  for (std::size_t k = 0; k < shard.count; k += block_width) {
+    // Full blocks, then the shard's last count % block_width dies as one
+    // narrower block.
+    const std::size_t W = std::min(block_width, shard.count - k);
     c_blocks.add();
     for (std::size_t j = 0; j < W; ++j)
       ws->lane_rngs[j] = shard_rng.fork(k + j);
@@ -237,9 +243,7 @@ McResult GateLevelMonteCarlo::run_shard(const sim::Shard& shard,
     {
       obs::ScopedSpan walk_span(span_walk(), static_cast<std::int64_t>(W));
       for (std::size_t s = 0; s < n_stages; ++s)
-        sta::critical_delay_sample_block(*stages_[s], *model_, ws->block,
-                                         site_maps_[s], sta_opt_,
-                                         ws->sta_block[s],
+        sta::critical_delay_sample_block(bound[s], ws->block, ws->sta_ws,
                                          ws->stage_delay.data() + s * W);
     }
     // Latch overheads, lane-batched per stage.  Per lane the draw order is
@@ -274,22 +278,6 @@ McResult GateLevelMonteCarlo::run_shard(const sim::Shard& shard,
       }
     }
   }
-  // Scalar tail (and the whole shard when block_width == 1).
-  if (k < shard.count) c_tail.add(shard.count - k);
-  for (; k < shard.count; ++k) {
-    stats::Rng rng = shard_rng.fork(k);
-    sampler_.sample_into(rng, ws->die, ws->die_ws);
-    double tp = 0.0;
-    for (std::size_t s = 0; s < n_stages; ++s) {
-      const double comb = sta::critical_delay_sample(
-          *stages_[s], *model_, ws->die, site_maps_[s], sta_opt_, ws->sta_ws);
-      const double dvth_latch = ws->die.dvth_shared_at(latch_sites_[s]);
-      const double sd = comb + latch_.sample_overhead(dvth_latch, rng);
-      r.stage_stats[s].add(sd);
-      tp = std::max(tp, sd);
-    }
-    r.tp_samples.push_back(tp);
-  }
   return r;
 }
 
@@ -303,13 +291,21 @@ std::vector<McResult> GateLevelMonteCarlo::run_shard_range(
   // rebuild the full O(n_shards) plan for a two-shard assignment.
   const std::vector<sim::Shard> shards = sim::plan_shard_range(
       n_samples, exec.samples_per_shard, shard_begin, shard_end);
+  // Bind every stage at its current sizes, once per call; the bindings are
+  // read-only, so every shard shares them.
+  std::vector<sta::BoundStage> bound;
+  bound.reserve(stages_.size());
+  for (std::size_t s = 0; s < stages_.size(); ++s)
+    bound.push_back(
+        sta::bind_stage(*stages_[s], *model_, site_maps_[s], sta_opt_));
   // Rng(root_seed) reconstructs the exact root run() forks: fork(stream_id)
   // depends only on the construction seed, so a remote process holding just
   // the 64-bit key replays every shard's streams bit for bit.
   const stats::Rng root(root_seed);
   return sim::run_shard_subrange<McResult>(
-      shards, 0, shards.size(), exec,
-      [&](const sim::Shard& s) { return run_shard(s, root, exec.block_width); });
+      shards, 0, shards.size(), exec, [&](const sim::Shard& s) {
+        return run_shard(s, root, exec.block_width, bound);
+      });
 }
 
 McResult GateLevelMonteCarlo::run(std::size_t n_samples, stats::Rng& rng,

@@ -20,13 +20,17 @@
 // order.  For a given seed the result is bitwise-identical at any thread
 // count.
 //
-// The gate-level engine additionally runs block-vectorized: each shard
-// consumes SoA DieBlocks of exec.block_width dies (tail handled scalar)
-// through process::VariationSampler::sample_block_into and
-// sta::critical_delay_sample_block.  Every sample's RNG stream is keyed on
-// its shard-local index (shard_rng.fork(k)), not on draw position, and the
-// block kernels are bitwise-identical per lane to the scalar path — so for
-// a given seed the result is ALSO bitwise-identical at any block width.
+// The gate-level engine runs every die in SoA lane blocks: each shard
+// consumes DieBlocks of exec.block_width dies, its last
+// count % block_width dies as one narrower block, through
+// process::VariationSampler::sample_block_into and
+// sta::critical_delay_sample_block.  Each call binds every stage once
+// (sta::bind_stage, at the stage's current sizes) and its shards share the
+// bindings read-only.  Every sample's RNG stream is keyed on its
+// shard-local index (shard_rng.fork(k)), not on draw position, and each
+// lane of a block executes exactly the scalar sample() + analyze_sample
+// sequence on its die — so for a given seed the result is ALSO
+// bitwise-identical at any block width.
 //
 // Layer contract (src/mc, see docs/ARCHITECTURE.md): owns Monte-Carlo
 // verification of pipeline delay.  May depend on everything below core's
@@ -97,7 +101,9 @@ class GateLevelMonteCarlo {
  public:
   /// Stage netlists are laid out left-to-right along the die; stage i's
   /// gates occupy die segment [i/N, (i+1)/N] so the systematic field
-  /// correlates neighbouring stages more than distant ones.
+  /// correlates neighbouring stages more than distant ones.  Throws
+  /// std::invalid_argument on no or null stages, and unless
+  /// sta_opt.output_load is finite and >= 0.
   GateLevelMonteCarlo(std::vector<const netlist::Netlist*> stages,
                       const device::AlphaPowerModel& model,
                       const process::VariationSpec& spec,
@@ -109,7 +115,8 @@ class GateLevelMonteCarlo {
   /// exec.samples_per_shard) but never on exec.threads or exec.block_width.
   /// Throws std::invalid_argument on exec.block_width outside
   /// [1, stats::lanes::max_width()] of the active SIMD backend (validated
-  /// up front, never clamped).
+  /// up front, never clamped).  Stages are bound at their sizes when the
+  /// call starts, so a set_sizes between two runs is seen by the second.
   McResult run(std::size_t n_samples, stats::Rng& rng,
                const sim::ExecutionOptions& exec = {}) const;
 
@@ -133,8 +140,9 @@ class GateLevelMonteCarlo {
   std::size_t stage_count() const noexcept { return stages_.size(); }
 
  private:
-  /// Pooled per-shard scratch: block + scalar-tail sampling buffers, the
-  /// SoA STA arena, per-lane RNG streams and the stage-major delay block.
+  /// Pooled per-shard scratch: block sampling buffers, the SoA STA lane
+  /// arena every stage shares, per-lane RNG streams and the stage-major
+  /// delay block.
   struct ShardScratch {
     std::vector<stats::Rng> lane_rngs;
     stats::RngBlock rng_block;          // SoA lane streams for latch draws
@@ -142,16 +150,13 @@ class GateLevelMonteCarlo {
     std::vector<double> latch_overhead; // [width] per-lane latch overhead
     process::DieBlock block;
     process::BlockWorkspace block_ws;
-    std::vector<sta::StaBlockWorkspace> sta_block;  // one per stage, so each
-                                                    // stays bound to its stage
+    sta::StaBlockWorkspace sta_ws;
     std::vector<double> stage_delay;  // [stage][lane], stage-major
-    process::DieSample die;           // scalar tail
-    process::DieWorkspace die_ws;
-    sta::StaWorkspace sta_ws;
   };
 
   McResult run_shard(const sim::Shard& shard, const stats::Rng& root,
-                     std::size_t block_width) const;
+                     std::size_t block_width,
+                     const std::vector<sta::BoundStage>& bound) const;
 
   std::vector<const netlist::Netlist*> stages_;
   const device::AlphaPowerModel* model_;

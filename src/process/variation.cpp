@@ -131,44 +131,33 @@ void VariationSampler::correlate_field(double* f, std::size_t w) const {
 }
 
 DieSample VariationSampler::sample(stats::Rng& rng) const {
-  DieSample d;
-  DieWorkspace ws;
-  sample_into(rng, d, ws);
-  return d;
-}
-
-void VariationSampler::sample_into(stats::Rng& rng, DieSample& d,
-                                   DieWorkspace& ws) const {
   const std::size_t n = positions_.size();
+  DieSample d;
   // Inter draws as sigma * normal() — phrased through the strided core so
   // the scalar path computes the exact expression the lane-batched kernel
   // writes (a literal normal(0.0, sigma) would prepend `0.0 +`, which
   // flushes a -0.0 draw to +0.0 and silently breaks the bitwise contract
   // in that one-in-2^55 corner).
-  d.dvth_inter = 0.0;
   if (spec_.sigma_vth_inter > 0.0)
     rng.normal_fill_scaled(spec_.sigma_vth_inter, &d.dvth_inter, 1);
-  d.dl_inter_rel = 0.0;
   if (spec_.sigma_l_inter_rel > 0.0)
     rng.normal_fill_scaled(spec_.sigma_l_inter_rel, &d.dl_inter_rel, 1);
-  d.dvth_systematic.clear();
-  d.dl_systematic_rel.clear();
-  d.dvth_random.clear();
 
   if (has_systematic_) {
     // One correlated standard-normal field drives both Vth and L systematic
     // components (they share the same lithographic origin).
-    rng.normal_fill(ws.field, n);
-    correlate_field(ws.field.data(), 1);
+    std::vector<double> field;
+    rng.normal_fill(field, n);
+    correlate_field(field.data(), 1);
     if (spec_.sigma_vth_systematic > 0.0) {
       d.dvth_systematic.resize(n);
       for (std::size_t i = 0; i < n; ++i)
-        d.dvth_systematic[i] = spec_.sigma_vth_systematic * ws.field[i];
+        d.dvth_systematic[i] = spec_.sigma_vth_systematic * field[i];
     }
     if (spec_.sigma_l_systematic_rel > 0.0) {
       d.dl_systematic_rel.resize(n);
       for (std::size_t i = 0; i < n; ++i)
-        d.dl_systematic_rel[i] = spec_.sigma_l_systematic_rel * ws.field[i];
+        d.dl_systematic_rel[i] = spec_.sigma_l_systematic_rel * field[i];
     }
   }
 
@@ -177,6 +166,7 @@ void VariationSampler::sample_into(stats::Rng& rng, DieSample& d,
     d.dvth_random.resize(n);
     rng.normal_fill_scaled(s_rdf, d.dvth_random.data(), n);
   }
+  return d;
 }
 
 void VariationSampler::sample_block_into(stats::Rng* lane_rngs,
@@ -197,7 +187,7 @@ void VariationSampler::sample_block_into(stats::Rng* lane_rngs,
   d.dl_systematic_rel.resize(sys_l ? n * W : 0);
   d.dvth_random.resize(spec_.enable_rdf ? n * W : 0);
 
-  // Lane j's draw sequence is exactly sample_into's on lane_rngs[j] (inter
+  // Lane j's draw sequence is exactly sample()'s on lane_rngs[j] (inter
   // draws, the field's standard normals, then per-site RDF); each lane owns
   // its stream, so batching the draws reorders them only *across* lanes,
   // which no lane's stream can observe.  All draws below run through one
@@ -234,7 +224,7 @@ void VariationSampler::sample_block_into(stats::Rng* lane_rngs,
   }
 
   // Phase 2 — the field recursion for all W fields at once (per lane
-  // exactly sample_into's operations), then the per-component sigma
+  // exactly sample()'s operations), then the per-component sigma
   // scaling as contiguous SoA sweeps.
   if (has_systematic_) {
     obs::ScopedSpan chol_span(kChol, static_cast<std::int64_t>(W));

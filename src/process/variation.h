@@ -93,12 +93,6 @@ struct DieSample {
   double dl_rel_at(std::size_t i) const;
 };
 
-/// Reusable scratch buffer for VariationSampler::sample_into — one per
-/// Monte-Carlo shard, so the per-sample loop is allocation-free.
-struct DieWorkspace {
-  std::vector<double> field;  ///< [sites] field draws, correlated in place
-};
-
 /// Structure-of-arrays block of `width` sampled dies — the unit the
 /// block-vectorized sampling/STA kernel layer streams through the gate-level
 /// Monte-Carlo hot path.  Per-site arrays are site-major with lanes
@@ -144,8 +138,8 @@ struct BlockWorkspace {
 /// order o, f[o_0] = z[o_0] and f[o_k] = r_k f[o_{k-1}] + s_k z[o_k], with
 /// r_k = exp(-d_k/L), s_k = sqrt(1 - r_k^2) and d_k the gap to the previous
 /// site (coincident sites share the field bit for bit).  Sampling is const
-/// and reentrant: concurrent sample()/sample_into calls on one sampler are
-/// safe as long as each caller owns its Rng/workspace.
+/// and reentrant: concurrent sample()/sample_block_into calls on one
+/// sampler are safe as long as each caller owns its Rng/workspace.
 class VariationSampler {
  public:
   /// Throws std::invalid_argument on no sites, a negative Vth sigma, or,
@@ -157,25 +151,22 @@ class VariationSampler {
   const VariationSpec& spec() const noexcept { return spec_; }
   std::size_t site_count() const noexcept { return positions_.size(); }
 
-  /// Draw one die.
+  /// Draw one die: the inter shifts, the field's standard normals (one per
+  /// site), then per-site RDF — the scalar reference of sample_block_into.
   DieSample sample(stats::Rng& rng) const;
-
-  /// Draw one die into caller-owned storage (identical draw sequence to
-  /// sample()); `out` and `ws` are reused across calls.
-  void sample_into(stats::Rng& rng, DieSample& out, DieWorkspace& ws) const;
 
   /// Draw `width` correlated dies into an SoA block in one call: every draw
   /// — inter shifts, the systematic field's standard normals (written
   /// site-major directly, no transpose pass) and RDF — runs lane-batched
   /// through the active SIMD backend's draw kernels (stats::RngBlock over
   /// stats/simd.h's normal_fill_lanes), and the field recursion runs once
-  /// over the sites with the lanes innermost, per lane in sample_into's
+  /// over the sites with the lanes innermost, per lane in sample()'s
   /// operation order.  Lane j consumes lane_rngs[j] with exactly the draw
-  /// sequence of sample_into (lane_rngs[j] is left advanced accordingly),
-  /// so lane j of the block is bitwise-identical to a scalar sample_into
-  /// call on the same Rng state — the equivalence the block Monte-Carlo
-  /// path's determinism rests on.  `out` and `ws` are reused across calls;
-  /// width must be in [1, stats::lanes::max_width()] for the active backend
+  /// sequence of sample() (lane_rngs[j] is left advanced accordingly), so
+  /// lane j of the block is bitwise-identical to a sample() call on the
+  /// same Rng state — the equivalence the block Monte-Carlo path's
+  /// determinism rests on.  `out` and `ws` are reused across calls; width
+  /// must be in [1, stats::lanes::max_width()] for the active backend
   /// (validated, never clamped).
   void sample_block_into(stats::Rng* lane_rngs, std::size_t width,
                          DieBlock& out, BlockWorkspace& ws) const;

@@ -35,17 +35,18 @@ struct ExecutionOptions {
   /// Shard granularity.  Changing it re-partitions the RNG streams (results
   /// change deterministically); the thread count never does.
   std::size_t samples_per_shard = 1024;
-  /// SoA lane width for engines with a block-vectorized sample path: full
-  /// blocks of this many samples go through the block kernels, the shard
-  /// tail runs scalar.  1 = fully scalar.  Engines validate it against
-  /// their kernel cap — the active SIMD backend's stats::lanes::max_width()
-  /// — via validate() below; a value of 0 or beyond the cap throws, it is
+  /// SoA lane width for engines with a block-vectorized sample path: a
+  /// shard of `count` samples runs them through the block kernels in
+  /// blocks of this many, its last count % block_width as one narrower
+  /// block (1 = one-lane blocks).  Engines validate it against their
+  /// kernel cap — the active SIMD backend's stats::lanes::max_width() —
+  /// via validate() below; a value of 0 or beyond the cap throws, it is
   /// never silently clamped.  The default of 8 is valid on every backend;
   /// stats::lanes::preferred_width() is the throughput-tuned choice.
   /// Like `threads` — and unlike `samples_per_shard` — results NEVER
   /// depend on this value: each sample's RNG stream is keyed on its
-  /// shard-local index, and the block kernels are bitwise-identical per
-  /// lane to the scalar path.
+  /// shard-local index, and every lane of a block kernel executes the
+  /// scalar floating-point sequence of its sample.
   std::size_t block_width = 8;
 
   /// Validates the options up front: samples_per_shard >= 1, block_width

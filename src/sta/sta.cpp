@@ -10,39 +10,28 @@ namespace statpipe::sta {
 
 namespace {
 
-// Core arrival propagation into a caller-owned arrival buffer; returns the
-// critical output (arrival-breaking ties toward later outputs, as before).
+// Arrival propagation in topological order; the critical output is the
+// last maximal output arrival.
 template <typename DelayFn>
-netlist::GateId propagate_into(const netlist::Netlist& nl,
-                               DelayFn&& gate_delay,
-                               std::vector<double>& arrival,
-                               double& critical_delay) {
-  arrival.assign(nl.size(), 0.0);
+StaResult propagate(const netlist::Netlist& nl, DelayFn&& gate_delay) {
+  StaResult r;
+  r.arrival.assign(nl.size(), 0.0);
   for (netlist::GateId id : nl.topological_order()) {
     const auto& g = nl.gate(id);
     if (g.is_pseudo()) continue;
     double in_arr = 0.0;
     for (netlist::GateId f : g.fanins)
-      in_arr = std::max(in_arr, arrival[f]);
-    arrival[id] = in_arr + gate_delay(id);
+      in_arr = std::max(in_arr, r.arrival[f]);
+    r.arrival[id] = in_arr + gate_delay(id);
   }
   if (nl.outputs().empty())
     throw std::logic_error("sta: netlist has no primary outputs");
-  critical_delay = 0.0;
-  netlist::GateId critical_output = netlist::kInvalidGate;
   for (netlist::GateId o : nl.outputs()) {
-    if (arrival[o] >= critical_delay) {
-      critical_delay = arrival[o];
-      critical_output = o;
+    if (r.arrival[o] >= r.critical_delay) {
+      r.critical_delay = r.arrival[o];
+      r.critical_output = o;
     }
   }
-  return critical_output;
-}
-
-template <typename DelayFn>
-StaResult propagate(const netlist::Netlist& nl, DelayFn&& gate_delay) {
-  StaResult r;
-  r.critical_output = propagate_into(nl, gate_delay, r.arrival, r.critical_delay);
   return r;
 }
 
@@ -81,79 +70,40 @@ StaResult analyze_sample(const netlist::Netlist& nl,
   });
 }
 
-double critical_delay_sample(const netlist::Netlist& nl,
-                             const device::AlphaPowerModel& model,
-                             const process::DieSample& die,
-                             const std::vector<std::size_t>& site_of_gate,
-                             const StaOptions& opt, StaWorkspace& ws) {
+BoundStage bind_stage(const netlist::Netlist& nl,
+                      const device::AlphaPowerModel& model,
+                      const std::vector<std::size_t>& site_of_gate,
+                      const StaOptions& opt) {
   if (site_of_gate.size() != nl.size())
-    throw std::invalid_argument("critical_delay_sample: site map size mismatch");
-  double critical = 0.0;
-  (void)propagate_into(
-      nl,
-      [&](netlist::GateId id) {
-        return sample_gate_delay(nl, model, die, site_of_gate, opt, id);
-      },
-      ws.arrival, critical);
-  return critical;
-}
-
-namespace {
-
-// Bind-once half of the block kernel: flattens the lane-invariant stage
-// structure into the workspace.  Every cached value is computed exactly as
-// the scalar path computes it per die (same expressions, same order), so
-// streaming many blocks through one binding cannot change results.
-void bind_block_workspace(const netlist::Netlist& nl,
-                          const device::AlphaPowerModel& model,
-                          const std::vector<std::size_t>& site_of_gate,
-                          const StaOptions& opt, StaBlockWorkspace& ws) {
-  ws.gate_ids.clear();
-  ws.site.clear();
-  ws.nominal.clear();
-  ws.sqrt_size.clear();
-  ws.fanin_begin.clear();
-  ws.fanins.clear();
-  ws.fanin_begin.push_back(0);
+    throw std::invalid_argument("bind_stage: site map size mismatch");
+  if (nl.outputs().empty())
+    throw std::logic_error("sta: netlist has no primary outputs");
+  // Each value is computed as sample_gate_delay computes it per die (same
+  // expressions, same order).
+  BoundStage b{.model = model, .rows = nl.size()};
+  b.fanin_begin.push_back(0);
   for (netlist::GateId id : nl.topological_order()) {
     const auto& g = nl.gate(id);
     if (g.is_pseudo()) continue;
-    ws.gate_ids.push_back(id);
-    ws.site.push_back(site_of_gate[id]);
-    ws.nominal.push_back(
+    b.gate_ids.push_back(id);
+    b.site.push_back(site_of_gate[id]);
+    b.nominal.push_back(
         model.nominal_delay(g.kind, g.size, nl.load_of(id, opt.output_load)));
-    ws.sqrt_size.push_back(std::sqrt(g.size));
-    ws.fanins.insert(ws.fanins.end(), g.fanins.begin(), g.fanins.end());
-    ws.fanin_begin.push_back(ws.fanins.size());
+    b.sqrt_size.push_back(std::sqrt(g.size));
+    b.fanins.insert(b.fanins.end(), g.fanins.begin(), g.fanins.end());
+    b.fanin_begin.push_back(b.fanins.size());
   }
-  ws.bound_nl = &nl;
-  ws.bound_model = &model;
-  ws.bound_sites = &site_of_gate;
-  ws.bound_output_load = opt.output_load;
+  b.outputs = nl.outputs();
+  return b;
 }
 
-}  // namespace
-
-void critical_delay_sample_block(const netlist::Netlist& nl,
-                                 const device::AlphaPowerModel& model,
+void critical_delay_sample_block(const BoundStage& stage,
                                  const process::DieBlock& block,
-                                 const std::vector<std::size_t>& site_of_gate,
-                                 const StaOptions& opt, StaBlockWorkspace& ws,
-                                 double* critical) {
-  if (site_of_gate.size() != nl.size())
-    throw std::invalid_argument(
-        "critical_delay_sample_block: site map size mismatch");
+                                 StaBlockWorkspace& ws, double* critical) {
   // Single source of truth for the kernel width rule (throws on 0 or
   // beyond kMaxWidth — validated, never clamped).
   const std::size_t W = stats::lanes::validated_width(block.width);
-  if (nl.outputs().empty())
-    throw std::logic_error("sta: netlist has no primary outputs");
-  if (ws.bound_nl != &nl || ws.bound_model != &model ||
-      ws.bound_sites != &site_of_gate ||
-      ws.bound_output_load != opt.output_load)
-    bind_block_workspace(nl, model, site_of_gate, opt, ws);
-
-  ws.arrival.assign(nl.size() * W, 0.0);
+  ws.arrival.assign(stage.rows * W, 0.0);
   ws.dvth.resize(W);
   ws.dl.resize(W);
   ws.vf.resize(W);
@@ -161,18 +111,17 @@ void critical_delay_sample_block(const netlist::Netlist& nl,
   // The whole walk — fanin max fold, SoA parameter gather, variation-factor
   // pow sweep, output fold — runs as one dispatched kernel of the active
   // SIMD backend (stats/simd.h; body in stats/lanes_kernels.inl).  Per die
-  // the operation order is the scalar path's, per gate the domain checks
-  // are the scalar variation_factor's in the same lane order, so results
-  // and rejections are unchanged from the pre-dispatch walk.
+  // the operation order is analyze_sample's, per gate the domain checks
+  // are the scalar variation_factor's in the same lane order.
   stats::simd::StaWalkArgs args;
   args.width = W;
-  args.n_gates = ws.gate_ids.size();
-  args.gate_ids = ws.gate_ids.data();
-  args.site = ws.site.data();
-  args.nominal = ws.nominal.data();
-  args.sqrt_size = ws.sqrt_size.data();
-  args.fanin_begin = ws.fanin_begin.data();
-  args.fanins = ws.fanins.data();
+  args.n_gates = stage.gate_ids.size();
+  args.gate_ids = stage.gate_ids.data();
+  args.site = stage.site.data();
+  args.nominal = stage.nominal.data();
+  args.sqrt_size = stage.sqrt_size.data();
+  args.fanin_begin = stage.fanin_begin.data();
+  args.fanins = stage.fanins.data();
   args.dvth_inter = block.dvth_inter.data();
   args.dl_inter = block.dl_inter_rel.data();
   args.dvth_sys = block.dvth_systematic.empty()
@@ -183,7 +132,7 @@ void critical_delay_sample_block(const netlist::Netlist& nl,
   args.dl_sys = block.dl_systematic_rel.empty()
                     ? nullptr
                     : block.dl_systematic_rel.data();
-  const auto vp = model.variation_kernel_params();
+  const auto vp = stage.model.variation_kernel_params();
   args.drive0 = vp.drive0;
   args.alpha = vp.alpha;
   args.min_ratio = vp.min_ratio;
@@ -192,8 +141,8 @@ void critical_delay_sample_block(const netlist::Netlist& nl,
   args.dvth = ws.dvth.data();
   args.dl = ws.dl.data();
   args.vf = ws.vf.data();
-  args.outputs = nl.outputs().data();
-  args.n_outputs = nl.outputs().size();
+  args.outputs = stage.outputs.data();
+  args.n_outputs = stage.outputs.size();
   args.critical = critical;
 
   const std::size_t fault = stats::simd::kernels().sta_block_walk(args);
@@ -203,7 +152,7 @@ void critical_delay_sample_block(const netlist::Netlist& nl,
     // Regenerate the exact scalar exception (same message, same lane
     // precedence) by replaying the scalar check on those shifts.
     for (std::size_t j = 0; j < W; ++j)
-      (void)model.variation_factor(ws.dvth[j], ws.dl[j]);
+      (void)stage.model.variation_factor(ws.dvth[j], ws.dl[j]);
     throw std::logic_error(
         "critical_delay_sample_block: walk kernel reported a domain fault "
         "the scalar variation_factor does not reproduce");

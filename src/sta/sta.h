@@ -54,70 +54,59 @@ StaResult analyze_sample(const netlist::Netlist& nl,
                          const process::DieSample& die,
                          const StaOptions& opt = {});
 
-/// Caller-owned arrival-time arena for tight sample-STA loops (one per
-/// Monte-Carlo shard): steady-state sample STA then allocates nothing.
-struct StaWorkspace {
-  std::vector<double> arrival;
+/// One stage bound for the block sample STA: its lane-invariant structure
+/// flattened once — topological gate ids (pseudo gates skipped), each
+/// gate's die site, nominal delay, sqrt(size) and CSR fanin rows, and the
+/// primary-output rows — plus a copy of the delay model.  bind_stage
+/// computes every value exactly as analyze_sample does per die, so walking
+/// many blocks over one binding cannot change results.  A binding is a
+/// snapshot of the netlist's sizes when it was built (a later set_sizes is
+/// not seen; bind again), refers to nothing, and is read-only afterwards,
+/// so concurrent walks may share it.
+struct BoundStage {
+  device::AlphaPowerModel model;            ///< the model bound under
+  std::size_t rows = 0;                     ///< arrival rows (netlist size)
+  std::vector<netlist::GateId> gate_ids{};  ///< topo order, pseudo skipped
+  std::vector<std::size_t> site{};          ///< per bound gate
+  std::vector<double> nominal{};            ///< nominal delay per bound gate
+  std::vector<double> sqrt_size{};          ///< sqrt(size) per bound gate
+  std::vector<std::size_t> fanin_begin{};   ///< CSR offsets, gate_ids + 1
+  std::vector<netlist::GateId> fanins{};    ///< CSR fanin rows
+  std::vector<netlist::GateId> outputs{};   ///< primary-output rows
 };
 
-/// Reentrant sample STA: returns only the critical delay, propagating
-/// through the caller's workspace.  Const-safe for concurrent use on the
-/// same netlist provided its topological order has been materialized first
-/// (call nl.topological_order() — or any STA entry point — once before
-/// fanning out; the lazy cache is the one mutable member).
-double critical_delay_sample(const netlist::Netlist& nl,
-                             const device::AlphaPowerModel& model,
-                             const process::DieSample& die,
-                             const std::vector<std::size_t>& site_of_gate,
-                             const StaOptions& opt, StaWorkspace& ws);
+/// Binds `nl` at its current sizes under `model`, the gate -> die-site map
+/// and opt.output_load.  Throws std::invalid_argument when the site map's
+/// size differs from the netlist's, std::logic_error when the netlist has
+/// no primary outputs.
+BoundStage bind_stage(const netlist::Netlist& nl,
+                      const device::AlphaPowerModel& model,
+                      const std::vector<std::size_t>& site_of_gate,
+                      const StaOptions& opt);
 
-/// Caller-owned SoA arena for the block sample STA (one per Monte-Carlo
-/// shard and stage): gate-major arrival lanes plus per-gate lane scratch,
-/// all reused so steady-state block STA allocates nothing.
-///
-/// The workspace also caches the lane-invariant stage structure — the
-/// bind-once/stream-many half of the block kernel: flattened topo order,
-/// per-gate site, capacitive load, nominal delay, sqrt(size) and CSR fanin
-/// spans.  Every cached value is exactly what the scalar path recomputes
-/// per die, so reuse cannot change results.  The cache keys on the
-/// ADDRESSES of the netlist, model and site map plus opt.output_load: a
-/// caller that reuses one workspace across stages must keep those objects
-/// alive and structurally unmodified between calls (the Monte-Carlo engine
-/// owns one workspace per stage for exactly this reason).
+/// Caller-owned lane scratch for the block sample STA: gate-major arrival
+/// lanes plus per-gate lane rows.  It holds no stage structure, so one
+/// workspace serves every stage in turn, and steady-state block STA
+/// allocates nothing.
 struct StaBlockWorkspace {
-  std::vector<double> arrival;  ///< [gates * width], gate-major lane rows
+  std::vector<double> arrival;  ///< [rows * width], gate-major lane rows
   std::vector<double> dvth;     ///< [width] per-gate Vth shifts
   std::vector<double> dl;       ///< [width] per-gate dL/L shifts
   std::vector<double> vf;       ///< [width] per-gate variation factors
-
-  // Bound stage structure (managed by critical_delay_sample_block).
-  const netlist::Netlist* bound_nl = nullptr;
-  const device::AlphaPowerModel* bound_model = nullptr;
-  const std::vector<std::size_t>* bound_sites = nullptr;
-  double bound_output_load = 0.0;
-  std::vector<netlist::GateId> gate_ids;  ///< topo order, pseudo skipped
-  std::vector<std::size_t> site;          ///< per bound gate
-  std::vector<double> nominal;            ///< nominal delay per bound gate
-  std::vector<double> sqrt_size;          ///< sqrt(gate size) per bound gate
-  std::vector<std::size_t> fanin_begin;   ///< CSR offsets, size gate_ids+1
-  std::vector<netlist::GateId> fanins;    ///< CSR fanin ids
 };
 
 /// Block sample STA: evaluates the alpha-power delay model and the topo max
-/// for all `block.width` dies of one SoA DieBlock in a single walk, writing
-/// the per-die critical delays to critical[0 .. width).  The walk runs as
-/// one kernel of the active SIMD backend (stats/simd.h; width validated
-/// against the backend's max_width()).  Per die the operation order is
-/// unchanged from the scalar path — lane-invariant work (gate load,
-/// nominal delay, sqrt(size)) is hoisted out of the lane loop but produces
-/// the exact values the scalar path computes per call — so each die's
-/// delay is bitwise-identical to critical_delay_sample on that die under
-/// every backend.  Same reentrancy contract as critical_delay_sample.
-void critical_delay_sample_block(const netlist::Netlist& nl,
-                                 const device::AlphaPowerModel& model,
+/// for all `block.width` dies of one SoA DieBlock in a single walk of
+/// `stage`, writing the per-die critical delays to critical[0 .. width).
+/// The walk runs as one kernel of the active SIMD backend (stats/simd.h;
+/// width validated against the backend's max_width()).  Per die the
+/// operation order is analyze_sample's, so die j's delay is
+/// bitwise-identical to analyze_sample(...).critical_delay on the same die
+/// under every backend, at every width including 1.  A die outside the
+/// variation-factor domain throws the scalar variation_factor's
+/// std::domain_error.
+void critical_delay_sample_block(const BoundStage& stage,
                                  const process::DieBlock& block,
-                                 const std::vector<std::size_t>& site_of_gate,
-                                 const StaOptions& opt, StaBlockWorkspace& ws,
-                                 double* critical);
+                                 StaBlockWorkspace& ws, double* critical);
 
 }  // namespace statpipe::sta

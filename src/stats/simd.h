@@ -113,13 +113,6 @@ struct KernelTable {
   void (*pow_pos_lanes)(const double* x, double y, std::size_t n,
                         double* out);
 
-  /// out[j] = pow_pos(drive0 / (drive0 - dvth[j]), alpha) * lf * lf with
-  /// lf = 1 + dl_rel[j] — the arithmetic half of variation_factor_lanes.
-  /// Domain checks are the caller's (device::AlphaPowerModel's) job.
-  void (*variation_factor_lanes)(double drive0, double alpha,
-                                 const double* dvth, const double* dl_rel,
-                                 std::size_t n, double* out);
-
   /// The branch-free Clark max arithmetic loop over n lanes (validation is
   /// the caller's job; see stats/clark.cpp).  Five SoA outputs mirror
   /// stats::ClarkLanes.

@@ -21,7 +21,6 @@ const KernelTable* avx2_table() noexcept {
       /*max_width=*/32,
       /*default_width=*/16,
       &avx2::pow_pos_lanes,
-      &avx2::variation_factor_lanes,
       &avx2::clark_max_lanes,
       &avx2::uniform_u64_lanes,
       &avx2::normal_fill_lanes,

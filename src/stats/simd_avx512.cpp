@@ -22,7 +22,6 @@ const KernelTable* avx512_table() noexcept {
       /*max_width=*/lanes::kMaxWidth,
       /*default_width=*/32,
       &avx512::pow_pos_lanes,
-      &avx512::variation_factor_lanes,
       &avx512::clark_max_lanes,
       &avx512::uniform_u64_lanes,
       &avx512::normal_fill_lanes,

@@ -23,7 +23,6 @@ const KernelTable* neon_table() noexcept {
       /*max_width=*/16,
       /*default_width=*/8,
       &neon::pow_pos_lanes,
-      &neon::variation_factor_lanes,
       &neon::clark_max_lanes,
       &neon::uniform_u64_lanes,
       &neon::normal_fill_lanes,

@@ -19,7 +19,6 @@ const KernelTable* scalar_table() noexcept {
       /*max_width=*/lanes::kMaxWidth,
       /*default_width=*/8,
       &scalar::pow_pos_lanes,
-      &scalar::variation_factor_lanes,
       &scalar::clark_max_lanes,
       &scalar::uniform_u64_lanes,
       &scalar::normal_fill_lanes,

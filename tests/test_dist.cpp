@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdint>
 #include <latch>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -321,6 +322,21 @@ TEST(DistWorkload, NanCorrelationLengthIsRejectedUpFront) {
     EXPECT_NE(std::string(e.what()).find("correlation_length"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(DistWorkload, McDescriptorRejectsBadOutputLoad) {
+  // The engine rejects a load that is not finite and >= 0, so finalizing
+  // and every worker-side or local assembly of such a descriptor fail.
+  for (const double load : {std::nan(""),
+                            std::numeric_limits<double>::infinity(), -1.0}) {
+    auto d = small_descriptor();
+    d.output_load = load;
+    auto again = d;
+    EXPECT_THROW(sp::dist::finalize_descriptor(again), std::invalid_argument)
+        << "output_load " << load;
+    EXPECT_THROW((void)sp::dist::make_unit_runner(d), std::invalid_argument);
+    EXPECT_THROW((void)sp::dist::run_local_task(d), std::invalid_argument);
   }
 }
 

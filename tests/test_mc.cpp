@@ -3,14 +3,18 @@
 // gate granularity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <string>
 
 #include "core/characterized_pipeline.h"
 #include "core/pipeline_model.h"
 #include "mc/pipeline_mc.h"
 #include "netlist/generators.h"
+#include "sta/sta.h"
 #include "stats/ks.h"
 #include "stats/lanes.h"
 
@@ -192,8 +196,10 @@ TEST(GateMc, BlockWidthAndThreadCountInvariant) {
   // The block-vectorized path contract: for a given seed, every
   // (block_width, threads) combination in {1,8,16} x {1,2,8} produces a
   // bitwise-identical McResult.  1000 samples over 128-sample shards leaves
-  // a 104-sample final shard, so full blocks, partial-block boundaries and
-  // the scalar tail are all exercised at every width.
+  // a 104-sample final shard, so full blocks and a narrower tail block are
+  // exercised at widths 8 and 16.  Width 1 runs one-lane blocks;
+  // MatchesPlainScalarReferenceLoopBitwise holds every width to the scalar
+  // path.
   GateLevelFixture f(3, 6);
   const auto spec = sp::process::VariationSpec::inter_intra(0.020, 0.010, 0.5);
   sp::mc::GateLevelMonteCarlo mc(f.views(), f.model, spec, f.latch);
@@ -246,7 +252,8 @@ TEST(GateMc, BadBlockWidthIsRejectedUpFront) {
   EXPECT_THROW(mc.run(300, rng, bad), std::invalid_argument);
   bad.block_width = 0;
   EXPECT_THROW(mc.run(300, rng, bad), std::invalid_argument);
-  // The full supported range is accepted and bitwise-equal to scalar.
+  // The full supported range is accepted and bitwise-equal to one-lane
+  // blocks.
   sp::sim::ExecutionOptions max_w, scalar;
   max_w.block_width = sp::stats::lanes::max_width();
   max_w.threads = 1;
@@ -267,6 +274,141 @@ TEST(GateMc, RejectsDegenerateInputs) {
   EXPECT_THROW(mc.run(0, rng), std::invalid_argument);
   EXPECT_THROW(sp::mc::GateLevelMonteCarlo({}, f.model, spec, f.latch),
                std::invalid_argument);
+  // A NaN output load would make every output arrival NaN, which the
+  // output max skips; an infinite one makes every sample infinite.
+  for (const double load : {std::nan(""),
+                            std::numeric_limits<double>::infinity(), -1.0}) {
+    sp::sta::StaOptions bad;
+    bad.output_load = load;
+    EXPECT_THROW(
+        sp::mc::GateLevelMonteCarlo(f.views(), f.model, spec, f.latch, bad),
+        std::invalid_argument)
+        << "output_load " << load;
+  }
+}
+
+namespace {
+
+void expect_bitwise_equal(const sp::mc::McResult& want,
+                          const sp::mc::McResult& got,
+                          const std::string& where) {
+  ASSERT_EQ(want.tp_samples.size(), got.tp_samples.size()) << where;
+  for (std::size_t i = 0; i < want.tp_samples.size(); ++i)
+    ASSERT_EQ(want.tp_samples[i], got.tp_samples[i])
+        << where << " sample " << i;
+  ASSERT_EQ(want.stage_stats.size(), got.stage_stats.size()) << where;
+  for (std::size_t s = 0; s < want.stage_stats.size(); ++s) {
+    EXPECT_EQ(want.stage_stats[s].count(), got.stage_stats[s].count());
+    EXPECT_EQ(want.stage_stats[s].mean(), got.stage_stats[s].mean())
+        << where << " stage " << s;
+    EXPECT_EQ(want.stage_stats[s].variance(), got.stage_stats[s].variance());
+    EXPECT_EQ(want.stage_stats[s].min(), got.stage_stats[s].min());
+    EXPECT_EQ(want.stage_stats[s].max(), got.stage_stats[s].max());
+  }
+}
+
+}  // namespace
+
+TEST(GateMc, MatchesPlainScalarReferenceLoopBitwise) {
+  // The engine's scalar oracle: a plain per-die loop over the engine's site
+  // layout and stream keys that draws each die with sample(), times each
+  // stage with analyze_sample and adds the latch overhead.  Every block
+  // width must reproduce it bit for bit; 350 dies in shards of 100 leave
+  // tail blocks of several lengths.
+  GateLevelFixture f(3, 6);
+  const auto spec = sp::process::VariationSpec::inter_intra(0.020, 0.010, 0.5);
+  sp::sta::StaOptions sta_opt;
+  sta_opt.output_load = 3.0;
+  const sp::mc::GateLevelMonteCarlo mc(f.views(), f.model, spec, f.latch,
+                                       sta_opt);
+  constexpr std::size_t kSamples = 350, kPerShard = 100;
+  constexpr std::uint64_t kRootSeed = 0x5EED;
+
+  // Stage s's gates on die segment [s/N, (s+1)/N], its latch at the right
+  // edge.
+  const std::size_t n = f.stages.size();
+  const double n_d = static_cast<double>(n);
+  std::vector<double> positions;
+  std::vector<std::vector<std::size_t>> site_maps(n);
+  std::vector<std::size_t> latch_sites(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    const double s_d = static_cast<double>(s);
+    for (std::size_t g = 0; g < f.stages[s].size(); ++g) {
+      site_maps[s].push_back(positions.size());
+      positions.push_back((s_d + f.stages[s].gate(g).position) / n_d);
+    }
+    latch_sites[s] = positions.size();
+    positions.push_back((s_d + 1.0) / n_d);
+  }
+  const sp::process::VariationSampler sampler(f.model.technology(), spec,
+                                              positions);
+
+  std::vector<sp::mc::McResult> want;
+  const sp::stats::Rng root(kRootSeed);
+  for (std::size_t begin = 0; begin < kSamples; begin += kPerShard) {
+    const sp::stats::Rng shard_rng = root.fork(want.size());
+    sp::mc::McResult r;
+    r.stage_stats.resize(n);
+    for (std::size_t k = 0; k < std::min(kPerShard, kSamples - begin); ++k) {
+      sp::stats::Rng rng = shard_rng.fork(k);
+      const sp::process::DieSample die = sampler.sample(rng);
+      double tp = 0.0;
+      for (std::size_t s = 0; s < n; ++s) {
+        const double comb = sp::sta::analyze_sample(f.stages[s], f.model, die,
+                                                    site_maps[s], sta_opt)
+                                .critical_delay;
+        const double sd =
+            comb +
+            f.latch.sample_overhead(die.dvth_shared_at(latch_sites[s]), rng);
+        r.stage_stats[s].add(sd);
+        tp = std::max(tp, sd);
+      }
+      r.tp_samples.push_back(tp);
+    }
+    want.push_back(std::move(r));
+  }
+
+  for (const std::size_t width : {std::size_t{1}, std::size_t{3},
+                                  std::size_t{8},
+                                  sp::stats::lanes::preferred_width()}) {
+    sp::sim::ExecutionOptions exec;
+    exec.block_width = width;
+    exec.samples_per_shard = kPerShard;
+    const auto got =
+        mc.run_shard_range(kSamples, kRootSeed, 0, want.size(), exec);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+      expect_bitwise_equal(want[i], got[i],
+                           "width " + std::to_string(width) + " shard " +
+                               std::to_string(i));
+  }
+}
+
+TEST(GateMc, RerunSeesResizedStages) {
+  // Every run binds the stages at their current sizes: after set_sizes on
+  // one stage, rerunning the same engine must give a fresh engine's bits.
+  // 300 dies in shards of 64 leave a tail block at width 5.
+  const auto spec = sp::process::VariationSpec::inter_intra(0.020, 0.010, 0.5);
+  for (const std::size_t width : {std::size_t{1}, std::size_t{8},
+                                  std::size_t{5}}) {
+    GateLevelFixture f(3, 6);
+    const sp::mc::GateLevelMonteCarlo mc(f.views(), f.model, spec, f.latch);
+    sp::sim::ExecutionOptions exec;
+    exec.block_width = width;
+    exec.samples_per_shard = 64;
+    sp::stats::Rng r0(2718);
+    const auto before = mc.run(300, r0, exec);
+
+    std::vector<double> sizes = f.stages[1].sizes();
+    for (double& x : sizes) x *= 2.0;
+    f.stages[1].set_sizes(sizes);
+    sp::stats::Rng r1(2718), r2(2718);
+    const auto rerun = mc.run(300, r1, exec);
+    const sp::mc::GateLevelMonteCarlo fresh(f.views(), f.model, spec, f.latch);
+    expect_bitwise_equal(fresh.run(300, r2, exec), rerun,
+                         "width " + std::to_string(width));
+    EXPECT_NE(before.stage_stats[1].mean(), rerun.stage_stats[1].mean());
+  }
 }
 
 // --------------------------------------------------- merge edge cases

@@ -106,12 +106,9 @@ TEST(VariationSampler, SystematicFieldSpatiallyCorrelated) {
       8, statpipe::stats::lanes::max_width());
   const sp::stats::Rng root(4);
   std::vector<std::vector<double>> scalar, block;
-  sp::process::DieSample die;
-  sp::process::DieWorkspace die_ws;
   for (std::size_t k = 0; k < kDies; ++k) {
     sp::stats::Rng rng = root.fork(k);
-    s.sample_into(rng, die, die_ws);
-    scalar.push_back(die.dvth_systematic);
+    scalar.push_back(s.sample(rng).dvth_systematic);
   }
   std::vector<sp::stats::Rng> lanes(W);
   sp::process::DieBlock b;
@@ -136,7 +133,7 @@ TEST(VariationSampler, SystematicFieldSpatiallyCorrelated) {
         for (const auto& f : *fields) sum += f[a] * f[c];
         const double rho = want(a, c);
         EXPECT_NEAR(sum / dies, rho, 5.0 * std::sqrt((1.0 + rho * rho) / dies))
-            << (fields == &scalar ? "sample_into" : "sample_block_into")
+            << (fields == &scalar ? "sample" : "sample_block_into")
             << " sites " << a << "," << c;
         // Coincident sites (r = 1, s = 0) share the field bit for bit.
         if (x[a] == x[c])
@@ -237,7 +234,7 @@ TEST(VariationSampler, RdfScalesWithDeviceWidth) {
 
 TEST(VariationBlock, BlockSamplingBitwiseMatchesScalarLanes) {
   // sample_block_into's contract: lane j of a width-W block, drawn from
-  // lane_rngs[j], is bitwise-identical to one scalar sample_into call on an
+  // lane_rngs[j], is bitwise-identical to one scalar sample() call on an
   // identically forked Rng.  Exercise every component at once (inter Vth+L,
   // systematic Vth+L, RDF) across widths 1/8/16.
   Technology tech;
@@ -261,9 +258,7 @@ TEST(VariationBlock, BlockSamplingBitwiseMatchesScalarLanes) {
 
     for (std::size_t j = 0; j < width; ++j) {
       sp::stats::Rng scalar_rng = root.fork(j);
-      sp::process::DieSample die;
-      sp::process::DieWorkspace die_ws;
-      sampler.sample_into(scalar_rng, die, die_ws);
+      const sp::process::DieSample die = sampler.sample(scalar_rng);
       for (std::size_t i = 0; i < sites.size(); ++i) {
         EXPECT_EQ(block.dvth_at(i, j, 1.0), die.dvth_at(i, 1.0))
             << "w=" << width << " lane " << j << " site " << i;
@@ -378,37 +373,6 @@ TEST(AlphaPower, ThrowsOutOfSaturation) {
   AlphaPowerModel m{Technology{}};
   EXPECT_THROW(m.variation_factor(0.9), std::domain_error);
   EXPECT_THROW(m.variation_factor(0.0, -1.0), std::domain_error);
-}
-
-TEST(AlphaPower, LaneFactorBitwiseEqualsScalar) {
-  // The vectorized pow sweep must be indistinguishable from n scalar
-  // calls — this is the contract that lets the block sample STA share the
-  // scalar path's results bit for bit.
-  AlphaPowerModel m{Technology{}};
-  sp::stats::Rng rng(31415);
-  constexpr std::size_t kN = 16;
-  double dvth[kN], dl[kN], out[kN];
-  for (int rep = 0; rep < 200; ++rep) {
-    for (std::size_t j = 0; j < kN; ++j) {
-      dvth[j] = rng.normal(0.0, 0.030);
-      dl[j] = rng.normal(0.0, 0.04);
-    }
-    m.variation_factor_lanes(dvth, dl, kN, out);
-    for (std::size_t j = 0; j < kN; ++j)
-      ASSERT_EQ(out[j], m.variation_factor(dvth[j], dl[j]));
-  }
-}
-
-TEST(AlphaPower, LaneFactorRejectsBadLaneBeforeWriting) {
-  AlphaPowerModel m{Technology{}};
-  double dvth[4] = {0.0, 0.01, 0.9, 0.0};  // lane 2 out of saturation
-  double dl[4] = {0.0, 0.0, 0.0, 0.0};
-  double out[4] = {-1.0, -1.0, -1.0, -1.0};
-  EXPECT_THROW(m.variation_factor_lanes(dvth, dl, 4, out), std::domain_error);
-  for (double v : out) EXPECT_EQ(v, -1.0);  // nothing written
-  dvth[2] = 0.0;
-  dl[1] = -1.5;  // lane 1: negative channel length
-  EXPECT_THROW(m.variation_factor_lanes(dvth, dl, 4, out), std::domain_error);
 }
 
 TEST(AlphaPower, CellLaneFormsMatchScalarAndCheckFirst) {

@@ -2,8 +2,8 @@
 // detection and STATPIPE_SIMD resolution, and the per-backend bitwise
 // self-consistency matrix — scalar reference vs. every backend this
 // machine can run, at every width the backend accepts, through the ported
-// kernels (pow_pos, clark_max_lanes, sample_block_into) and a full
-// GateLevelMonteCarlo block run.
+// kernels (pow_pos, clark_max_lanes, sample_block_into), a full
+// GateLevelMonteCarlo block run and the block walk's domain-fault path.
 //
 // All backends are compiled from one kernel source with IEEE-preserving
 // flags only (no -mfma, -ffp-contract=off), so cross-backend equality is
@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "mc/pipeline_mc.h"
 #include "netlist/generators.h"
 #include "process/variation.h"
+#include "sta/sta.h"
 #include "stats/clark.h"
 #include "stats/lanes.h"
 #include "stats/rng.h"
@@ -378,21 +380,45 @@ TEST(SimdMatrix, GateLevelMcBlockRunTailHeavySeedInvariant) {
 }
 
 TEST(SimdMatrix, WalkDomainFaultThrowsTheScalarError) {
-  // A die far out of saturation must produce the same std::domain_error
-  // through the dispatched walk as through the scalar variation_factor,
-  // on every backend.
+  // A die outside the variation-factor domain must stop the dispatched
+  // block walk with the scalar variation_factor's std::domain_error, on
+  // every backend and at every width.
+  const sp::device::AlphaPowerModel model{sp::process::Technology{}};
+  const auto nl = sp::netlist::inverter_chain(4);
+  std::vector<std::size_t> sites(nl.size());
+  for (std::size_t i = 0; i < sites.size(); ++i) sites[i] = i;
+  const sp::sta::BoundStage stage = sp::sta::bind_stage(nl, model, sites, {});
+  struct Fault {
+    double dvth, dl;
+    const char* message;
+  };
+  const Fault faults[] = {
+      {5.0, 0.0, "Vth shift drives gate out of saturation"},  // Vth >> Vdd
+      {0.0, -1.5, "channel length <= 0"},
+  };
   for (simd::Backend b : simd::detected_backends()) {
     BackendGuard guard(b);
-    const sp::device::AlphaPowerModel model{sp::process::Technology{}};
-    std::vector<double> dvth{0.0, 5.0};  // lane 1: Vth shift >> Vdd
-    std::vector<double> dl{0.0, 0.0};
-    std::vector<double> out(2);
-    try {
-      model.variation_factor_lanes(dvth.data(), dl.data(), 2, out.data());
-      FAIL() << "expected std::domain_error on " << simd::backend_name(b);
-    } catch (const std::domain_error& e) {
-      EXPECT_NE(std::string(e.what()).find("out of saturation"),
-                std::string::npos);
+    for (std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      for (const Fault& f : faults) {
+        sp::process::DieBlock block;
+        block.width = w;
+        block.sites = nl.size();
+        block.dvth_inter.assign(w, 0.0);
+        block.dl_inter_rel.assign(w, 0.0);
+        block.dvth_inter[w - 1] = f.dvth;  // the last lane is the bad die
+        block.dl_inter_rel[w - 1] = f.dl;
+        sp::sta::StaBlockWorkspace ws;
+        std::vector<double> critical(w);
+        try {
+          sp::sta::critical_delay_sample_block(stage, block, ws,
+                                               critical.data());
+          ADD_FAILURE() << "expected std::domain_error on "
+                        << simd::backend_name(b) << " w=" << w;
+        } catch (const std::domain_error& e) {
+          EXPECT_NE(std::string(e.what()).find(f.message), std::string::npos)
+              << simd::backend_name(b) << " w=" << w << ": " << e.what();
+        }
+      }
     }
   }
 }

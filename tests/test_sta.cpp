@@ -102,8 +102,8 @@ TEST(Sta, ThrowsWithoutOutputs) {
 
 TEST(BlockSta, BitwiseMatchesScalarPerDie) {
   // critical_delay_sample_block's contract: die j of a width-W block gets
-  // exactly the delay critical_delay_sample computes for that die.  Use a
-  // reconvergent multi-fanin DAG and every variation component at once.
+  // exactly the critical delay analyze_sample computes for that die.  Use
+  // a reconvergent multi-fanin DAG and every variation component at once.
   const auto m = model();
   for (const char* which : {"c17", "grid"}) {
     const auto nl = std::string(which) == "c17"
@@ -116,6 +116,8 @@ TEST(BlockSta, BitwiseMatchesScalarPerDie) {
     std::vector<std::size_t> site_map(nl.size());
     for (std::size_t i = 0; i < site_map.size(); ++i) site_map[i] = i;
     const sp::sta::StaOptions opt;
+    const sp::sta::BoundStage stage =
+        sp::sta::bind_stage(nl, m, site_map, opt);
 
     for (const std::size_t width : {std::size_t{1}, std::size_t{8},
                                     std::size_t{16}}) {
@@ -128,17 +130,13 @@ TEST(BlockSta, BitwiseMatchesScalarPerDie) {
 
       sp::sta::StaBlockWorkspace ws;
       std::vector<double> critical(width);
-      sp::sta::critical_delay_sample_block(nl, m, block, site_map, opt, ws,
-                                           critical.data());
+      sp::sta::critical_delay_sample_block(stage, block, ws, critical.data());
 
       for (std::size_t j = 0; j < width; ++j) {
         sp::stats::Rng rng = root.fork(j);
-        sp::process::DieSample die;
-        sp::process::DieWorkspace dws;
-        sampler.sample_into(rng, die, dws);
-        sp::sta::StaWorkspace sws;
         const double scalar =
-            sp::sta::critical_delay_sample(nl, m, die, site_map, opt, sws);
+            sp::sta::analyze_sample(nl, m, sampler.sample(rng), site_map, opt)
+                .critical_delay;
         EXPECT_EQ(critical[j], scalar)
             << which << " w=" << width << " die " << j;
       }
@@ -146,10 +144,9 @@ TEST(BlockSta, BitwiseMatchesScalarPerDie) {
   }
 }
 
-TEST(BlockSta, WorkspaceRebindsAcrossNetlists) {
-  // One workspace streamed across two different stages must rebind its
-  // cached structure (keyed on the netlist/site-map addresses) and still
-  // match the scalar path on both.
+TEST(BlockSta, OneWorkspaceServesEveryStage) {
+  // The workspace is lane scratch only: streamed across bindings of two
+  // different stages (and widths), it must match the scalar path on both.
   const auto m = model();
   const auto nl1 = sp::netlist::inverter_chain(6);
   const auto nl2 = sp::netlist::inverter_grid(3, 4);
@@ -157,30 +154,31 @@ TEST(BlockSta, WorkspaceRebindsAcrossNetlists) {
   const sp::sta::StaOptions opt;
   sp::sta::StaBlockWorkspace ws;
 
+  std::size_t width = 4;
   for (const auto* nl : {&nl1, &nl2, &nl1}) {
     const sp::process::VariationSampler sampler(
         m.technology(), spec, sp::process::linear_sites(nl->size()));
     std::vector<std::size_t> site_map(nl->size());
     for (std::size_t i = 0; i < site_map.size(); ++i) site_map[i] = i;
     const sp::stats::Rng root(7);
-    std::vector<sp::stats::Rng> lane_rngs(4);
-    for (std::size_t j = 0; j < 4; ++j) lane_rngs[j] = root.fork(j);
+    std::vector<sp::stats::Rng> lane_rngs(width);
+    for (std::size_t j = 0; j < width; ++j) lane_rngs[j] = root.fork(j);
     sp::process::DieBlock block;
     sp::process::BlockWorkspace bws;
-    sampler.sample_block_into(lane_rngs.data(), 4, block, bws);
-    double critical[4];
-    sp::sta::critical_delay_sample_block(*nl, m, block, site_map, opt, ws,
-                                         critical);
-    for (std::size_t j = 0; j < 4; ++j) {
+    sampler.sample_block_into(lane_rngs.data(), width, block, bws);
+    std::vector<double> critical(width);
+    sp::sta::critical_delay_sample_block(
+        sp::sta::bind_stage(*nl, m, site_map, opt), block, ws,
+        critical.data());
+    for (std::size_t j = 0; j < width; ++j) {
       sp::stats::Rng rng = root.fork(j);
-      sp::process::DieSample die;
-      sp::process::DieWorkspace dws;
-      sampler.sample_into(rng, die, dws);
-      sp::sta::StaWorkspace sws;
-      EXPECT_EQ(critical[j],
-                sp::sta::critical_delay_sample(*nl, m, die, site_map, opt, sws))
+      EXPECT_EQ(critical[j], sp::sta::analyze_sample(*nl, m,
+                                                     sampler.sample(rng),
+                                                     site_map, opt)
+                                 .critical_delay)
           << nl->name() << " die " << j;
     }
+    width -= 1;
   }
 }
 
@@ -198,15 +196,19 @@ TEST(BlockSta, RejectsBadInputs) {
   sp::sta::StaBlockWorkspace ws;
   double critical[2];
   const std::vector<std::size_t> short_map(nl.size() - 1, 0);
-  EXPECT_THROW(sp::sta::critical_delay_sample_block(nl, m, block, short_map,
-                                                    {}, ws, critical),
+  EXPECT_THROW((void)sp::sta::bind_stage(nl, m, short_map, {}),
                std::invalid_argument);
-  block.width = 0;
   std::vector<std::size_t> site_map(nl.size());
   for (std::size_t i = 0; i < site_map.size(); ++i) site_map[i] = i;
-  EXPECT_THROW(sp::sta::critical_delay_sample_block(nl, m, block, site_map,
-                                                    {}, ws, critical),
-               std::invalid_argument);
+  sp::netlist::Netlist no_outputs("no_outputs");
+  no_outputs.add_input("a");
+  EXPECT_THROW((void)sp::sta::bind_stage(no_outputs, m, {0}, {}),
+               std::logic_error);
+  const sp::sta::BoundStage stage = sp::sta::bind_stage(nl, m, site_map, {});
+  block.width = 0;
+  EXPECT_THROW(
+      sp::sta::critical_delay_sample_block(stage, block, ws, critical),
+      std::invalid_argument);
 }
 
 TEST(Ssta, CanonicalArithmetic) {
