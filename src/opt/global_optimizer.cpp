@@ -4,12 +4,14 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "core/characterized_pipeline.h"
 #include "obs/telemetry.h"
 #include "sim/engine.h"
 #include "sta/ssta_batch.h"
+#include "stats/gaussian.h"
 
 namespace statpipe::opt {
 
@@ -27,26 +29,27 @@ GlobalPipelineOptimizer::GlobalPipelineOptimizer(
 }
 
 core::PipelineModel GlobalPipelineOptimizer::current_model() const {
-  std::vector<const netlist::Netlist*> views(stages_.begin(), stages_.end());
-  return core::build_pipeline_ssta(views, *model_, spec_, latch_);
+  return model_from(
+      characterize_stages(sta::CharacterizeOptions{}.output_load));
 }
 
 std::vector<sta::StageCharacterization>
-GlobalPipelineOptimizer::characterize_stages() const {
-  // Same characterization build_pipeline_ssta runs internally (default
-  // CharacterizeOptions), so assembled yields match current_model() bitwise.
+GlobalPipelineOptimizer::characterize_stages(double output_load) const {
+  // Same characterization build_pipeline_ssta runs internally, so at the
+  // default load the assembled model is bitwise build_pipeline_ssta's.
   for (const netlist::Netlist* nl : stages_) (void)nl->topological_order();
   std::vector<sta::StageCharacterization> cs(stages_.size());
   sim::parallel_for(stages_.size(), [&](std::size_t i) {
-    cs[i] = sta::characterize_ssta(*stages_[i], *model_, spec_, {});
+    cs[i] = sta::characterize_ssta(*stages_[i], *model_, spec_,
+                                   {.output_load = output_load});
   });
   return cs;
 }
 
-double GlobalPipelineOptimizer::yield_from(
-    const std::vector<sta::StageCharacterization>& cs, double t_target) const {
+core::PipelineModel GlobalPipelineOptimizer::model_from(
+    const std::vector<sta::StageCharacterization>& cs) const {
   std::vector<const netlist::Netlist*> views(stages_.begin(), stages_.end());
-  return core::assemble_pipeline(views, cs, latch_, spec_).yield(t_target);
+  return core::assemble_pipeline(views, cs, latch_, spec_);
 }
 
 core::PipelineModel GlobalPipelineOptimizer::optimize_individually(
@@ -77,65 +80,98 @@ core::PipelineModel GlobalPipelineOptimizer::optimize_individually(
       (void)size_stage(*nl, *model_, spec_, fastest);
     }
   });
-  return current_model();
+  return model_from(characterize_stages(sizer.output_load));
 }
 
 GlobalOptimizerResult GlobalPipelineOptimizer::optimize(
     const GlobalOptimizerOptions& opt) {
   const double latch_overhead = latch_.timing().nominal_overhead();
   const double comb_target = opt.t_target - latch_overhead;
-  if (comb_target <= 0.0)
-    throw std::invalid_argument("optimize: latch overhead exceeds target");
+  if (!(std::isfinite(opt.t_target) && comb_target > 0.0))
+    throw std::invalid_argument(
+        "optimize: t_target not finite or within the latch overhead");
+  if (!(opt.yield_target > 0.0 && opt.yield_target < 1.0))
+    throw std::invalid_argument("optimize: yield_target outside (0,1)");
 
-  // The sizes size_stage reaches on a copy of `nl` at each target, sized as
-  // lanes of one sizer walk.
-  auto grid_sizes = [&](const netlist::Netlist& nl,
-                        const std::vector<double>& targets) {
+  // The one timing state: stage characterizations at the current sizes and
+  // the sizer's load.  Adopting a candidate writes its own grid lane here,
+  // bitwise what characterize_stages() would recompute from scratch.
+  const std::size_t n = stages_.size();
+  std::vector<sta::StageCharacterization> cs =
+      characterize_stages(opt.sizer.output_load);
+  const double z = stats::normal_icdf(opt.sizer.yield_target);
+  auto d_stat = [&](std::size_t i) {
+    return cs[i].delay.mean + z * cs[i].delay.sigma;
+  };
+
+  // The one candidate path: stage i sized at every target as lanes of one
+  // sizer walk, characterized in one grid call, and scored by pipeline
+  // yield with the lane substituted into a copy of cs.  Returns, in target
+  // order, the cheapest candidate whose yield reaches y_goal, else the one
+  // with the best yield above y_floor, else nothing.  Changes nothing.
+  struct Candidate {
+    std::vector<double> sizes;
+    sta::StageCharacterization stage;  // at `sizes`
+    double yield = 0.0;
+  };
+  auto best_candidate = [&](std::size_t i, const std::vector<double>& targets,
+                            double y_goal,
+                            double y_floor) -> std::optional<Candidate> {
     std::vector<std::vector<double>> sizes;
-    for (auto& lane : size_stage_grid(nl, *model_, spec_, opt.sizer, targets))
+    for (auto& lane :
+         size_stage_grid(*stages_[i], *model_, spec_, opt.sizer, targets))
       sizes.push_back(std::move(lane.sizes));
-    return sizes;
+    const auto chars = sta::characterize_grid(
+        *stages_[i], *model_, sizes, spec_,
+        {.output_load = opt.sizer.output_load}, opt.grid);
+    const std::size_t none = sizes.size();
+    std::vector<double> yield(none);
+    auto trial = cs;
+    std::size_t best = none;
+    for (std::size_t k = 0; k < none; ++k) {
+      trial[i] = chars[k];
+      yield[k] = model_from(trial).yield(opt.t_target);
+      if (yield[k] >= y_goal &&
+          (best == none || chars[k].area < chars[best].area))
+        best = k;
+    }
+    if (best == none)
+      for (std::size_t k = 0; k < none; ++k)
+        if (yield[k] > (best == none ? y_floor : yield[best])) best = k;
+    if (best == none) return std::nullopt;
+    return Candidate{std::move(sizes[best]), chars[best], yield[best]};
   };
 
   // --- step 1: area-delay curves + elasticities at current operating point.
   // Each stage's sweep runs on a private copy of its netlist, so all stages
   // evaluate concurrently with nothing to save/restore.
-  const std::size_t n = stages_.size();
   std::vector<double> elasticity(n, 1.0);
   sim::parallel_for(n, [&](std::size_t i) {
     netlist::Netlist work = *stages_[i];
-    const double d_now = stat_delay(work, *model_, spec_,
-                                    opt.sizer.yield_target,
-                                    opt.sizer.output_load);
     SweepOptions sw = opt.sweep;
     sw.yield_target = opt.sizer.yield_target;
+    sw.sizer = opt.sizer;
     try {
       const auto sweep = area_delay_sweep(work, *model_, spec_, sw);
-      elasticity[i] = sweep.curve.elasticity_at(d_now);
+      elasticity[i] = sweep.curve.elasticity_at(d_stat(i));
     } catch (const std::runtime_error&) {
       elasticity[i] = 1.0;  // flat/degenerate curve: treat as neutral
     }
   });
 
-  // --- snapshot "before" state.
-  GlobalOptimizerResult result{.stages = {},
-                               .pipeline_yield_before = 0.0,
-                               .pipeline_yield_after = 0.0,
-                               .total_area_before = 0.0,
-                               .total_area_after = 0.0,
-                               .final_model = current_model()};
-  {
-    const auto before = current_model();
-    result.pipeline_yield_before = before.yield(opt.t_target);
-    result.total_area_before = before.total_area();
-    for (std::size_t i = 0; i < n; ++i) {
-      StageReport r;
-      r.name = stages_[i]->name();
-      r.area_before = stages_[i]->total_area();
-      r.yield_before = before.stage_delay(i).cdf(opt.t_target);
-      r.elasticity = elasticity[i];
-      result.stages.push_back(std::move(r));
-    }
+  // --- snapshot "before" state; final_model stays it if the guard reverts.
+  const core::PipelineModel before = model_from(cs);
+  GlobalOptimizerResult result{
+      .stages = {}, .pipeline_yield_before = before.yield(opt.t_target),
+      .pipeline_yield_after = 0.0, .total_area_before = before.total_area(),
+      .total_area_after = 0.0, .final_model = before};
+  for (std::size_t i = 0; i < n; ++i) {
+    StageReport r;
+    r.name = stages_[i]->name();
+    r.area_before = stages_[i]->total_area();
+    r.yield_before = before.stage_delay(i).cdf(opt.t_target);
+    r.elasticity = elasticity[i];
+    result.stages.push_back(std::move(r));
   }
 
   // --- step 2: order stages by their area-delay-curve position (eq. 14).
@@ -154,12 +190,6 @@ GlobalOptimizerResult GlobalPipelineOptimizer::optimize(
   std::vector<std::vector<double>> snapshot;
   for (auto* s : stages_) snapshot.push_back(s->sizes());
 
-  // Stage characterizations at the current sizes, maintained incrementally
-  // through both phases below: only an adopted candidate changes a stage's
-  // sizes, and its refreshed entry is the candidate's own batched SSTA lane
-  // — bitwise what characterize_stages() would recompute from scratch.
-  std::vector<sta::StageCharacterization> cs = characterize_stages();
-
   // --- area-mode pre-phase: buy yield headroom on cheap (receiver)
   // stages so the expensive donors can shed more area afterwards.  The
   // paper's Table III shows exactly this pattern: receiver stages raised
@@ -168,47 +198,22 @@ GlobalOptimizerResult GlobalPipelineOptimizer::optimize(
     const double y_headroom = std::sqrt(opt.yield_target);  // e.g. .80->.894
     for (std::size_t i = 0; i < n; ++i) {
       if (elasticity[i] >= 1.0) continue;  // receivers only
-      netlist::Netlist& nl = *stages_[i];
-      const std::vector<double> saved = nl.sizes();
-      const double area0 = nl.total_area();
-      const double y0 = yield_from(cs, opt.t_target);
-      if (y0 >= y_headroom) continue;
+      if (model_from(cs).yield(opt.t_target) >= y_headroom) continue;
 
-      const double d_now = stat_delay(nl, *model_, spec_,
-                                      opt.sizer.yield_target,
-                                      opt.sizer.output_load);
-      // Evaluate the speed-up factors as independent candidates: each sizes
-      // a copy of the stage, all as lanes of one sizer walk; the grid's
-      // SSTA then runs as one batch (one topological walk, one size lane
-      // per factor), and each lane scores the pipeline by substituting
-      // into the cached characterizations.
-      static constexpr double kFactors[] = {0.97, 0.93, 0.88, 0.82};
-      constexpr std::size_t kNf = std::size(kFactors);
+      // The speed-up factors; only a candidate that reaches the headroom
+      // counts (no fallback).
       std::vector<double> targets;
-      for (const double f : kFactors) targets.push_back(d_now * f);
-      const auto cand_sizes = grid_sizes(nl, targets);
-      const auto cand_chars =
-          sta::characterize_grid(nl, *model_, cand_sizes, spec_, {}, opt.grid);
-      const sta::StageCharacterization cs_saved = cs[i];
-      double best_area = std::numeric_limits<double>::infinity();
-      std::size_t best_j = kNf;  // sentinel: no candidate met the headroom
-      for (std::size_t j = 0; j < kNf; ++j) {
-        cs[i] = cand_chars[j];
-        const double yield = yield_from(cs, opt.t_target);
-        if (yield >= y_headroom && cand_chars[j].area < best_area) {
-          best_area = cand_chars[j].area;
-          best_j = j;
-        }
-      }
+      for (const double f : {0.97, 0.93, 0.88, 0.82})
+        targets.push_back(d_stat(i) * f);
+      const auto best = best_candidate(
+          i, targets, y_headroom, std::numeric_limits<double>::infinity());
       // Cap the headroom bill: a receiver may spend at most 5% of the
       // pipeline's area here (the savings must come from donors).
-      if (best_j != kNf && best_area - area0 <= 0.05 * result.total_area_before) {
-        nl.set_sizes(cand_sizes[best_j]);
-        cs[i] = cand_chars[best_j];
-        if (nl.total_area() != area0) result.stages[i].chosen_for_speedup = true;
-      } else {
-        nl.set_sizes(saved);
-        cs[i] = cs_saved;
+      if (best &&
+          best->stage.area - cs[i].area <= 0.05 * result.total_area_before) {
+        result.stages[i].chosen_for_speedup = best->stage.area != cs[i].area;
+        stages_[i]->set_sizes(best->sizes);
+        cs[i] = best->stage;
       }
     }
   }
@@ -216,31 +221,21 @@ GlobalOptimizerResult GlobalPipelineOptimizer::optimize(
   // --- steps 3-9: size one stage at a time against the global yield.
   //
   // For the chosen stage we scan a deterministic grid of combinational
-  // stat-delay targets; every grid point sizes a private copy of the stage
-  // (all of them lanes of one sizer walk) and scores pipeline yield with
-  // the copy substituted.  Selection then picks, in
-  // fixed target order:
-  //  * the cheapest (minimum-area) candidate that meets the pipeline yield
-  //    goal — kEnsureYield buys the goal without over-spending, and
-  //    kMinimizeArea recovers the most area that still keeps the goal; or
-  //  * failing that, the candidate with the best pipeline yield, as the
-  //    fallback speedup later stages must compensate for.
+  // stat-delay targets as candidates and take:
+  //  * the cheapest one that meets the pipeline yield goal — kEnsureYield
+  //    buys the goal without over-spending, and kMinimizeArea recovers the
+  //    most area that still keeps the goal; or
+  //  * failing that, the one with the best pipeline yield, as the fallback
+  //    speedup later stages must compensate for.
   for (std::size_t round = 0; round < opt.max_outer_rounds; ++round) {
     bool changed = false;
-    for (std::size_t oi = 0; oi < n; ++oi) {
-      const std::size_t i = order[oi];
-      netlist::Netlist& nl = *stages_[i];
-
-      // The incrementally-maintained characterizations serve both the y_now
-      // evaluation and the candidate substitutions below.
-      const double y_now = yield_from(cs, opt.t_target);
-      const bool need_speed = y_now < opt.yield_target;
+    for (const std::size_t i : order) {
+      const double y_now = model_from(cs).yield(opt.t_target);
       // EnsureYield mode never disturbs a pipeline that already meets the
       // goal — recovering area at the cost of yield is kMinimizeArea's job.
-      if (opt.mode == OptimizationMode::kEnsureYield && !need_speed) continue;
-
-      const std::vector<double> saved = nl.sizes();
-      const double area_before_stage = nl.total_area();
+      if (opt.mode == OptimizationMode::kEnsureYield &&
+          !(y_now < opt.yield_target))
+        continue;
 
       const double lo = comb_target * 0.3;  // aggressive end
       const double hi = comb_target * 1.5;  // relaxed end
@@ -251,99 +246,46 @@ GlobalOptimizerResult GlobalPipelineOptimizer::optimize(
       for (std::size_t p = 0; p < probes; ++p)
         targets[p] = lo + (hi - lo) * static_cast<double>(p + 1) /
                               static_cast<double>(probes + 1);
-      const auto probe_sizes = grid_sizes(nl, targets);
-      // One batched SSTA over the whole probe grid (the changed stage's K
-      // size lanes); each lane's pipeline yield substitutes that lane into
-      // the cached characterizations of the unchanged stages.
-      const auto grid_chars =
-          sta::characterize_grid(nl, *model_, probe_sizes, spec_, {}, opt.grid);
-      const sta::StageCharacterization cs_saved = cs[i];
-      std::vector<double> grid_yield(probes);
-      for (std::size_t p = 0; p < probes; ++p) {
-        cs[i] = grid_chars[p];
-        grid_yield[p] = yield_from(cs, opt.t_target);
-      }
-
-      // Deterministic selection in grid order.
-      std::size_t best_p = probes;  // sentinel: no candidate chosen
-      double best_area = std::numeric_limits<double>::infinity();
-      bool found_meeting = false;
-      for (std::size_t p = 0; p < probes; ++p) {
-        if (grid_yield[p] >= opt.yield_target &&
-            grid_chars[p].area < best_area) {
-          best_area = grid_chars[p].area;
-          best_p = p;
-          found_meeting = true;
-        }
-      }
-      if (!found_meeting) {
-        double best_y = y_now;
-        for (std::size_t p = 0; p < probes; ++p) {
-          if (grid_yield[p] > best_y) {
-            best_y = grid_yield[p];
-            best_p = p;
-          }
-        }
-      }
+      const auto best = best_candidate(i, targets, opt.yield_target, y_now);
+      if (!best) continue;
 
       // Adopt the chosen candidate only if it helps the current objective.
-      // Its pipeline yield is already in hand as the candidate's lane yield
-      // (bitwise what a full rebuild would recompute).
-      double y_after = y_now;
-      if (best_p != probes) {
-        nl.set_sizes(probe_sizes[best_p]);
-        cs[i] = grid_chars[best_p];
-        y_after = grid_yield[best_p];
-      } else {
-        cs[i] = cs_saved;
-      }
-      const double area_after_stage = nl.total_area();
-
       // Economy guard: when the pipeline goal was not reached, a fallback
       // speedup must buy a meaningful yield gain, not a fraction of a
       // point for a large area bill.
-      const bool reaches_goal = y_after >= opt.yield_target;
-      const bool worthwhile_fallback = y_after > y_now + 0.005;
+      const bool reaches_goal = best->yield >= opt.yield_target;
       const bool helps =
           opt.mode == OptimizationMode::kEnsureYield
-              ? (reaches_goal
-                     ? area_after_stage <= area_before_stage + 1e-9 ||
-                           y_now < opt.yield_target
-                     : worthwhile_fallback)
-              : (reaches_goal && area_after_stage < area_before_stage - 1e-9);
-      if (!helps) {
-        nl.set_sizes(saved);
-        cs[i] = cs_saved;
-      } else {
-        changed = true;
-        result.stages[i].chosen_for_speedup =
-            area_after_stage > area_before_stage;
-      }
+              ? reaches_goal || best->yield > y_now + 0.005
+              : reaches_goal && best->stage.area < cs[i].area - 1e-9;
+      if (!helps) continue;
+      result.stages[i].chosen_for_speedup = best->stage.area > cs[i].area;
+      stages_[i]->set_sizes(best->sizes);
+      cs[i] = best->stage;
+      changed = true;
     }
     if (!changed) break;
   }
 
   // --- revert-if-worse guard: the optimized design must not be strictly
   // worse than the input on the mode's own objective.
-  {
-    const auto m = current_model();
-    const double y_after = m.yield(opt.t_target);
-    const double a_after = m.total_area();
-    const bool worse =
-        opt.mode == OptimizationMode::kMinimizeArea
-            ? (a_after >= result.total_area_before &&
-               y_after <= result.pipeline_yield_before) ||
-                  y_after < opt.yield_target - 1e-9
-            : y_after < result.pipeline_yield_before - 1e-9;
-    if (worse && (opt.mode != OptimizationMode::kMinimizeArea ||
-                  result.pipeline_yield_before >= opt.yield_target)) {
-      for (std::size_t i = 0; i < n; ++i)
-        stages_[i]->set_sizes(snapshot[i]);
-    }
+  core::PipelineModel after = model_from(cs);
+  const double y_after = after.yield(opt.t_target);
+  const double a_after = after.total_area();
+  const bool worse =
+      opt.mode == OptimizationMode::kMinimizeArea
+          ? (a_after >= result.total_area_before &&
+             y_after <= result.pipeline_yield_before) ||
+                y_after < opt.yield_target - 1e-9
+          : y_after < result.pipeline_yield_before - 1e-9;
+  if (worse && (opt.mode != OptimizationMode::kMinimizeArea ||
+                result.pipeline_yield_before >= opt.yield_target)) {
+    for (std::size_t i = 0; i < n; ++i) stages_[i]->set_sizes(snapshot[i]);
+  } else {
+    result.final_model = std::move(after);
   }
 
   // --- final snapshot.
-  result.final_model = current_model();
   result.pipeline_yield_after = result.final_model.yield(opt.t_target);
   result.total_area_after = result.final_model.total_area();
   for (std::size_t i = 0; i < n; ++i) {

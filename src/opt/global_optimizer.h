@@ -8,9 +8,14 @@
 // pipeline actually achieves, not an a-priori equal split.
 //
 // Stage ordering follows the area-delay-curve position heuristic of
-// eq. (14): stages are visited in increasing elasticity R_i, so cheap
-// yield (receivers, R_i < 1) is bought first and cheap area (donors,
-// R_i > 1) is recovered first.
+// eq. (14): kEnsureYield visits stages in increasing elasticity R_i, so
+// cheap yield (receivers, R_i < 1) is bought first; kMinimizeArea visits
+// them in decreasing R_i, so donors (R_i > 1) shed area first while the
+// yield headroom its pre-phase bought on receivers still exists.
+//
+// Load rule: optimize() sizes, characterizes and scores every stage at
+// opt.sizer.output_load, from one characterization per call kept up to
+// date incrementally; optimize_individually() reports at its sizer's load.
 //
 // Two modes, matching the paper's two result tables:
 //  * kEnsureYield (Table II): lift pipeline yield to the target with
@@ -43,9 +48,11 @@ struct GlobalOptimizerOptions {
   double yield_target = 0.80;  ///< pipeline yield target Y
   OptimizationMode mode = OptimizationMode::kEnsureYield;
   std::size_t max_outer_rounds = 3;   ///< passes over the stage list
-  std::size_t budget_probes = 10;     ///< bisection depth per stage
-  SizerOptions sizer;                 ///< inner LR sizer options
-  SweepOptions sweep;                 ///< curve-extraction options
+  std::size_t budget_probes = 10;     ///< size of each stage's probe grid,
+                                      ///< uniform over 0.3-1.5x comb. budget
+  SizerOptions sizer;  ///< every sizing optimize() runs, sweeps included
+  SweepOptions sweep;  ///< step 1's R_i sweeps; optimize() reads only
+                       ///< points, slow_factor and grid
   /// Whole-grid characterization backend for the pre-phase and probe
   /// candidate grids: empty = local sta::characterize_grid,
   /// dist::grid_characterizer(...) = cluster submission.  Never changes
@@ -83,16 +90,18 @@ class GlobalPipelineOptimizer {
 
   /// Baseline flow: size each stage independently for per-stage yield
   /// Y^(1/N) at the pipeline target (the "Individually Optimized" columns
-  /// of Tables II/III).  Returns the resulting pipeline model.
+  /// of Tables II/III).  Returns the pipeline model at sizer.output_load.
   core::PipelineModel optimize_individually(double t_target,
                                             double pipeline_yield,
                                             const SizerOptions& sizer = {});
 
   /// The Fig. 9 global flow.  Call after optimize_individually (or any
-  /// other initial sizing).
+  /// other initial sizing).  Throws std::invalid_argument before any size
+  /// changes unless t_target is finite, above the latch overhead, and
+  /// 0 < yield_target < 1.
   GlobalOptimizerResult optimize(const GlobalOptimizerOptions& opt);
 
-  /// Pipeline model (SSTA characterization) at the current sizes.
+  /// Bitwise core::build_pipeline_ssta at the current sizes (default load).
   core::PipelineModel current_model() const;
 
  private:
@@ -101,10 +110,11 @@ class GlobalPipelineOptimizer {
   /// grids characterize the changed stage's size lanes in one grid call
   /// and substitute each lane into a copy of this vector, which reproduces
   /// the full per-candidate pipeline rebuild bitwise at 1/N of the SSTA cost.
-  std::vector<sta::StageCharacterization> characterize_stages() const;
-  /// Pipeline yield assembled from explicit stage characterizations.
-  double yield_from(const std::vector<sta::StageCharacterization>& cs,
-                    double t_target) const;
+  std::vector<sta::StageCharacterization> characterize_stages(
+      double output_load) const;
+  /// Pipeline model assembled from explicit stage characterizations.
+  core::PipelineModel model_from(
+      const std::vector<sta::StageCharacterization>& cs) const;
 
   std::vector<netlist::Netlist*> stages_;
   const device::AlphaPowerModel* model_;

@@ -23,9 +23,18 @@ SimultaneousResult size_pipeline_simultaneous(
     if (s == nullptr)
       throw std::invalid_argument("size_pipeline_simultaneous: null stage");
   const SizerOptions& so = opt.sizer;
+  if (!(std::isfinite(opt.t_target) &&
+        opt.t_target > latch.timing().nominal_overhead()))
+    throw std::invalid_argument(
+        "size_pipeline_simultaneous: t_target not finite or within the "
+        "latch overhead");
   if (!(opt.yield_target > 0.0 && opt.yield_target < 1.0))
     throw std::invalid_argument(
         "size_pipeline_simultaneous: yield outside (0,1)");
+  if (!(std::isfinite(opt.stage_softmax_theta) &&
+        opt.stage_softmax_theta > 0.0))
+    throw std::invalid_argument(
+        "size_pipeline_simultaneous: stage_softmax_theta not finite or <= 0");
   validate_sizer_options(so);
 
   const std::size_t m = stages.size();
@@ -36,7 +45,8 @@ SimultaneousResult size_pipeline_simultaneous(
 
   auto pipeline_model = [&] {
     std::vector<const Netlist*> views(stages.begin(), stages.end());
-    return core::build_pipeline_ssta(views, model, spec, latch);
+    return core::build_pipeline_ssta(views, model, spec, latch,
+                                     {.output_load = so.output_load});
   };
 
   double lambda_scale = 1.0;

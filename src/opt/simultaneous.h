@@ -36,7 +36,11 @@ struct SimultaneousResult {
 };
 
 /// Sizes all stages in place to minimize total area subject to the
-/// pipeline yield target at t_target.
+/// pipeline yield target at t_target, scoring the pipeline at
+/// opt.sizer.output_load.  Throws std::invalid_argument, before any size
+/// changes, unless t_target is finite and exceeds the latch overhead,
+/// 0 < yield_target < 1, stage_softmax_theta is finite and > 0 and the
+/// sizer options pass.
 SimultaneousResult size_pipeline_simultaneous(
     std::vector<netlist::Netlist*>& stages,
     const device::AlphaPowerModel& model, const process::VariationSpec& spec,

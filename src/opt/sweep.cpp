@@ -52,9 +52,7 @@ SweepResult area_delay_sweep(netlist::Netlist& nl,
   SizerOptions fast = opt.sizer;
   fast.yield_target = opt.yield_target;
   fast.t_target = 1e-3;
-  (void)size_stage(nl, model, spec, fast);
-  const double d_min =
-      stat_delay(nl, model, spec, opt.yield_target, opt.sizer.output_load);
+  const double d_min = size_stage(nl, model, spec, fast).stat_delay;
 
   // Candidate delay targets all size independent copies of the fast-point
   // netlist, as lanes of one sizer walk, so the outcome does not depend on

@@ -1,4 +1,8 @@
-// Descriptive statistics over Monte-Carlo sample vectors.
+// Descriptive statistics over Monte-Carlo sample vectors: the mergeable
+// Welford accumulator (RunningStats) every MC engine folds dies into, and
+// the one-shot sample summaries (mean, variance, quantile, empirical CDF,
+// Pearson correlation, binomial standard error) that the characterization,
+// verification benches and tests compute from stored samples.
 #pragma once
 
 #include <cstddef>

@@ -453,7 +453,56 @@ struct PipelineFixture {
     for (auto& s : stages) v.push_back(&s);
     return v;
   }
+  /// A reachable pipeline target: `slack` times the slowest stage's
+  /// fastest D_stat, plus the latch overhead.
+  double target(double slack) const {
+    double t = 0.0;
+    for (auto nl : stages) {  // copy: probe without disturbing
+      sp::opt::SizerOptions so;
+      so.t_target = 1e-3;
+      (void)sp::opt::size_stage(nl, m, spec, so);
+      t = std::max(t, sp::opt::stat_delay(nl, m, spec, 0.95));
+    }
+    return t * slack + latch.timing().nominal_overhead();
+  }
+  /// A fresh build_pipeline_ssta at the current sizes.
+  sp::core::PipelineModel model_at(double output_load) const {
+    std::vector<const sp::netlist::Netlist*> views;
+    for (const auto& s : stages) views.push_back(&s);
+    return sp::core::build_pipeline_ssta(views, m, spec, latch,
+                                         {.output_load = output_load});
+  }
 };
+
+/// Bitwise equality of what two pipeline models are assembled from.
+void expect_same_model(const sp::core::PipelineModel& a,
+                       const sp::core::PipelineModel& b, double t) {
+  ASSERT_EQ(a.stage_count(), b.stage_count());
+  for (std::size_t i = 0; i < a.stage_count(); ++i) {
+    EXPECT_EQ(a.stage(i).comb.mean, b.stage(i).comb.mean) << "stage " << i;
+    EXPECT_EQ(a.stage(i).comb.sigma, b.stage(i).comb.sigma) << "stage " << i;
+    EXPECT_EQ(a.stage(i).sigma_inter, b.stage(i).sigma_inter) << "stage " << i;
+    EXPECT_EQ(a.stage(i).area, b.stage(i).area) << "stage " << i;
+  }
+  EXPECT_EQ(a.yield(t), b.yield(t));
+}
+
+/// The result's "before" fields are `before`'s and its "after" fields and
+/// final_model are `after`'s, bitwise.
+void expect_result_matches(const sp::opt::GlobalOptimizerResult& r,
+                           const sp::core::PipelineModel& before,
+                           const sp::core::PipelineModel& after, double t) {
+  EXPECT_EQ(r.pipeline_yield_before, before.yield(t));
+  EXPECT_EQ(r.total_area_before, before.total_area());
+  expect_same_model(r.final_model, after, t);
+  EXPECT_EQ(r.pipeline_yield_after, after.yield(t));
+  EXPECT_EQ(r.total_area_after, after.total_area());
+  ASSERT_EQ(r.stages.size(), after.stage_count());
+  for (std::size_t i = 0; i < r.stages.size(); ++i) {
+    EXPECT_EQ(r.stages[i].yield_before, before.stage_delay(i).cdf(t));
+    EXPECT_EQ(r.stages[i].yield_after, after.stage_delay(i).cdf(t));
+  }
+}
 
 }  // namespace
 
@@ -462,15 +511,7 @@ TEST(GlobalOpt, IndividualOptimizationMeetsPerStageYield) {
   sp::opt::GlobalPipelineOptimizer go(f.ptrs(), f.m, f.spec, f.latch);
 
   // Pick a reachable target: 15% above the slowest stage's fastest point.
-  double t = 0.0;
-  for (auto& s : f.stages) {
-    auto nl = s;  // copy: probe without disturbing
-    sp::opt::SizerOptions so;
-    so.t_target = 1e-3;
-    (void)sp::opt::size_stage(nl, f.m, f.spec, so);
-    t = std::max(t, sp::opt::stat_delay(nl, f.m, f.spec, 0.95));
-  }
-  const double t_target = t * 1.15 + f.latch.timing().nominal_overhead();
+  const double t_target = f.target(1.15);
 
   const auto pipe = go.optimize_individually(t_target, 0.80);
   // Every stage should meet its per-stage yield (0.8^(1/3) = 0.928) w.r.t.
@@ -482,16 +523,7 @@ TEST(GlobalOpt, IndividualOptimizationMeetsPerStageYield) {
 TEST(GlobalOpt, EnsureYieldLiftsPipelineYield) {
   PipelineFixture f;
   sp::opt::GlobalPipelineOptimizer go(f.ptrs(), f.m, f.spec, f.latch);
-
-  double t = 0.0;
-  for (auto& s : f.stages) {
-    auto nl = s;
-    sp::opt::SizerOptions so;
-    so.t_target = 1e-3;
-    (void)sp::opt::size_stage(nl, f.m, f.spec, so);
-    t = std::max(t, sp::opt::stat_delay(nl, f.m, f.spec, 0.95));
-  }
-  const double t_target = t * 1.12 + f.latch.timing().nominal_overhead();
+  const double t_target = f.target(1.12);
 
   (void)go.optimize_individually(t_target, 0.80);
 
@@ -510,21 +542,11 @@ TEST(GlobalOpt, EnsureYieldLiftsPipelineYield) {
 TEST(GlobalOpt, MinimizeAreaKeepsYield) {
   PipelineFixture f;
   sp::opt::GlobalPipelineOptimizer go(f.ptrs(), f.m, f.spec, f.latch);
-
-  double t = 0.0;
-  for (auto& s : f.stages) {
-    auto nl = s;
-    sp::opt::SizerOptions so;
-    so.t_target = 1e-3;
-    (void)sp::opt::size_stage(nl, f.m, f.spec, so);
-    t = std::max(t, sp::opt::stat_delay(nl, f.m, f.spec, 0.95));
-  }
   // Generous target so there is clear slack to convert into area savings.
-  const double t_target = t * 1.35 + f.latch.timing().nominal_overhead();
+  const double t_target = f.target(1.35);
 
   // Baseline: individually optimized with extra-conservative per-stage
   // yields (the paper's Table III baseline has stages at 94-95%).
-  sp::opt::SizerOptions so;
   (void)go.optimize_individually(t_target, 0.95);
   const auto before = go.current_model();
   const double area_before = before.total_area();
@@ -539,6 +561,85 @@ TEST(GlobalOpt, MinimizeAreaKeepsYield) {
 
   EXPECT_GE(r.pipeline_yield_after, 0.80 - 0.02);
   EXPECT_LE(r.total_area_after, area_before + 1e-6);
+}
+
+// Every yield, area and model optimize() reports is at the sizer's output
+// load: a fresh build_pipeline_ssta at that load, before and after the call.
+TEST(GlobalOpt, ScoresAtTheSizerOutputLoad) {
+  PipelineFixture f;
+  sp::opt::GlobalPipelineOptimizer go(f.ptrs(), f.m, f.spec, f.latch);
+  const double t_target = f.target(1.12);
+
+  sp::opt::GlobalOptimizerOptions opt;
+  opt.t_target = t_target;
+  opt.yield_target = 0.95;  // above the load-6 yield: the probes run
+  opt.mode = sp::opt::OptimizationMode::kEnsureYield;
+  opt.sweep.points = 6;
+  opt.sizer.output_load = 6.0;
+  const auto individually =
+      go.optimize_individually(t_target, 0.80, opt.sizer);
+  const auto before = f.model_at(6.0);
+  expect_same_model(individually, before, t_target);
+
+  const auto r = go.optimize(opt);
+  expect_result_matches(r, before, f.model_at(6.0), t_target);
+  EXPECT_LT(r.pipeline_yield_before, opt.yield_target);
+}
+
+// The incrementally kept timing state ends where a from-scratch
+// characterization of the final sizes does, in both modes.
+TEST(GlobalOpt, ResultMatchesAFreshCharacterization) {
+  for (const auto mode : {sp::opt::OptimizationMode::kEnsureYield,
+                          sp::opt::OptimizationMode::kMinimizeArea}) {
+    const bool min_area = mode == sp::opt::OptimizationMode::kMinimizeArea;
+    SCOPED_TRACE(min_area ? "kMinimizeArea" : "kEnsureYield");
+    PipelineFixture f;
+    sp::opt::GlobalPipelineOptimizer go(f.ptrs(), f.m, f.spec, f.latch);
+    const double t_target = f.target(min_area ? 1.35 : 1.12);
+    (void)go.optimize_individually(t_target, min_area ? 0.95 : 0.80);
+
+    sp::opt::GlobalOptimizerOptions opt;
+    opt.t_target = t_target;
+    opt.yield_target = 0.80;
+    opt.mode = mode;
+    opt.sweep.points = 6;
+    const auto before = go.current_model();
+    const auto r = go.optimize(opt);
+    expect_result_matches(r, before, go.current_model(), t_target);
+  }
+}
+
+TEST(GlobalOpt, RejectsBadOptions) {
+  PipelineFixture f;
+  sp::opt::GlobalPipelineOptimizer go(f.ptrs(), f.m, f.spec, f.latch);
+  const double t_target = f.target(1.12);
+  (void)go.optimize_individually(t_target, 0.80);
+  std::vector<std::vector<double>> sizes;
+  for (const auto& s : f.stages) sizes.push_back(s.sizes());
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  for (const auto mode : {sp::opt::OptimizationMode::kEnsureYield,
+                          sp::opt::OptimizationMode::kMinimizeArea}) {
+    sp::opt::GlobalOptimizerOptions opt;
+    opt.mode = mode;
+    auto expect_rejected = [&](const std::string& what) {
+      EXPECT_THROW(go.optimize(opt), std::invalid_argument) << what;
+      for (std::size_t i = 0; i < f.stages.size(); ++i)
+        EXPECT_EQ(f.stages[i].sizes(), sizes[i]) << what << ", stage " << i;
+    };
+    opt.yield_target = 0.80;
+    // Not finite, or no combinational budget left after the latch.
+    for (const double t : {nan, inf, -inf, 0.0, -5.0}) {
+      opt.t_target = t;
+      expect_rejected("t_target " + std::to_string(t));
+    }
+    opt.t_target = t_target;
+    for (const double y : {0.0, 1.0, 1.5, -0.1, nan}) {
+      opt.yield_target = y;
+      expect_rejected("yield_target " + std::to_string(y));
+    }
+  }
 }
 
 TEST(GlobalOpt, RejectsBadConstruction) {

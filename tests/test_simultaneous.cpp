@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "core/characterized_pipeline.h"
 #include "netlist/generators.h"
 #include "opt/simultaneous.h"
 #include "opt/sizer.h"
@@ -99,14 +101,58 @@ TEST(Simultaneous, SizesWithinBounds) {
     }
 }
 
+// The returned yield and area are a fresh characterization of the returned
+// sizes at the load the solver sized at.
+TEST(Simultaneous, ScoresAtTheSizerOutputLoad) {
+  const sp::device::AlphaPowerModel model{sp::process::Technology{}};
+  const sp::device::LatchModel latch{{}, model};
+  const auto spec = sp::process::VariationSpec::inter_intra(0.020, 0.010, 0.5);
+  std::vector<sp::netlist::Netlist> stages{sp::netlist::iscas_like("c432", 1),
+                                           sp::netlist::iscas_like("c432", 2)};
+  std::vector<sp::netlist::Netlist*> ptrs{&stages[0], &stages[1]};
+  sp::opt::SimultaneousOptions so;
+  so.t_target = 520.0;
+  so.yield_target = 0.80;
+  so.sizer.output_load = 6.0;
+  const auto r =
+      sp::opt::size_pipeline_simultaneous(ptrs, model, spec, latch, so);
+  const auto pipe = sp::core::build_pipeline_ssta(
+      {&stages[0], &stages[1]}, model, spec, latch, {.output_load = 6.0});
+  EXPECT_EQ(r.pipeline_yield, pipe.yield(so.t_target));
+  EXPECT_EQ(r.area, pipe.total_area());
+  EXPECT_EQ(r.feasible, r.pipeline_yield >= so.yield_target - 1e-9);
+}
+
 TEST(Simultaneous, RejectsBadInputs) {
   Env e(2);
+  const auto sizes0 = e.stages[0].sizes();
+  const auto sizes1 = e.stages[1].sizes();
   sp::opt::SimultaneousOptions so;
   so.yield_target = 1.2;
   EXPECT_THROW(sp::opt::size_pipeline_simultaneous(e.ptrs, e.model, e.spec,
                                                    e.latch, so),
                std::invalid_argument);
   so.yield_target = 0.8;
+  // Not finite, or no combinational budget left after the latch.
+  for (const double t : {0.0, -5.0, std::nan(""),
+                         std::numeric_limits<double>::infinity()}) {
+    so.t_target = t;
+    EXPECT_THROW(sp::opt::size_pipeline_simultaneous(e.ptrs, e.model, e.spec,
+                                                     e.latch, so),
+                 std::invalid_argument)
+        << "t_target " << t;
+  }
+  so.t_target = 200.0;
+  for (const double theta : {0.0, std::nan(""), -0.02}) {
+    so.stage_softmax_theta = theta;
+    EXPECT_THROW(sp::opt::size_pipeline_simultaneous(e.ptrs, e.model, e.spec,
+                                                     e.latch, so),
+                 std::invalid_argument)
+        << "stage_softmax_theta " << theta;
+  }
+  so.stage_softmax_theta = 0.02;
+  EXPECT_EQ(e.stages[0].sizes(), sizes0);
+  EXPECT_EQ(e.stages[1].sizes(), sizes1);
   // The shared sizer-option check: theta <= 0 or NaN, bad damping.
   for (const double theta : {0.0, -1.0, std::nan("")}) {
     so.sizer.softmax_theta_ps = theta;

@@ -6,9 +6,9 @@ Two checks, both enforced by the CI docs job (.github/workflows/ci.yml):
 1. Every relative link in the repo's *.md files must resolve to an existing
    file or directory (anchors are stripped; http/https/mailto and bare
    anchors are skipped).
-2. Every public header under the lint-scoped subsystems (src/dist, src/obs,
-   src/sta, src/sim) must open with a file-level '//' doc comment of at
-   least MIN_DOC_LINES lines before any code, and contain '#pragma once'.
+2. Every public header of every src/ subsystem must open with a file-level
+   '//' doc comment of at least MIN_DOC_LINES lines before any code, and
+   contain '#pragma once'.
 
 Exit status: 0 when clean, 1 with one finding per line otherwise.
 """
@@ -21,7 +21,6 @@ SKIP_DIRS = {"build", ".git", ".claude"}
 # Ingested reference material (retrieved paper/code digests), not repo docs:
 # their figure links point at assets that were never part of this repo.
 SKIP_FILES = {"PAPERS.md", "SNIPPETS.md"}
-HEADER_LINT_DIRS = ["src/dist", "src/obs", "src/sta", "src/sim"]
 MIN_DOC_LINES = 2
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -62,23 +61,22 @@ def check_links():
 
 def check_headers():
     errors = []
-    for d in HEADER_LINT_DIRS:
-        for h in sorted((REPO / d).glob("*.h")):
-            lines = h.read_text(encoding="utf-8").splitlines()
-            doc = 0
-            for line in lines:
-                if line.startswith("//"):
-                    doc += 1
-                else:
-                    break
-            rel = h.relative_to(REPO)
-            if doc < MIN_DOC_LINES:
-                errors.append(
-                    f"{rel}:1: public header needs a file-level '//' doc "
-                    f"comment (>= {MIN_DOC_LINES} lines) before any code"
-                )
-            if "#pragma once" not in lines:
-                errors.append(f"{rel}:1: missing '#pragma once'")
+    for h in sorted((REPO / "src").glob("*/*.h")):
+        lines = h.read_text(encoding="utf-8").splitlines()
+        doc = 0
+        for line in lines:
+            if line.startswith("//"):
+                doc += 1
+            else:
+                break
+        rel = h.relative_to(REPO)
+        if doc < MIN_DOC_LINES:
+            errors.append(
+                f"{rel}:1: public header needs a file-level '//' doc "
+                f"comment (>= {MIN_DOC_LINES} lines) before any code"
+            )
+        if "#pragma once" not in lines:
+            errors.append(f"{rel}:1: missing '#pragma once'")
     return errors
 
 
