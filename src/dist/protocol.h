@@ -57,10 +57,10 @@
 // the right echo and count — a worker that dies, stalls or turns hostile
 // mid-range forfeits everything it streamed, and the whole range is
 // re-queued (bounded by ServiceOptions::max_attempts).  Committed
-// units fold in ascending unit index with bounded memory — for
-// Monte-Carlo the same left fold the local engine applies (a contiguous
-// prefix is folded into one accumulator as it completes), for SSTA grids
-// positional lane placement — so the merged run is bitwise-identical to
+// units fold in ascending unit index with bounded memory — a contiguous
+// prefix is folded into one accumulator as it completes: for Monte-Carlo
+// the same left fold the local engine applies, for SSTA grids an
+// ascending lane append — so the merged run is bitwise-identical to
 // the single-process result no matter how ranges were split, streamed,
 // retried or reassigned (docs/DETERMINISM.md).
 //

@@ -151,28 +151,6 @@ stats::RunningStats read_running_stats(ByteReader& r) {
   return stats::RunningStats::from_state(st);
 }
 
-void write_histogram(ByteWriter& w, const stats::Histogram& h) {
-  w.f64(h.lo());
-  w.f64(h.hi());
-  w.u64(h.bins());
-  for (std::size_t i = 0; i < h.bins(); ++i) w.u64(h.count(i));
-}
-
-stats::Histogram read_histogram(ByteReader& r) {
-  const double lo = r.f64();
-  const double hi = r.f64();
-  const std::uint64_t bins = r.u64();
-  if (bins == 0) throw std::runtime_error("dist: histogram with zero bins");
-  if (bins > r.remaining() / 8)
-    throw std::runtime_error("dist: truncated payload (histogram of " +
-                             std::to_string(bins) + " bins, " +
-                             std::to_string(r.remaining()) + " bytes left)");
-  std::vector<std::size_t> counts;
-  counts.reserve(bins);
-  for (std::uint64_t i = 0; i < bins; ++i) counts.push_back(r.u64());
-  return stats::Histogram::from_counts(lo, hi, std::move(counts));
-}
-
 void write_mc_result(ByteWriter& w, const mc::McResult& r) {
   w.str(r.label);
   w.f64_vec(r.tp_samples);

@@ -32,7 +32,6 @@
 #include "mc/pipeline_mc.h"
 #include "sta/characterize.h"
 #include "stats/descriptive.h"
-#include "stats/histogram.h"
 
 namespace statpipe::dist {
 
@@ -106,13 +105,6 @@ class ByteReader {
 
 void write_running_stats(ByteWriter& w, const stats::RunningStats& s);
 stats::RunningStats read_running_stats(ByteReader& r);
-
-// Histogram serialization has no wire message yet: it is the forward
-// format for shipping delay DISTRIBUTIONS (not just samples) once ranges
-// grow past what tp_samples-by-value can carry — versioned with
-// kWireVersion from day one so adding that message is not a format break.
-void write_histogram(ByteWriter& w, const stats::Histogram& h);
-stats::Histogram read_histogram(ByteReader& r);
 
 void write_mc_result(ByteWriter& w, const mc::McResult& r);
 mc::McResult read_mc_result(ByteReader& r);

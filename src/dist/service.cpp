@@ -139,10 +139,6 @@ std::uint64_t Service::admit_request(RunDescriptor desc,
     sched_.enqueue({rid, b, std::min(b + per, n_units), 0});
     ++rq.metrics.ranges;
   }
-  if (rq.desc.task_kind == TaskKind::kSstaGrid) {
-    rq.lanes.resize(n_units);
-    rq.lane_got.assign(n_units, 0);
-  }
   log_line(opt_, "request " + std::to_string(rid) + " (session " +
                      std::to_string(client_session) + ", " +
                      task_kind_name(rq.desc.task_kind) + ", priority " +
@@ -156,15 +152,10 @@ std::uint64_t Service::admit_request(RunDescriptor desc,
 void Service::finish_request(Request& rq) {
   rq.status = Request::Status::kDone;
   if (rq.result_blob.empty()) {
-    // Serialize the fold into the canonical blob form — the cache entry,
-    // the client wire payload and (via the byte-identity round-trip) the
-    // local result are all this one byte string.
-    if (rq.desc.task_kind == TaskKind::kSstaGrid) {
-      rq.result_blob = serialize_characterizations(rq.lanes);
-    } else {
-      rq.mc_acc.label = "gate-level MC";
-      rq.result_blob = serialize_mc_result(rq.mc_acc);
-    }
+    // Encode the fold into the canonical blob form — the cache entry, the
+    // client wire payload and (via the byte-identity round-trip) the local
+    // result are all this one byte string.
+    rq.result_blob = encode_result(rq.acc);
     if (opt_.cache_max_bytes > 0) cache_.insert(rq.cache_key, rq.result_blob);
   }
   const std::int64_t now = obs::now_ns();
@@ -337,8 +328,7 @@ void Service::try_assign(Peer& w) {
   }
   w.has_range = true;
   w.task = *t;
-  w.staged_mc.clear();
-  w.staged_lanes.clear();
+  w.staged.clear();
   w.assign_ns = obs::enabled() ? obs::now_ns() : 0;
   ++rq.metrics.assigns;
   if (rq.metrics.assigns == 1)
@@ -358,13 +348,12 @@ void Service::requeue(Peer& w, const std::string& why) {
     // The worker forfeits the whole range: staged units are part of an
     // uncommitted stream and are discarded with it — a partially streamed
     // range never contributes to the fold (docs/DETERMINISM.md).
-    const std::size_t staged = w.staged_mc.size() + w.staged_lanes.size();
+    const std::size_t staged = w.staged.size();
     log_line(opt_, "range " + range_str(w.task) + " of request " +
                        std::to_string(w.task.rid) + " lost (" +
                        std::to_string(staged) +
                        " staged unit(s) discarded): " + why);
-    w.staged_mc.clear();
-    w.staged_lanes.clear();
+    w.staged.clear();
     const SchedTask task = w.task;
     w.has_range = false;
     auto rit = requests_.find(task.rid);
@@ -397,20 +386,15 @@ void Service::handle_unit(Peer& w, Request& rq, const Frame& f) {
   if (unit < w.task.begin || unit >= w.task.end)
     throw std::runtime_error("unit " + std::to_string(unit) +
                              " outside assigned range " + range_str(w.task));
-  const bool dup = rq.desc.task_kind == TaskKind::kSstaGrid
-                       ? w.staged_lanes.count(unit) != 0
-                       : w.staged_mc.count(unit) != 0;
-  if (dup)
+  if (w.staged.count(unit) != 0)
     throw std::runtime_error("duplicate unit " + std::to_string(unit) +
                              " in result stream");
   // Decode on receipt, into the worker's staging area: a corrupt payload
   // forfeits the range within its attempt budget instead of failing the
   // final fold, and nothing touches the committed fold until kRangeDone.
-  if (rq.desc.task_kind == TaskKind::kSstaGrid)
-    w.staged_lanes.emplace(unit, read_stage_characterization(r));
-  else
-    w.staged_mc.emplace(unit, read_mc_result(r));
+  TaskResult part = decode_unit(rq.desc.task_kind, r);
   r.expect_done();
+  w.staged.emplace(unit, std::move(part));
   ++rq.staged_now;
   rq.metrics.peak_staged_units =
       std::max(rq.metrics.peak_staged_units, rq.staged_now);
@@ -428,38 +412,23 @@ void Service::handle_range_done(Peer& w, Request& rq, const Frame& f) {
     throw std::runtime_error("range-done echoes [" + std::to_string(begin) +
                              ", " + std::to_string(end) +
                              ") for assignment " + range_str(w.task));
-  const std::size_t staged = rq.desc.task_kind == TaskKind::kSstaGrid
-                                 ? w.staged_lanes.size()
-                                 : w.staged_mc.size();
-  if (count != end - begin || staged != end - begin)
+  if (count != end - begin || w.staged.size() != end - begin)
     throw std::runtime_error(
         "range-done claims " + std::to_string(count) + " unit(s), " +
-        std::to_string(staged) + " staged, for a range of " +
+        std::to_string(w.staged.size()) + " staged, for a range of " +
         std::to_string(end - begin));
   // Commit: every unit of the range is present exactly once (membership
   // and duplicates were enforced at staging, so a full-size staging map
-  // IS the whole range).  MC units enter the pending map and the
-  // contiguous prefix folds immediately; grid lanes place positionally.
-  if (rq.desc.task_kind == TaskKind::kSstaGrid) {
-    for (auto& [unit, lane] : w.staged_lanes) {
-      if (rq.lane_got[unit])
-        throw std::runtime_error("lane " + std::to_string(unit) +
-                                 " committed twice");
-      rq.lanes[unit] = lane;
-      rq.lane_got[unit] = 1;
-      ++rq.lanes_done;
-    }
-    w.staged_lanes.clear();
-  } else {
-    for (auto& [unit, part] : w.staged_mc) {
-      if (unit < rq.folded_prefix || rq.mc_pending.count(unit) != 0)
-        throw std::runtime_error("unit " + std::to_string(unit) +
-                                 " committed twice");
-      rq.mc_pending.emplace(unit, std::move(part));
-    }
-    w.staged_mc.clear();
-    advance_mc_fold(rq);
+  // IS the whole range).  The units enter the pending map and the
+  // contiguous prefix folds immediately.
+  for (auto& [unit, part] : w.staged) {
+    if (unit < rq.folded_prefix || rq.pending.count(unit) != 0)
+      throw std::runtime_error("unit " + std::to_string(unit) +
+                               " committed twice");
+    rq.pending.emplace(unit, std::move(part));
   }
+  w.staged.clear();
+  advance_fold(rq);
   w.has_range = false;
   rq.staged_now -= end - begin;
   ++rq.metrics.commits;
@@ -480,19 +449,16 @@ void Service::handle_range_done(Peer& w, Request& rq, const Frame& f) {
                      std::to_string(rq.n_units) + " units");
 }
 
-void Service::advance_mc_fold(Request& rq) {
-  // Left fold in ascending unit order — the identical fold
+void Service::advance_fold(Request& rq) {
+  // Fold in ascending unit order — for Monte-Carlo the identical left fold
   // GateLevelMonteCarlo::run applies locally — consuming the pending map
   // as long as it extends the contiguous prefix.  Memory stays bounded by
   // the out-of-order window: a committed range can only wait while some
   // earlier range is still in flight.
-  auto it = rq.mc_pending.begin();
-  while (it != rq.mc_pending.end() && it->first == rq.folded_prefix) {
-    if (rq.folded_prefix == 0)
-      rq.mc_acc = std::move(it->second);
-    else
-      rq.mc_acc.merge(std::move(it->second));
-    it = rq.mc_pending.erase(it);
+  auto it = rq.pending.begin();
+  while (it != rq.pending.end() && it->first == rq.folded_prefix) {
+    fold_unit(rq.acc, rq.folded_prefix, std::move(it->second));
+    it = rq.pending.erase(it);
     ++rq.folded_prefix;
   }
 }
@@ -539,8 +505,7 @@ bool Service::service_worker(Peer& w) {
           if (rit->second.done_units() == rit->second.n_units)
             finish_request(rit->second);  // may erase the request
         } else {
-          w.staged_mc.clear();
-          w.staged_lanes.clear();
+          w.staged.clear();
           w.has_range = false;
         }
       } catch (const std::exception& e) {
@@ -702,15 +667,10 @@ TaskResult Service::take_local_result(std::uint64_t rid) {
     requests_.erase(it);
     throw std::runtime_error(err);
   }
-  // Deserialize the canonical blob — deserialize ∘ serialize is byte
-  // identity (tested), so this is bitwise the fold (or the cached copy of
-  // an identical earlier fold).
-  TaskResult out;
-  out.kind = rq.desc.task_kind;
-  if (rq.desc.task_kind == TaskKind::kSstaGrid)
-    out.lanes = deserialize_characterizations(rq.result_blob);
-  else
-    out.mc = deserialize_mc_result(rq.result_blob);
+  // Decode the canonical blob — decode ∘ encode is byte identity
+  // (tested), so this is bitwise the fold (or the cached copy of an
+  // identical earlier fold).
+  TaskResult out = decode_result(rq.desc.task_kind, rq.result_blob);
   requests_.erase(it);
   return out;
 }
@@ -788,6 +748,7 @@ std::uint64_t ServiceClient::submit(const RunDescriptor& desc,
   w.u32(priority);
   write_run_descriptor(w, desc);
   send_frame(sock_, MsgType::kSubmit, w.bytes(), auth_, session_, id);
+  kinds_.emplace(id, desc.task_kind);
   return id;
 }
 
@@ -815,20 +776,23 @@ TaskResult ServiceClient::wait(std::uint64_t id) {
       throw std::runtime_error("dist: unexpected frame type " +
                                std::to_string(static_cast<int>(f->type)) +
                                " from the service");
+    auto kit = kinds_.find(f->request_id);
+    if (kit == kinds_.end())
+      throw std::runtime_error("dist: result for request " +
+                               std::to_string(f->request_id) +
+                               ", which this session never submitted");
     ByteReader r(f->payload);
-    const TaskKind kind = static_cast<TaskKind>(r.u16());
+    const std::uint16_t kind = r.u16();
+    if (kind != static_cast<std::uint16_t>(kit->second))
+      throw std::runtime_error(
+          "dist: service answered request " + std::to_string(f->request_id) +
+          " with task kind " + std::to_string(kind) + ", submitted as " +
+          std::to_string(static_cast<std::uint16_t>(kit->second)));
     RequestInfo info;
     info.cache_hit = r.u8() != 0;
     info.queue_wait_ms = static_cast<double>(r.u64()) / 1e6;
-    const std::vector<std::uint8_t> blob = r.rest();
-    TaskResult result;
-    result.kind = kind;
-    if (kind == TaskKind::kSstaGrid)
-      result.lanes = deserialize_characterizations(blob);
-    else
-      result.mc = deserialize_mc_result(blob);
     done_.emplace(f->request_id,
-                  std::make_pair(std::move(result), info));
+                  std::make_pair(decode_result(kit->second, r.rest()), info));
     infos_[f->request_id] = info;
   }
 }

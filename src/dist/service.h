@@ -24,12 +24,14 @@
 // run, but every request's result bytes equal its single-process local
 // reference — each request folds its own committed units in ascending
 // unit order exactly as the v3 single-run coordinator did, and streams
-// from different requests never mix (frames are request-scoped).  For
-// Monte-Carlo, shard boundaries and RNG stream ids depend only on
-// (root_seed, n_samples, samples_per_shard), which workers receive in the
-// descriptor, and the fold is the local engine's ascending left fold; SSTA
-// grid lanes carry no random state and replay the scalar path's exact
-// floating-point sequence, so positional placement is trivially bitwise.
+// from different requests never mix (frames are request-scoped).
+//
+// The service knows no task kind.  dist/task.h decodes each streamed unit
+// into a one-unit TaskResult, folds the committed prefix into the
+// request's accumulator (the local engine's ascending left fold for
+// Monte-Carlo shards, ascending append for SSTA grid lanes) and encodes
+// the result blob; every kind takes the same staging, commit and fold
+// path here.
 //
 // Failure semantics per worker are unchanged from v3: a worker that
 // disconnects, errors, stalls past the read deadline or violates the
@@ -63,7 +65,6 @@
 #include "dist/serialize.h"
 #include "dist/task.h"
 #include "dist/transport.h"
-#include "mc/pipeline_mc.h"
 
 namespace statpipe::dist {
 
@@ -192,25 +193,19 @@ class Service {
     std::size_t n_units = 0;
     enum class Status { kActive, kDone, kFailed } status = Status::kActive;
     std::string error;
-    // Bounded-memory ascending fold state (one per request; the v3
-    // coordinator's, verbatim).  MC: units [0, folded_prefix) live merged
-    // in mc_acc; committed units beyond the prefix wait in mc_pending.
-    // Grid: lanes is the preallocated output, lane_got guards placement.
-    mc::McResult mc_acc;
+    // Bounded-memory ascending fold state: units [0, folded_prefix) live
+    // in acc (dist/task.h fold_unit); committed units beyond the prefix
+    // wait in pending until the prefix reaches them.
+    TaskResult acc;
     std::size_t folded_prefix = 0;
-    std::map<std::size_t, mc::McResult> mc_pending;
-    std::vector<sta::StageCharacterization> lanes;
-    std::vector<std::uint8_t> lane_got;
-    std::size_t lanes_done = 0;
+    std::map<std::size_t, TaskResult> pending;
     std::size_t staged_now = 0;  ///< uncommitted staged units, all workers
     RunMetrics metrics;
     std::int64_t submit_ns = 0;
     std::int64_t span_t0 = 0;  ///< obs request span start (0 = obs off)
     std::vector<std::uint8_t> result_blob;  ///< serialized, for cache/wire
     std::size_t done_units() const noexcept {
-      return desc.task_kind == TaskKind::kSstaGrid
-                 ? lanes_done
-                 : folded_prefix + mc_pending.size();
+      return folded_prefix + pending.size();
     }
   };
 
@@ -223,8 +218,7 @@ class Service {
     SchedTask task;
     std::int64_t assign_ns = 0;
     std::set<std::uint64_t> setup_rids;  ///< requests this worker holds
-    std::map<std::size_t, mc::McResult> staged_mc;
-    std::map<std::size_t, sta::StageCharacterization> staged_lanes;
+    std::map<std::size_t, TaskResult> staged;  ///< decoded, uncommitted
     // Client state:
     std::set<std::uint64_t> client_ids;  ///< request ids seen (dup guard)
   };
@@ -243,7 +237,7 @@ class Service {
   void handle_unit(Peer& w, Request& rq, const Frame& f);
   void handle_range_done(Peer& w, Request& rq, const Frame& f);
   void requeue(Peer& w, const std::string& why);
-  void advance_mc_fold(Request& rq);
+  void advance_fold(Request& rq);
   void release_request(std::uint64_t rid);
   bool outstanding_requests() const;
 
@@ -264,7 +258,8 @@ class Service {
 /// blocks until that request's kRequestDone (results arriving out of
 /// submission order are stored until asked for).  Throws
 /// std::runtime_error on transport errors, a service-side rejection
-/// (kError) or a failed request.
+/// (kError), a failed request, or a kRequestDone whose task kind is not
+/// the kind submitted under its request id.
 class ServiceClient {
  public:
   ServiceClient(const std::string& host, std::uint16_t port,
@@ -293,6 +288,7 @@ class ServiceClient {
   FrameAuth auth_;
   std::uint64_t session_ = 0;
   std::uint64_t next_id_ = 1;
+  std::map<std::uint64_t, TaskKind> kinds_;  ///< submitted, by request id
   std::map<std::uint64_t, std::pair<TaskResult, RequestInfo>> done_;
   std::map<std::uint64_t, RequestInfo> infos_;  ///< survives wait()'s take
   std::map<std::uint64_t, std::string> failed_;

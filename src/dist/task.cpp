@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "dist/workload.h"
 #include "process/variation.h"
@@ -115,10 +116,44 @@ TaskResult run_local_task(const RunDescriptor& desc) {
   return out;
 }
 
+TaskResult decode_unit(TaskKind kind, ByteReader& r) {
+  TaskResult out;
+  out.kind = kind;
+  if (kind == TaskKind::kSstaGrid)
+    out.lanes.push_back(read_stage_characterization(r));
+  else
+    out.mc = read_mc_result(r);
+  return out;
+}
+
+void fold_unit(TaskResult& acc, std::size_t index, TaskResult&& unit) {
+  if (index == 0) {
+    acc = std::move(unit);
+    if (acc.kind == TaskKind::kMonteCarlo) acc.mc.label = "gate-level MC";
+  } else if (acc.kind == TaskKind::kSstaGrid) {
+    acc.lanes.insert(acc.lanes.end(), unit.lanes.begin(), unit.lanes.end());
+  } else {
+    acc.mc.merge(std::move(unit.mc));
+  }
+}
+
+std::vector<std::uint8_t> encode_result(const TaskResult& r) {
+  return r.kind == TaskKind::kSstaGrid ? serialize_characterizations(r.lanes)
+                                       : serialize_mc_result(r.mc);
+}
+
+TaskResult decode_result(TaskKind kind, std::span<const std::uint8_t> blob) {
+  TaskResult out;
+  out.kind = kind;
+  if (kind == TaskKind::kSstaGrid)
+    out.lanes = deserialize_characterizations(blob);
+  else
+    out.mc = deserialize_mc_result(blob);
+  return out;
+}
+
 bool bitwise_equal(const TaskResult& a, const TaskResult& b) {
-  if (a.kind != b.kind) return false;
-  if (a.kind == TaskKind::kSstaGrid) return bitwise_equal(a.lanes, b.lanes);
-  return bitwise_equal(a.mc, b.mc);
+  return a.kind == b.kind && encode_result(a) == encode_result(b);
 }
 
 }  // namespace statpipe::dist

@@ -4,11 +4,12 @@
 // A task is a sequence of n_units independent work units (Monte-Carlo
 // shards, SSTA grid lanes).  Workers execute contiguous unit ranges and
 // STREAM one serialized payload per unit, ascending, as units complete
-// (wire v3); the coordinator stages and then folds committed units in
-// ascending index, which reproduces the single-process result bit for
-// bit for every kind (docs/DETERMINISM.md).  This header is the one place
-// that knows how each TaskKind plans, runs and folds; the coordinator,
-// worker loop and transport stay kind-agnostic.
+// (wire v3); the service decodes each payload into a one-unit TaskResult,
+// stages it, and folds committed units into one accumulator in ascending
+// index, which reproduces the single-process result bit for bit for every
+// kind (docs/DETERMINISM.md).  This header is the one place that knows how
+// each TaskKind plans, runs, decodes, folds and encodes; the service,
+// worker loop and transport know no task kind.
 //
 // Layer contract (src/dist, see docs/ARCHITECTURE.md): the distributed
 // execution layer sits on top of mc/sta/sim/stats and may depend on all of
@@ -18,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "dist/serialize.h"
@@ -26,9 +28,9 @@
 
 namespace statpipe::dist {
 
-/// What a completed task run holds.  Exactly one member is populated,
-/// selected by `kind`: the folded Monte-Carlo result, or the K sweep-lane
-/// characterizations in ascending lane order.
+/// What a task run, or one unit of it, holds.  Exactly one member is
+/// populated, selected by `kind`: the (folded) Monte-Carlo result, or the
+/// sweep-lane characterizations in ascending lane order.
 struct TaskResult {
   TaskKind kind = TaskKind::kMonteCarlo;
   mc::McResult mc;                                ///< kMonteCarlo
@@ -76,8 +78,28 @@ UnitRangeRunner make_unit_runner(const RunDescriptor& desc);
 /// sta::characterize_grid over the whole grid for kSstaGrid.
 TaskResult run_local_task(const RunDescriptor& desc);
 
-/// Bitwise distributed-vs-local acceptance predicate across kinds:
-/// byte equality of the serialized forms of the populated member.
+/// Decodes one unit payload, as make_unit_runner emits it, into a one-unit
+/// TaskResult of `kind`: one shard's McResult or one lane.  Reads from `r`
+/// and leaves the trailing-byte check to the caller; a malformed payload
+/// throws like the serialize.h readers.
+TaskResult decode_unit(TaskKind kind, ByteReader& r);
+
+/// Folds unit `index` into `acc`.  Units arrive in ascending index from 0,
+/// and unit 0 becomes the accumulator.  Monte-Carlo shards then fold with
+/// McResult::merge, the left fold GateLevelMonteCarlo::run applies, and the
+/// accumulator carries that run's "gate-level MC" label; grid lanes are
+/// appended.  Folding units 0..n-1 of a task gives run_local_task's bits.
+void fold_unit(TaskResult& acc, std::size_t index, TaskResult&& unit);
+
+/// The result blob of the populated member: serialize_mc_result or
+/// serialize_characterizations — the service's cache entry and the
+/// kRequestDone payload.  decode_result is its inverse for `kind`;
+/// decode ∘ encode is byte identity.
+std::vector<std::uint8_t> encode_result(const TaskResult& r);
+TaskResult decode_result(TaskKind kind, std::span<const std::uint8_t> blob);
+
+/// Bitwise distributed-vs-local acceptance predicate across kinds: same
+/// kind and byte equality of the encode_result blobs.
 bool bitwise_equal(const TaskResult& a, const TaskResult& b);
 
 }  // namespace statpipe::dist

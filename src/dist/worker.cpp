@@ -101,14 +101,12 @@ std::size_t run_worker(const WorkerOptions& opt, const WorkloadFactory& make,
         desc = read_run_descriptor(r);
         r.expect_done();
       }
-      log_line(opt, "setup request " + std::to_string(rid) + ": " +
-                        task_kind_name(desc.task_kind) + " workload '" +
-                        desc.workload + "', " +
-                        (desc.task_kind == TaskKind::kSstaGrid
-                             ? std::to_string(desc.size_grid.size()) + " lanes"
-                             : std::to_string(desc.n_samples) + " samples"));
       try {
         runners[rid] = make(desc);
+        log_line(opt, "setup request " + std::to_string(rid) + ": " +
+                          task_kind_name(desc.task_kind) + " workload '" +
+                          desc.workload + "', " +
+                          std::to_string(task_unit_count(desc)) + " units");
       } catch (const std::exception& e) {
         // A workload this worker cannot rebuild and verify: report and end
         // the session — a worker that cannot prove it holds the exact

@@ -12,8 +12,7 @@ Histogram::Histogram(double lo, double hi, std::size_t bins)
   if (bins == 0) throw std::invalid_argument("Histogram: bins == 0");
   // isfinite as well as the ordering check: hi > lo alone lets ±inf edges
   // through (hi = +inf satisfies it), after which every bin width is
-  // inf/NaN and binning degenerates.  Bounds can arrive off the
-  // distributed wire, so they are adversarial input, not programmer error.
+  // inf/NaN and binning degenerates.
   if (!std::isfinite(lo) || !std::isfinite(hi))
     throw std::invalid_argument("Histogram: non-finite bounds");
   if (!(hi > lo)) throw std::invalid_argument("Histogram: need hi > lo");
@@ -27,33 +26,6 @@ Histogram Histogram::from_samples(std::span<const double> xs, std::size_t bins) 
   Histogram h(lo - pad, hi + pad, bins);
   h.add(xs);
   return h;
-}
-
-Histogram Histogram::from_counts(double lo, double hi,
-                                 std::vector<std::size_t> counts) {
-  Histogram h(lo, hi, counts.size());  // validates bins > 0, finite hi > lo
-  h.counts_ = std::move(counts);
-  for (std::size_t c : h.counts_) {
-    // Hostile counts can be crafted to wrap the total (and with it every
-    // density) around SIZE_MAX; overflow is a validation error, not UB.
-    if (__builtin_add_overflow(h.total_, c, &h.total_))
-      throw std::invalid_argument("Histogram::from_counts: total overflows");
-  }
-  return h;
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (lo_ != other.lo_ || hi_ != other.hi_ ||
-      counts_.size() != other.counts_.size())
-    throw std::invalid_argument(
-        "Histogram::merge: binning mismatch ([" + std::to_string(lo_) + ", " +
-        std::to_string(hi_) + ") x " + std::to_string(counts_.size()) +
-        " vs [" + std::to_string(other.lo_) + ", " +
-        std::to_string(other.hi_) + ") x " +
-        std::to_string(other.counts_.size()) + ")");
-  const std::size_t extra = other.total_;  // read first: self-merge aliases
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += extra;
 }
 
 void Histogram::add(double x) {

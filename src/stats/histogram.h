@@ -19,23 +19,8 @@ class Histogram {
   /// Convenience: range = [min, max] of the sample padded by 1%.
   static Histogram from_samples(std::span<const double> xs, std::size_t bins);
 
-  /// Rebuilds a histogram from its exact parts — the deserialization
-  /// counterpart of (lo, hi, counts).  Inputs are treated as adversarial
-  /// (they can arrive off the distributed wire): throws
-  /// std::invalid_argument on an empty counts vector, non-finite or
-  /// unordered bounds, or counts whose sum overflows std::size_t.
-  static Histogram from_counts(double lo, double hi,
-                               std::vector<std::size_t> counts);
-
   void add(double x);
   void add(std::span<const double> xs);
-
-  /// Folds another histogram's mass into this one — the distributed /
-  /// sharded aggregation primitive.  Both histograms must use the exact
-  /// same binning (lo, hi and bin count, compared bitwise); anything else
-  /// throws std::invalid_argument instead of silently misbinning mass.
-  /// Self-merge doubles every bin, which is well-defined and allowed.
-  void merge(const Histogram& other);
 
   std::size_t bins() const noexcept { return counts_.size(); }
   std::size_t total() const noexcept { return total_; }

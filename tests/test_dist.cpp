@@ -217,24 +217,6 @@ TEST(DistSerialize, RunningStatsRoundTripIsExact) {
   }
 }
 
-TEST(DistSerialize, HistogramRoundTrip) {
-  sp::stats::Histogram h(100.0, 300.0, 32);
-  std::mt19937_64 g(7);
-  std::normal_distribution<double> d(200.0, 30.0);
-  for (int i = 0; i < 5000; ++i) h.add(d(g));
-  ByteWriter w;
-  sp::dist::write_histogram(w, h);
-  ByteReader r(w.bytes());
-  const auto back = sp::dist::read_histogram(r);
-  EXPECT_TRUE(r.done());
-  EXPECT_EQ(back.lo(), h.lo());
-  EXPECT_EQ(back.hi(), h.hi());
-  EXPECT_EQ(back.bins(), h.bins());
-  EXPECT_EQ(back.total(), h.total());
-  for (std::size_t i = 0; i < h.bins(); ++i)
-    EXPECT_EQ(back.count(i), h.count(i));
-}
-
 TEST(DistSerialize, McResultRoundTripFuzzIsByteStable) {
   std::mt19937_64 g(1234);
   std::normal_distribution<double> d(250.0, 40.0);
@@ -367,6 +349,31 @@ TEST(DistEngine, ShardRangePartsFoldToLocalRun) {
     acc.merge(std::move(parts[i]));
   acc.label = local.label;
   EXPECT_TRUE(sp::dist::bitwise_equal(acc, local));
+
+  // The service's path for both kinds: each unit payload the runner emits
+  // over the same pieces is decoded and folded ascending (dist/task.h).
+  for (const auto& d : {desc, grid_descriptor("c432", 8)}) {
+    SCOPED_TRACE(sp::dist::task_kind_name(d.task_kind));
+    const std::size_t n = sp::dist::task_unit_count(d);
+    const sp::dist::UnitRangeRunner runner = sp::dist::make_unit_runner(d);
+    sp::dist::TaskResult folded;
+    std::size_t next = 0;
+    for (const auto& [b, e] :
+         {std::pair<std::size_t, std::size_t>{0, 3}, {3, 4}, {4, n}}) {
+      runner(b, e,
+             [&](std::size_t unit, const std::vector<std::uint8_t>& payload) {
+               ASSERT_EQ(unit, next);
+               ByteReader r(payload);
+               sp::dist::TaskResult part =
+                   sp::dist::decode_unit(d.task_kind, r);
+               r.expect_done();
+               sp::dist::fold_unit(folded, next++, std::move(part));
+             });
+    }
+    EXPECT_EQ(next, n);
+    EXPECT_TRUE(
+        sp::dist::bitwise_equal(folded, sp::dist::run_local_task(d)));
+  }
 }
 
 TEST(DistEngine, ShardRangeValidatesUpFront) {
@@ -1463,27 +1470,31 @@ TEST(DistEndToEnd, LargeStreamedRangeSingleWorkerMatchesLocalBitwise) {
 // The saboteur process itself exits 0 — it verifies its own expectations
 // (e.g. that the coordinator actually dropped it).
 TEST(DistChaos, SaboteurMatrixOnPlainWireNeverPoisonsTheRun) {
-  const auto desc = small_descriptor();  // 8 units, 4 ranges below
-  const sp::dist::TaskResult local = sp::dist::run_local_task(desc);
-  const char* modes[] = {"truncate", "midframe", "oversize",
-                         "garbage",  "dup-unit", "replay"};
-  for (const char* mode : modes) {
-    SCOPED_TRACE(mode);
-    sp::dist::ServiceOptions opt;
-    opt.units_per_range = 2;
-    opt.idle_timeout_ms = 120000;
-    sp::dist::Service svc(opt);
-    const std::uint64_t rid = svc.submit_local(desc);
-    sp::dist::TaskResult dist_result;
-    std::thread serving([&] { dist_result = run_request(svc, rid); });
-    // Saboteur first, so it wins a range assignment to attack with.
-    const pid_t sab = spawn_saboteur_process(svc.port(), mode);
-    std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    const pid_t w = spawn_worker_process(svc.port());
-    serving.join();
-    reap(svc, sab);
-    reap(svc, w);
-    EXPECT_TRUE(sp::dist::bitwise_equal(dist_result, local));
+  // Both kinds (8 units, 4 ranges below each): the saboteur attacks MC
+  // shard staging and grid lane staging alike.
+  for (const auto& desc : {small_descriptor(), grid_descriptor("c432", 8)}) {
+    const sp::dist::TaskResult local = sp::dist::run_local_task(desc);
+    const char* modes[] = {"truncate", "midframe", "oversize",
+                           "garbage",  "dup-unit", "replay"};
+    for (const char* mode : modes) {
+      SCOPED_TRACE(std::string(sp::dist::task_kind_name(desc.task_kind)) +
+                   " " + mode);
+      sp::dist::ServiceOptions opt;
+      opt.units_per_range = 2;
+      opt.idle_timeout_ms = 120000;
+      sp::dist::Service svc(opt);
+      const std::uint64_t rid = svc.submit_local(desc);
+      sp::dist::TaskResult dist_result;
+      std::thread serving([&] { dist_result = run_request(svc, rid); });
+      // Saboteur first, so it wins a range assignment to attack with.
+      const pid_t sab = spawn_saboteur_process(svc.port(), mode);
+      std::this_thread::sleep_for(std::chrono::milliseconds(400));
+      const pid_t w = spawn_worker_process(svc.port());
+      serving.join();
+      reap(svc, sab);
+      reap(svc, w);
+      EXPECT_TRUE(sp::dist::bitwise_equal(dist_result, local));
+    }
   }
 }
 

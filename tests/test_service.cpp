@@ -528,6 +528,59 @@ TEST(ServiceSessions, CrossSessionReplayOfAuthenticatedFrameIsRejected) {
       << why;
 }
 
+// -------------------------------------------------- client result guard
+
+// A scripted fake service on a real listener answers each submission with
+// kRequestDone carrying a valid Monte-Carlo blob under the wrong task
+// kind: first kind 7 (no such kind), then the grid kind.  The client must
+// reject both instead of handing back a TaskResult of a kind it never
+// submitted.
+TEST(ServiceClientWire, WaitRejectsAResultOfAnotherTaskKind) {
+  sp::dist::Listener listener("127.0.0.1", 0);
+  sp::mc::McResult mc;
+  mc.tp_samples = {180.0, 190.0};
+  const std::vector<std::uint8_t> blob = sp::dist::serialize_mc_result(mc);
+  const std::uint16_t wrong_kinds[] = {
+      7, static_cast<std::uint16_t>(sp::dist::TaskKind::kSstaGrid)};
+  const std::uint64_t session = 5;
+  std::thread fake([&] {
+    sp::dist::Socket s = listener.accept();
+    const auto hello = sp::dist::recv_frame(s);
+    ASSERT_TRUE(hello && hello->type == MsgType::kClientHello);
+    ByteWriter welcome;
+    welcome.u64(session);
+    sp::dist::send_frame(s, MsgType::kWelcome, welcome.bytes(), {}, session);
+    for (const std::uint16_t kind : wrong_kinds) {
+      const auto submit = sp::dist::recv_frame(s);
+      ASSERT_TRUE(submit && submit->type == MsgType::kSubmit);
+      ByteWriter done;
+      done.u16(kind);
+      done.u8(0);   // not a cache hit
+      done.u64(0);  // queue wait
+      done.append(blob);
+      sp::dist::send_frame(s, MsgType::kRequestDone, done.bytes(), {},
+                           session, submit->request_id);
+    }
+  });
+  sp::dist::ServiceClient client("127.0.0.1", listener.port());
+  ASSERT_EQ(client.session(), session);
+  for (const std::uint16_t kind : wrong_kinds) {
+    const std::uint64_t id = client.submit(mc_descriptor());
+    try {
+      (void)client.wait(id);
+      ADD_FAILURE() << "a kind-" << kind << " result was accepted for an "
+                    << "MC request";
+    } catch (const std::runtime_error& e) {
+      const std::string why = e.what();
+      EXPECT_NE(why.find("task kind " + std::to_string(kind)),
+                std::string::npos)
+          << why;
+      EXPECT_NE(why.find("submitted as 1"), std::string::npos) << why;
+    }
+  }
+  fake.join();
+}
+
 // ----------------------------------------------- resident cluster handle
 
 TEST(ClusterHandleTest, ResidentFleetServesManyDescriptorsAndCaches) {

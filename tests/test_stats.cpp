@@ -706,43 +706,6 @@ TEST(Histogram, CsvHasHeaderAndRows) {
   EXPECT_NE(csv.find("# histogram unit"), std::string::npos);
 }
 
-TEST(Histogram, MergeFoldsCountsWithIdenticalBinning) {
-  sp::Histogram a(0.0, 10.0, 5), b(0.0, 10.0, 5);
-  a.add(1.0);
-  a.add(3.0);
-  b.add(3.5);
-  b.add(9.0);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 4u);
-  EXPECT_EQ(a.count(0), 1u);
-  EXPECT_EQ(a.count(1), 2u);
-  EXPECT_EQ(a.count(4), 1u);
-  // Self-merge doubles every bin — aliasing-safe by design.
-  a.merge(a);
-  EXPECT_EQ(a.total(), 8u);
-  EXPECT_EQ(a.count(1), 4u);
-}
-
-TEST(Histogram, MergeRejectsMismatchedBinning) {
-  sp::Histogram a(0.0, 10.0, 5);
-  EXPECT_THROW(a.merge(sp::Histogram(0.0, 10.0, 6)), std::invalid_argument);
-  EXPECT_THROW(a.merge(sp::Histogram(0.0, 9.0, 5)), std::invalid_argument);
-  EXPECT_THROW(a.merge(sp::Histogram(0.5, 10.0, 5)), std::invalid_argument);
-}
-
-TEST(Histogram, FromCountsRebuildsExactly) {
-  sp::Histogram a(5.0, 25.0, 4);
-  a.add(6.0);
-  a.add(24.0);
-  a.add(24.5);
-  const auto b = sp::Histogram::from_counts(
-      a.lo(), a.hi(), {a.count(0), a.count(1), a.count(2), a.count(3)});
-  EXPECT_EQ(b.total(), a.total());
-  for (std::size_t i = 0; i < a.bins(); ++i) EXPECT_EQ(b.count(i), a.count(i));
-  EXPECT_THROW(sp::Histogram::from_counts(0.0, 1.0, {}),
-               std::invalid_argument);
-}
-
 // -------------------------------------------------------- RunningStats IO
 
 TEST(RunningStats, StateRoundTripIsIndistinguishable) {
@@ -827,26 +790,6 @@ TEST(Histogram, RejectsNonFiniteOrUnorderedBounds) {
   EXPECT_THROW(sp::Histogram(0.0, nan, 4), std::invalid_argument);
   EXPECT_THROW(sp::Histogram(1.0, 1.0, 4), std::invalid_argument);
   EXPECT_THROW(sp::Histogram(2.0, 1.0, 4), std::invalid_argument);
-  // The same gate guards the wire-deserialization path.
-  EXPECT_THROW(sp::Histogram::from_counts(0.0, inf, {1, 2}),
-               std::invalid_argument);
-  EXPECT_THROW(sp::Histogram::from_counts(nan, 1.0, {1, 2}),
-               std::invalid_argument);
-  EXPECT_THROW(sp::Histogram::from_counts(2.0, 1.0, {1, 2}),
-               std::invalid_argument);
-}
-
-TEST(Histogram, FromCountsRejectsOverflowingTotal) {
-  const std::size_t big = std::numeric_limits<std::size_t>::max();
-  // Hostile counts crafted to wrap total() (and with it every density)
-  // around SIZE_MAX: overflow is a validation error, not UB.
-  EXPECT_THROW(sp::Histogram::from_counts(0.0, 1.0, {big, 2}),
-               std::invalid_argument);
-  EXPECT_THROW(sp::Histogram::from_counts(0.0, 1.0, {big / 2, big / 2, 3}),
-               std::invalid_argument);
-  // The exact ceiling itself still works.
-  const auto h = sp::Histogram::from_counts(0.0, 1.0, {big - 1, 1});
-  EXPECT_EQ(h.total(), big);
 }
 
 // ------------------------------------------------------------------ lanes

@@ -41,10 +41,13 @@
 // the service runs until killed.  --connect HOST:PORT turns this binary
 // into a CLIENT of such a service: the same --task/--workload flags
 // describe the run, but it is submitted over the wire and the result
-// (with cache/queue accounting) comes back on this session.
+// (with cache/queue accounting) comes back on this session.  Both modes
+// run the same task code; only the submit function differs, and every
+// request (each grid of a sweep included) carries --priority.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -152,94 +155,69 @@ void announce_port(const sp::dist::ClusterHandle& handle) {
   std::fflush(stdout);
 }
 
-int run_mc(sp::dist::RunDescriptor& desc, const sp::dist::ClusterOptions& cl,
+// How this invocation submits one descriptor and gets its result back:
+// ClusterHandle::submit on a fleet it hosts, or ServiceClient submit +
+// wait against a running service (--connect).  The task functions below
+// take either, so a task runs the same code in both modes.
+using Submit =
+    std::function<sp::dist::TaskResult(const sp::dist::RunDescriptor&)>;
+
+// The --check-local verdict; its exit code is what CI gates on.
+int verdict(bool equal, const char* what, const char* reference) {
+  if (!equal) {
+    std::printf("FAIL: distributed %s diverges from the %s\n", what,
+                reference);
+    return EXIT_FAILURE;
+  }
+  std::printf("distributed %s is bitwise-identical to the %s\n", what,
+              reference);
+  return EXIT_SUCCESS;
+}
+
+int run_mc(const sp::dist::RunDescriptor& desc, const Submit& submit,
            bool check_local) {
-  sp::dist::finalize_descriptor(desc);
   std::printf("statpipe-run: mc, %s, %llu samples, seed %llu\n",
               desc.workload.c_str(),
               static_cast<unsigned long long>(desc.n_samples),
               static_cast<unsigned long long>(desc.seed));
-  sp::dist::ClusterHandle handle(cl);
-  announce_port(handle);
-  sp::dist::RunMetrics rm;
-  const sp::dist::TaskResult dist_result = handle.submit(desc, 0, &rm);
-  handle.close();
-
-  const sp::stats::Gaussian g = dist_result.mc.tp_estimate();
+  const sp::dist::TaskResult result = submit(desc);
+  const sp::stats::Gaussian g = result.mc.tp_estimate();
   std::printf("T_P estimate: mu %.4f ps, sigma %.4f ps over %zu samples\n",
-              g.mean, g.sigma, dist_result.mc.tp_samples.size());
-  print_dist_metrics(rm, 1);
-
-  if (check_local) {
-    const sp::dist::TaskResult local = sp::dist::run_local_task(desc);
-    if (!sp::dist::bitwise_equal(dist_result, local)) {
-      std::printf("FAIL: distributed result diverges from the "
-                  "single-process run\n");
-      return EXIT_FAILURE;
-    }
-    std::printf("distributed result is bitwise-identical to the "
-                "single-process run\n");
-  }
-  return EXIT_SUCCESS;
+              g.mean, g.sigma, result.mc.tp_samples.size());
+  if (!check_local) return EXIT_SUCCESS;
+  return verdict(
+      sp::dist::bitwise_equal(result, sp::dist::run_local_task(desc)),
+      "result", "single-process run");
 }
 
+// Every candidate grid of the area-delay sweep goes through `submit` as
+// one kSstaGrid request (dist::grid_characterizer).
 int run_ssta_sweep(const sp::dist::RunDescriptor& desc, std::size_t points,
-                   const sp::dist::ClusterOptions& cl, bool check_local) {
-  const auto names = sp::dist::split_workload_names(desc.workload);
-  if (names.size() != 1) {
-    std::fprintf(stderr,
-                 "statpipe-run: --task ssta-sweep needs exactly one "
-                 "circuit in --workload, got '%s'\n",
-                 desc.workload.c_str());
-    return EXIT_FAILURE;
-  }
+                   const Submit& submit, bool check_local) {
   const sp::device::AlphaPowerModel model{sp::process::Technology{}};
   const sp::process::VariationSpec spec = sp::dist::descriptor_spec(desc);
-
   std::printf("statpipe-run: ssta-sweep, %s, %zu sweep points\n",
               desc.workload.c_str(), points);
-  // One resident fleet for the whole sweep; every grid is one request on
-  // it, and their metrics add up so the final block covers the sweep.
-  sp::dist::ClusterHandle handle(cl);
-  announce_port(handle);
-  sp::dist::RunMetrics agg;
-  std::size_t requests = 0;
   sp::opt::SweepOptions sw;
   sw.points = points;
   sw.sizer.output_load = desc.output_load;
-  sw.grid = sp::dist::grid_characterizer([&](const sp::dist::RunDescriptor& d) {
-    sp::dist::RunMetrics m;
-    sp::dist::TaskResult r = handle.submit(d, 0, &m);
-    accumulate(agg, m);
-    ++requests;
-    return r;
-  });
-
-  sp::netlist::Netlist nl = sp::netlist::iscas_like(names.front());
+  sw.grid = sp::dist::grid_characterizer(submit);
+  const std::string name = sp::dist::split_workload_names(desc.workload)[0];
+  sp::netlist::Netlist nl = sp::netlist::iscas_like(name);
   const auto dist_sweep = sp::opt::area_delay_sweep(nl, model, spec, sw);
-  handle.close();
   std::printf("area-delay curve: %zu feasible points, fastest D_stat "
               "%.4f ps\n",
               dist_sweep.curve.points().size(), dist_sweep.min_stat_delay);
   for (const auto& p : dist_sweep.curve.points())
     std::printf("  delay %.4f ps  area %.2f\n", p.delay, p.area);
-  print_dist_metrics(agg, requests);
-
-  if (check_local) {
-    sp::opt::SweepOptions local_sw = sw;
-    local_sw.grid = {};  // the single-process characterize_grid reference
-    sp::netlist::Netlist nl2 = sp::netlist::iscas_like(names.front());
-    const auto local_sweep =
-        sp::opt::area_delay_sweep(nl2, model, spec, local_sw);
-    if (!sp::opt::bitwise_equal(dist_sweep, local_sweep)) {
-      std::printf("FAIL: distributed sweep diverges from the "
-                  "single-process characterize_grid run\n");
-      return EXIT_FAILURE;
-    }
-    std::printf("distributed sweep is bitwise-identical to the "
-                "single-process characterize_grid run\n");
-  }
-  return EXIT_SUCCESS;
+  if (!check_local) return EXIT_SUCCESS;
+  sp::opt::SweepOptions local_sw = sw;
+  local_sw.grid = {};  // the single-process characterize_grid reference
+  sp::netlist::Netlist nl2 = sp::netlist::iscas_like(name);
+  const auto local_sweep =
+      sp::opt::area_delay_sweep(nl2, model, spec, local_sw);
+  return verdict(sp::opt::bitwise_equal(dist_sweep, local_sweep), "sweep",
+                 "single-process characterize_grid run");
 }
 
 // --serve: host the persistent multi-tenant service.  The dist flags
@@ -277,97 +255,6 @@ int run_serve(const sp::dist::ClusterOptions& cl, std::size_t serve_requests) {
                 static_cast<unsigned long long>(sid),
                 static_cast<unsigned long long>(units));
   return st.requests_failed == 0 ? EXIT_SUCCESS : EXIT_FAILURE;
-}
-
-// --connect: be a CLIENT of a running service.  The same task flags
-// describe the run; it is submitted over the wire on this client's
-// session and the per-request accounting (cache hit, queue wait) comes
-// back with the result.
-int run_connect_mc(sp::dist::RunDescriptor& desc, const std::string& host,
-                   std::uint16_t port, const std::string& key,
-                   std::uint32_t priority, bool check_local) {
-  sp::dist::finalize_descriptor(desc);
-  std::printf("statpipe-run: mc via service at %s:%u, %s, %llu samples, "
-              "seed %llu\n",
-              host.c_str(), static_cast<unsigned>(port),
-              desc.workload.c_str(),
-              static_cast<unsigned long long>(desc.n_samples),
-              static_cast<unsigned long long>(desc.seed));
-  sp::dist::ServiceClient client(host, port, key);
-  const std::uint64_t id = client.submit(desc, priority);
-  const sp::dist::TaskResult result = client.wait(id);
-  const auto& info = client.info(id);
-
-  const sp::stats::Gaussian g = result.mc.tp_estimate();
-  std::printf("T_P estimate: mu %.4f ps, sigma %.4f ps over %zu samples\n",
-              g.mean, g.sigma, result.mc.tp_samples.size());
-  std::printf("service request %llu (session %llu): cache %s, queue wait "
-              "%.1f ms\n",
-              static_cast<unsigned long long>(id),
-              static_cast<unsigned long long>(client.session()),
-              info.cache_hit ? "hit" : "miss", info.queue_wait_ms);
-
-  if (check_local) {
-    const sp::dist::TaskResult local = sp::dist::run_local_task(desc);
-    if (!sp::dist::bitwise_equal(result, local)) {
-      std::printf("FAIL: service result diverges from the single-process "
-                  "run\n");
-      return EXIT_FAILURE;
-    }
-    std::printf("service result is bitwise-identical to the "
-                "single-process run\n");
-  }
-  return EXIT_SUCCESS;
-}
-
-int run_connect_sweep(const sp::dist::RunDescriptor& desc, std::size_t points,
-                      const std::string& host, std::uint16_t port,
-                      const std::string& key, bool check_local) {
-  const auto names = sp::dist::split_workload_names(desc.workload);
-  if (names.size() != 1) {
-    std::fprintf(stderr,
-                 "statpipe-run: --task ssta-sweep needs exactly one "
-                 "circuit in --workload, got '%s'\n",
-                 desc.workload.c_str());
-    return EXIT_FAILURE;
-  }
-  const sp::device::AlphaPowerModel model{sp::process::Technology{}};
-  const sp::process::VariationSpec spec = sp::dist::descriptor_spec(desc);
-
-  sp::dist::ServiceClient client(host, port, key);
-  sp::opt::SweepOptions sw;
-  sw.points = points;
-  sw.sizer.output_load = desc.output_load;
-  sw.grid = sp::dist::grid_characterizer(
-      [&](const auto& d) { return client.wait(client.submit(d)); });
-
-  std::printf("statpipe-run: ssta-sweep via service at %s:%u, %s, %zu "
-              "sweep points\n",
-              host.c_str(), static_cast<unsigned>(port),
-              desc.workload.c_str(), points);
-  sp::netlist::Netlist nl = sp::netlist::iscas_like(names.front());
-  const auto dist_sweep = sp::opt::area_delay_sweep(nl, model, spec, sw);
-  std::printf("area-delay curve: %zu feasible points, fastest D_stat "
-              "%.4f ps\n",
-              dist_sweep.curve.points().size(), dist_sweep.min_stat_delay);
-  for (const auto& p : dist_sweep.curve.points())
-    std::printf("  delay %.4f ps  area %.2f\n", p.delay, p.area);
-
-  if (check_local) {
-    sp::opt::SweepOptions local_sw = sw;
-    local_sw.grid = {};  // the single-process characterize_grid reference
-    sp::netlist::Netlist nl2 = sp::netlist::iscas_like(names.front());
-    const auto local_sweep =
-        sp::opt::area_delay_sweep(nl2, model, spec, local_sw);
-    if (!sp::opt::bitwise_equal(dist_sweep, local_sweep)) {
-      std::printf("FAIL: service sweep diverges from the single-process "
-                  "characterize_grid run\n");
-      return EXIT_FAILURE;
-    }
-    std::printf("service sweep is bitwise-identical to the "
-                "single-process characterize_grid run\n");
-  }
-  return EXIT_SUCCESS;
 }
 
 }  // namespace
@@ -443,9 +330,18 @@ int main(int argc, char** argv) {
   }
   if (!serve) {
     if (desc.workload.empty()) usage(argv[0]);
-    if (task == "mc" && desc.n_samples == 0) usage(argv[0]);
-    if (task == "ssta-sweep" && points < 2) {
-      std::fprintf(stderr, "statpipe-run: --points must be >= 2\n");
+    if (task == "mc") {
+      if (desc.n_samples == 0) usage(argv[0]);
+    } else if (task == "ssta-sweep") {
+      if (points < 2) {
+        std::fprintf(stderr, "statpipe-run: --points must be >= 2\n");
+        return EXIT_FAILURE;
+      }
+    } else {
+      std::fprintf(stderr,
+                   "statpipe-run: unknown task '%s' (this build knows mc, "
+                   "ssta-sweep)\n",
+                   task.c_str());
       return EXIT_FAILURE;
     }
   }
@@ -459,40 +355,62 @@ int main(int argc, char** argv) {
     int rc = EXIT_FAILURE;
     if (serve) {
       rc = run_serve(cl, serve_requests);
-    } else if (!connect_to.empty()) {
-      // HOST:PORT, or a bare PORT against localhost.
-      std::string host = "127.0.0.1";
-      std::string port_str = connect_to;
-      const std::size_t colon = connect_to.rfind(':');
-      if (colon != std::string::npos) {
-        host = connect_to.substr(0, colon);
-        port_str = connect_to.substr(colon + 1);
-      }
-      const std::uint16_t port = parse_port(port_str);
-      if (port == 0)
-        throw std::invalid_argument("--connect needs a nonzero port");
-      const std::string& key = cl.coordinator.auth_key;
-      if (task == "mc") {
-        rc = run_connect_mc(desc, host, port, key, priority, check_local);
-      } else if (task == "ssta-sweep") {
-        rc = run_connect_sweep(desc, points, host, port, key, check_local);
-      } else {
-        std::fprintf(stderr,
-                     "statpipe-run: unknown task '%s' (this build knows "
-                     "mc, ssta-sweep)\n",
-                     task.c_str());
-        return EXIT_FAILURE;
-      }
-    } else if (task == "mc") {
-      rc = run_mc(desc, cl, check_local);
-    } else if (task == "ssta-sweep") {
-      rc = run_ssta_sweep(desc, points, cl, check_local);
     } else {
-      std::fprintf(stderr,
-                   "statpipe-run: unknown task '%s' (this build knows mc, "
-                   "ssta-sweep)\n",
-                   task.c_str());
-      return EXIT_FAILURE;
+      // Validate the workload before any fleet or session exists.
+      if (task == "mc")
+        sp::dist::finalize_descriptor(desc);
+      else if (sp::dist::split_workload_names(desc.workload).size() != 1)
+        throw std::invalid_argument(
+            "--task ssta-sweep needs exactly one circuit in --workload, "
+            "got '" + desc.workload + "'");
+      const auto run_task = [&](const Submit& submit) {
+        return task == "mc"
+                   ? run_mc(desc, submit, check_local)
+                   : run_ssta_sweep(desc, points, submit, check_local);
+      };
+      if (!connect_to.empty()) {
+        // HOST:PORT, or a bare PORT against localhost.
+        std::string host = "127.0.0.1";
+        std::string port_str = connect_to;
+        const std::size_t colon = connect_to.rfind(':');
+        if (colon != std::string::npos) {
+          host = connect_to.substr(0, colon);
+          port_str = connect_to.substr(colon + 1);
+        }
+        const std::uint16_t port = parse_port(port_str);
+        if (port == 0)
+          throw std::invalid_argument("--connect needs a nonzero port");
+        sp::dist::ServiceClient client(host, port, cl.coordinator.auth_key);
+        std::printf("statpipe-run: client of the service at %s:%u, session "
+                    "%llu\n",
+                    host.c_str(), static_cast<unsigned>(port),
+                    static_cast<unsigned long long>(client.session()));
+        rc = run_task([&](const sp::dist::RunDescriptor& d) {
+          const std::uint64_t id = client.submit(d, priority);
+          sp::dist::TaskResult r = client.wait(id);
+          const auto& info = client.info(id);
+          std::printf("service request %llu: cache %s, queue wait %.1f ms\n",
+                      static_cast<unsigned long long>(id),
+                      info.cache_hit ? "hit" : "miss", info.queue_wait_ms);
+          return r;
+        });
+      } else {
+        // One resident fleet for the whole task; a sweep's grids are one
+        // request each, and their metrics add up into one block.
+        sp::dist::ClusterHandle handle(cl);
+        announce_port(handle);
+        sp::dist::RunMetrics agg;
+        std::size_t requests = 0;
+        rc = run_task([&](const sp::dist::RunDescriptor& d) {
+          sp::dist::RunMetrics m;
+          sp::dist::TaskResult r = handle.submit(d, priority, &m);
+          accumulate(agg, m);
+          ++requests;
+          return r;
+        });
+        handle.close();
+        print_dist_metrics(agg, requests);
+      }
     }
     if (!metrics_path.empty()) {
       sp::obs::write_metrics_json(metrics_path);
