@@ -69,8 +69,8 @@ class AlphaPowerModel {
 
   /// Nominal (variation-free) delay of a cell instance [ps].
   /// `load_cap` in min-inverter-cap units; `size` >= minimum size.  Throws
-  /// std::invalid_argument for a real cell with size <= 0 or load_cap < 0
-  /// (pseudo-gates return 0 unchecked).
+  /// std::invalid_argument for a real cell unless size is finite and > 0
+  /// and load_cap is finite and >= 0 (pseudo-gates return 0 unchecked).
   double nominal_delay(GateKind kind, double size, double load_cap) const {
     const GateTraits& t = traits(kind);
     check_cell(t, size, load_cap);
@@ -151,8 +151,13 @@ class AlphaPowerModel {
                                                         double size,
                                                         double load_cap) {
     if (t.is_pseudo) return;
-    if (size <= 0.0) throw_bad_cell("nominal_delay: size <= 0");
-    if (load_cap < 0.0) throw_bad_cell("nominal_delay: load < 0");
+    // Written so NaN and +-inf fail too: a non-finite load or size would
+    // otherwise turn every downstream delay, SSTA moment and sizer step
+    // into NaN without an exception.
+    if (!(std::isfinite(size) && size > 0.0))
+      throw_bad_cell("nominal_delay: size <= 0 or not finite");
+    if (!(std::isfinite(load_cap) && load_cap >= 0.0))
+      throw_bad_cell("nominal_delay: load < 0 or not finite");
   }
   __attribute__((always_inline)) void check_sigmas(
       const GateTraits& t, double size, double load_cap,

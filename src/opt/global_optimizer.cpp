@@ -15,7 +15,6 @@
 
 namespace statpipe::opt {
 
-
 GlobalPipelineOptimizer::GlobalPipelineOptimizer(
     std::vector<netlist::Netlist*> stages,
     const device::AlphaPowerModel& model, const process::VariationSpec& spec,
@@ -146,18 +145,22 @@ GlobalOptimizerResult GlobalPipelineOptimizer::optimize(
   // Each stage's sweep runs on a private copy of its netlist, so all stages
   // evaluate concurrently with nothing to save/restore.
   std::vector<double> elasticity(n, 1.0);
-  sim::parallel_for(n, [&](std::size_t i) {
-    netlist::Netlist work = *stages_[i];
-    SweepOptions sw = opt.sweep;
-    sw.yield_target = opt.sizer.yield_target;
-    sw.sizer = opt.sizer;
-    try {
-      const auto sweep = area_delay_sweep(work, *model_, spec_, sw);
-      elasticity[i] = sweep.curve.elasticity_at(d_stat(i));
-    } catch (const std::runtime_error&) {
-      elasticity[i] = 1.0;  // flat/degenerate curve: treat as neutral
-    }
-  });
+  {
+    static const obs::SpanId kSweeps("opt.global.sweeps");
+    obs::ScopedSpan span(kSweeps, static_cast<std::int64_t>(n));
+    sim::parallel_for(n, [&](std::size_t i) {
+      netlist::Netlist work = *stages_[i];
+      SweepOptions sw = opt.sweep;
+      sw.yield_target = opt.sizer.yield_target;
+      sw.sizer = opt.sizer;
+      try {
+        const auto sweep = area_delay_sweep(work, *model_, spec_, sw);
+        elasticity[i] = sweep.curve.elasticity_at(d_stat(i));
+      } catch (const std::runtime_error&) {
+        elasticity[i] = 1.0;  // flat/degenerate curve: treat as neutral
+      }
+    });
+  }
 
   // --- snapshot "before" state; final_model stays it if the guard reverts.
   const core::PipelineModel before = model_from(cs);
@@ -195,6 +198,8 @@ GlobalOptimizerResult GlobalPipelineOptimizer::optimize(
   // paper's Table III shows exactly this pattern: receiver stages raised
   // to ~99% while donors are cut.
   if (opt.mode == OptimizationMode::kMinimizeArea) {
+    static const obs::SpanId kPrephase("opt.global.prephase");
+    obs::ScopedSpan span(kPrephase);
     const double y_headroom = std::sqrt(opt.yield_target);  // e.g. .80->.894
     for (std::size_t i = 0; i < n; ++i) {
       if (elasticity[i] >= 1.0) continue;  // receivers only
@@ -228,6 +233,8 @@ GlobalOptimizerResult GlobalPipelineOptimizer::optimize(
   //  * failing that, the one with the best pipeline yield, as the fallback
   //    speedup later stages must compensate for.
   for (std::size_t round = 0; round < opt.max_outer_rounds; ++round) {
+    static const obs::SpanId kRound("opt.global.round");
+    obs::ScopedSpan span(kRound, static_cast<std::int64_t>(round));
     bool changed = false;
     for (const std::size_t i : order) {
       const double y_now = model_from(cs).yield(opt.t_target);

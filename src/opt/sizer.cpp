@@ -24,8 +24,8 @@ void validate_sizer_options(const SizerOptions& opt) {
     throw std::invalid_argument("SizerOptions: damping outside (0,1]");
   if (!(opt.softmax_theta_ps > 0.0))
     throw std::invalid_argument("SizerOptions: softmax_theta_ps <= 0");
-  if (!(opt.output_load >= 0.0))
-    throw std::invalid_argument("SizerOptions: output_load < 0 or NaN");
+  if (!(std::isfinite(opt.output_load) && opt.output_load >= 0.0))
+    throw std::invalid_argument("SizerOptions: output_load < 0 or not finite");
 }
 
 template <std::size_t kLanes>
@@ -275,6 +275,8 @@ SizerResult size_stage(Netlist& nl, const device::AlphaPowerModel& model,
                        const process::VariationSpec& spec,
                        const SizerOptions& opt) {
   check_stage_inputs(opt, &opt.t_target, 1);
+  static const obs::SpanId kSizeStage("opt.size_stage");
+  obs::ScopedSpan span(kSizeStage);
   SizedLane lane;
   size_lanes<1>(nl, model, spec, opt, &opt.t_target, 1, &lane);
   nl.set_sizes(lane.sizes);

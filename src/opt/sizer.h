@@ -42,7 +42,7 @@ struct SizerOptions {
   std::size_t max_iterations = 60;
   double softmax_theta_ps = 1.5;  ///< criticality smoothing temperature
   double damping = 0.5;           ///< size-update damping in (0,1]
-  double output_load = 2.0;
+  double output_load = 2.0;       ///< finite, >= 0
   double tolerance_ps = 0.05;     ///< convergence window on D_stat
 };
 

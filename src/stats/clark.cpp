@@ -13,13 +13,20 @@ namespace statpipe::stats {
 namespace {
 // Below this, X1 - X2 is treated as deterministic and the max is exact.
 constexpr double kDegenerateA = 1e-12;
+
+// The one input check of clark_max and clark_max_lanes, written so NaN
+// fails both tests (a NaN sigma or rho would otherwise reach the kernel,
+// which has no data-dependent control flow to catch it).
+void check_inputs(double sigma1, double sigma2, double rho) {
+  if (!(sigma1 >= 0.0) || !(sigma2 >= 0.0))
+    throw std::invalid_argument("clark_max: negative or NaN sigma");
+  if (!(rho >= -1.0 - 1e-9 && rho <= 1.0 + 1e-9))
+    throw std::invalid_argument("clark_max: |rho| > 1 or NaN");
+}
 }  // namespace
 
 ClarkMax clark_max(const Gaussian& x1, const Gaussian& x2, double rho) {
-  if (x1.sigma < 0.0 || x2.sigma < 0.0)
-    throw std::invalid_argument("clark_max: negative sigma");
-  if (rho < -1.0 - 1e-9 || rho > 1.0 + 1e-9)
-    throw std::invalid_argument("clark_max: |rho| > 1");
+  check_inputs(x1.sigma, x2.sigma, rho);
   rho = std::clamp(rho, -1.0, 1.0);
 
   const double s1 = x1.sigma, s2 = x2.sigma;
@@ -36,9 +43,8 @@ ClarkMax clark_max(const Gaussian& x1, const Gaussian& x2, double rho) {
   }
 
   const double alpha = (x1.mean - x2.mean) / a;
-  const double cdf_a = normal_cdf(alpha);
-  const double cdf_ma = normal_cdf(-alpha);
-  const double pdf_a = normal_pdf(alpha);
+  const lanes::NormalCore g = lanes::normal_core(alpha);
+  const double cdf_a = g.cdf, cdf_ma = g.sf, pdf_a = g.pdf;
 
   const double m1 = x1.mean * cdf_a + x2.mean * cdf_ma + a * pdf_a;
   const double m2 = (x1.mean * x1.mean + s1 * s1) * cdf_a +
@@ -68,12 +74,8 @@ void clark_max_lanes(const GaussianLanesView& x1, const GaussianLanesView& x2,
   // matching sigmas, or two zero-variance inputs) lives in the kernel as
   // lane-wise selection on a sanitized divisor — see
   // stats/lanes_kernels.inl for the body, stats/simd.h for dispatch.
-  for (std::size_t k = 0; k < lanes; ++k) {
-    if (x1.sigma[k] < 0.0 || x2.sigma[k] < 0.0)
-      throw std::invalid_argument("clark_max: negative sigma");
-    if (rho[k] < -1.0 - 1e-9 || rho[k] > 1.0 + 1e-9)
-      throw std::invalid_argument("clark_max: |rho| > 1");
-  }
+  for (std::size_t k = 0; k < lanes; ++k)
+    check_inputs(x1.sigma[k], x2.sigma[k], rho[k]);
   simd::kernels().clark_max_lanes(x1.mean, x1.sigma, x2.mean, x2.sigma, rho,
                                   lanes, out.mean, out.sigma, out.alpha,
                                   out.a, out.phi_a);

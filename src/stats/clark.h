@@ -41,7 +41,11 @@ struct ClarkMax {
 
 /// Pairwise Clark operator (eqs. 4-5).  Handles the degenerate case a ~ 0
 /// (perfectly correlated, equal-variance inputs) by returning the
-/// pointwise-dominant input exactly.
+/// pointwise-dominant input exactly.  Phi(alpha), Phi(-alpha) and
+/// phi(alpha) come from one lanes::normal_core call, the same function
+/// every clark_max_lanes backend runs.  Throws std::invalid_argument on a
+/// negative or NaN sigma, or a rho that is NaN or outside [-1, 1] by more
+/// than 1e-9.
 ClarkMax clark_max(const Gaussian& x1, const Gaussian& x2, double rho = 0.0);
 
 /// Correlation of max(X1, X2) with a third Gaussian X3 (eq. 6), given the
@@ -59,8 +63,11 @@ double clark_correlation(const Gaussian& x1, const Gaussian& x2,
 /// matching sigmas, zero-variance inputs), which are resolved by value
 /// selection (stats::lanes::select) on a sanitized divisor rather than a
 /// per-lane branch into a separate code path.  Inputs are validated up
-/// front exactly as clark_max validates (negative sigma / |rho| > 1 throw).
-/// All arrays must hold `lanes` doubles; inputs and outputs may not alias.
+/// front exactly as clark_max validates (a negative or NaN sigma, or a rho
+/// that is NaN or outside [-1, 1] by more than 1e-9, throws).
+/// All arrays must hold `lanes` doubles.  An output may alias an input
+/// index for index (e.g. out.mean == x1.mean folds in place); no other
+/// overlap is allowed.
 void clark_max_lanes(const GaussianLanesView& x1, const GaussianLanesView& x2,
                      const double* rho, std::size_t lanes,
                      const ClarkLanes& out);

@@ -4,24 +4,15 @@
 #include <limits>
 #include <sstream>
 
+#include "stats/lanes.h"
+
 namespace statpipe::stats {
 
-namespace {
-constexpr double kInvSqrt2 = 0.70710678118654752440;
-constexpr double kInvSqrt2Pi = 0.39894228040143267794;
-}  // namespace
+double normal_pdf(double x) noexcept { return lanes::normal_core(x).pdf; }
 
-double normal_pdf(double x) noexcept {
-  return kInvSqrt2Pi * std::exp(-0.5 * x * x);
-}
+double normal_cdf(double x) noexcept { return lanes::normal_core(x).cdf; }
 
-double normal_cdf(double x) noexcept {
-  return 0.5 * std::erfc(-x * kInvSqrt2);
-}
-
-double normal_sf(double x) noexcept {
-  return 0.5 * std::erfc(x * kInvSqrt2);
-}
+double normal_sf(double x) noexcept { return lanes::normal_core(x).sf; }
 
 namespace {
 
@@ -69,8 +60,9 @@ double normal_icdf(double p) {
   }
   double x = icdf_acklam(p);
   // One Halley refinement: solves Phi(x) - p = 0 to near machine precision.
-  const double e = normal_cdf(x) - p;
-  const double u = e / normal_pdf(x);       // Newton step
+  const lanes::NormalCore g = lanes::normal_core(x);
+  const double e = g.cdf - p;
+  const double u = e / g.pdf;               // Newton step
   x -= u / (1.0 + 0.5 * x * u);             // Halley correction
   return x;
 }

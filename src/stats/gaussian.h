@@ -18,11 +18,17 @@
 
 namespace statpipe::stats {
 
+// normal_pdf, normal_cdf and normal_sf are thin wrappers over the one
+// branch-free Gaussian core, stats::lanes::normal_core (stats/lanes.h),
+// which Clark's max calls directly.  Accuracy against mpmath: relative
+// error of min(Phi(x), Phi(-x)) and of phi(x) below 1e-15 for |x| <= 37
+// (the tail past that is subnormal); Phi(0) == 0.5 exactly.
+
 /// Standard normal probability density  phi(x) = exp(-x^2/2)/sqrt(2*pi).
 double normal_pdf(double x) noexcept;
 
-/// Standard normal cumulative distribution  Phi(x), via erfc for accuracy
-/// in both tails (absolute error < 1e-15 over the double range).
+/// Standard normal cumulative distribution  Phi(x), tail-accurate on both
+/// sides: Phi(x) for x < 0 is computed as the tail, never as 1 - Phi(-x).
 double normal_cdf(double x) noexcept;
 
 /// Upper-tail probability  Q(x) = 1 - Phi(x) = Phi(-x), tail-accurate.

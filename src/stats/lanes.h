@@ -64,18 +64,22 @@ std::size_t preferred_width();
 /// for).
 std::size_t validated_width(std::size_t w);
 
-/// Branch-free value select: take `a` when `cond`, else `b`.  Written as a
-/// ternary so compilers lower it to cmov/blend rather than a branch; the
-/// point is not the codegen per se but that both operands are always safe
-/// to evaluate (kernels pre-sanitize divisors before dividing).
-/// always_inline: this helper and pow_pos are compiled into every per-ISA
-/// backend TU (stats/lanes_kernels.inl); if gcc ever emitted them
+/// Branch-free value select: take `a` when `cond`, else `b`.  A mask blend
+/// on the bit patterns, not a ternary: gcc may turn a ternary into a real
+/// branch, which blocks if-conversion and with it vectorization of the
+/// lane loop around it.  The result is exactly a's or b's bits, NaN and
+/// -0 included, so it is bitwise the ternary.  Both operands are always
+/// evaluated (kernels pre-sanitize divisors before dividing).
+/// always_inline: this helper and the cores below are compiled into every
+/// per-ISA backend TU (stats/lanes_kernels.inl); if gcc ever emitted them
 /// out-of-line, the linker would deduplicate the comdat copies and could
 /// hand every backend one ISA's code — inlining removes the symbol
 /// entirely.
 __attribute__((always_inline)) inline double select(bool cond, double a,
                                                     double b) noexcept {
-  return cond ? a : b;
+  const std::uint64_t mask = 0ULL - static_cast<std::uint64_t>(cond);
+  return std::bit_cast<double>((std::bit_cast<std::uint64_t>(a) & mask) |
+                               (std::bit_cast<std::uint64_t>(b) & ~mask));
 }
 
 /// Branch-free polynomial pow for positive normal finite x: the shared
@@ -168,6 +172,136 @@ __attribute__((always_inline)) inline double pow_pos(double x,
   const double scale = std::bit_cast<double>(
       (std::bit_cast<std::uint64_t>(zr) + 1023ULL) << 52);
   return expu * scale;
+}
+
+// BEGIN generated by tools/gen_normal_core.py: do not edit by hand.
+// mpmath 1.3.0 Chebyshev fits; see the script for how they are made.
+
+/// t = kNormalCoreK / (kNormalCoreK + |x|) is normal_core's tail variable.
+inline constexpr double kNormalCoreK = 5.0;
+
+/// P(t) ~ Phi(-x) e^(x^2/2) / t, 22 terms in Estrin's scheme, with
+/// P(1) == 0.5 exactly in this evaluation order.
+__attribute__((always_inline)) inline double normal_tail_poly(
+    double t) noexcept {
+  const double p1_0 = 0x1.46d042981292ep-4 + 0x1.46d0426bd990cp-4 * t;
+  const double p1_1 = 0x1.39bdb5c12cf69p-4 + 0x1.1f982b1417e88p-4 * t;
+  const double p1_2 = 0x1.f3eebf17d4d10p-5 + 0x1.977e53cefe835p-5 * t;
+  const double p1_3 = 0x1.369732c1c9a21p-5 + 0x1.84ef15109db17p-6 * t;
+  const double p1_4 = 0x1.85c4ed7af8f9cp-6 - 0x1.9bfca12437086p-6 * t;
+  const double p1_5 = 0x1.9006df0b8bb4ep-4 - 0x1.e4ae7ccead149p-3 * t;
+  const double p1_6 = 0x1.debe514362e9cp-2 - 0x1.8601ff0308916p-1 * t;
+  const double p1_7 = 0x1.fbb98fb5e2167p-1 - 0x1.06fe1daf60fe4p+0 * t;
+  const double p1_8 = 0x1.a80b6680e14c9p-1 - 0x1.00862933791bep-1 * t;
+  const double p1_9 = 0x1.be1b18fe41ea4p-3 - 0x1.0686459355743p-4 * t;
+  const double p1_10 = 0x1.76bdeb4e9401dp-7 - 0x1.eae53109a1ccap-11 * t;
+  const double t2 = t * t;
+  const double p2_0 = p1_0 + p1_1 * t2;
+  const double p2_1 = p1_2 + p1_3 * t2;
+  const double p2_2 = p1_4 + p1_5 * t2;
+  const double p2_3 = p1_6 + p1_7 * t2;
+  const double p2_4 = p1_8 + p1_9 * t2;
+  const double t4 = t2 * t2;
+  const double p3_0 = p2_0 + p2_1 * t4;
+  const double p3_1 = p2_2 + p2_3 * t4;
+  const double p3_2 = p2_4 + p1_10 * t4;
+  const double t8 = t4 * t4;
+  const double p4_0 = p3_0 + p3_1 * t8;
+  const double t16 = t8 * t8;
+  return p4_0 + p3_2 * t16;
+}
+
+/// Q(r) ~ (e^r - 1 - r) / r^2 on |r| <= ln2/2, 10 terms, Estrin.
+__attribute__((always_inline)) inline double exp_poly(double r) noexcept {
+  const double q1_0 = 0x1.0000000000001p-1 + 0x1.5555555555556p-3 * r;
+  const double q1_1 = 0x1.5555555553d68p-5 + 0x1.11111111109b5p-7 * r;
+  const double q1_2 = 0x1.6c16c17889fd3p-10 + 0x1.a01a01a7c2f89p-13 * r;
+  const double q1_3 = 0x1.a019b91463588p-16 + 0x1.71de0db2d4e97p-19 * r;
+  const double q1_4 = 0x1.28917ccaf39d3p-22 + 0x1.af389f20208c6p-26 * r;
+  const double r2 = r * r;
+  const double q2_0 = q1_0 + q1_1 * r2;
+  const double q2_1 = q1_2 + q1_3 * r2;
+  const double r4 = r2 * r2;
+  const double q3_0 = q2_0 + q2_1 * r4;
+  const double r8 = r4 * r4;
+  return q3_0 + q1_4 * r8;
+}
+// END generated by tools/gen_normal_core.py.
+
+/// Branch-free exp for the Gaussian core: exp(y + y_lo), where y_lo is a
+/// correction far below ulp(y) (normal_core passes the rounding error of
+/// x*x there).  Cody–Waite reduction y = k ln2 + r with a 32-bit ln2_hi
+/// (k * ln2_hi is exact), r in [-ln2/2, ln2/2], exp(r) = 1 + r + r^2 Q(r)
+/// (exp_poly, generated), and a bit-built 2^k as in pow_pos: no int<->float
+/// converts.  2^k is applied as 2^(k+128) * 2^-128, so results below
+/// DBL_MIN underflow gradually with one rounding.  Relative error below
+/// 2e-16 wherever the result is normal.
+/// Anchors: exp_core(0, 0) == 1 exactly; every y below -745.14 (-inf
+/// included) returns +0; NaN returns NaN.  Precondition: y <= 600 (the
+/// Gaussian core only passes y <= 0).  The floor is applied with select,
+/// a mask blend, so the body stays straight-line code.
+__attribute__((always_inline)) inline double exp_core(double y,
+                                                      double y_lo) noexcept {
+  constexpr double kFloor = -768.0;  // exp(-768) * 2^128 is still normal
+  constexpr double kInvLn2 = 0x1.71547652b82fep+0;
+  constexpr double kLn2Hi = 0x1.62e42fee00000p-1;
+  constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+  y = select(y < kFloor, kFloor, y);
+  const double kr = y * kInvLn2 + 0x1.8p52;  // k in kr's low mantissa bits
+  const double kd = kr - 0x1.8p52;
+  const double r = ((y - kd * kLn2Hi) - kd * kLn2Lo) + y_lo;
+  const double expu = 1.0 + r * (1.0 + r * exp_poly(r));
+  // kr's low 12 mantissa bits are k mod 2^12; k + 128 + 1023 lies in
+  // [1, 2046] for y in [-768, 600], so the shift builds 2^(k+128).
+  const double scale = std::bit_cast<double>(
+      (std::bit_cast<std::uint64_t>(kr) + (1023ULL + 128ULL)) << 52);
+  return (expu * scale) * 0x1p-128;
+}
+
+/// normal_core's three outputs for one x.
+struct NormalCore {
+  double cdf;  ///< Phi(x)
+  double sf;   ///< Phi(-x) = 1 - Phi(x), tail-accurate
+  double pdf;  ///< phi(x)
+};
+
+/// The one Gaussian core under stats::normal_cdf / normal_sf / normal_pdf
+/// and Clark's max (scalar clark_max and every backend's clark_max_lanes):
+/// Phi(x), Phi(-x) and phi(x) from one exp and one polynomial.
+///
+///   E = exp(-x^2/2), x^2 split exactly into hi + lo (Dekker, no FMA)
+///   Phi(-|x|) = E * t * P(t),  t = K / (K + |x|)  (normal_tail_poly)
+///   Phi(|x|)  = 1 - Phi(-|x|),  phi(x) = E / sqrt(2 pi)
+///
+/// and a sign select.  Straight-line arithmetic with mask-blend selects, so
+/// a lane loop over it vectorizes; the scalar path and every backend run
+/// this one function, which is what makes them bitwise equal.
+/// Accuracy against mpmath (tools/gen_normal_core.py, tests/test_stats.cpp):
+/// relative error of min(Phi(x), Phi(-x)) and of phi(x) below 1e-15
+/// wherever they are normal doubles (|x| < ~37.5); in the subnormal tail
+/// beyond, the absolute error stays within 2^-1073.
+/// Anchors: Phi(0) == 0.5 (P(1) == 0.5 exactly as evaluated); Phi(+inf)
+/// == 1, Phi(-inf) == 0, phi(+-inf) == 0; NaN gives NaN in all three.
+/// |x| is clamped at 39, where every output has long underflowed or
+/// saturated, which keeps the exact square free of overflow.
+__attribute__((always_inline)) inline NormalCore normal_core(
+    double x) noexcept {
+  constexpr double kInvSqrt2Pi = 0x1.9884533d43651p-2;
+  double ax = std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) &
+                                    0x7fffffffffffffffULL);
+  ax = select(ax > 39.0, 39.0, ax);  // NaN stays NaN
+  // ax*ax = sq + err exactly: Veltkamp split, then Dekker's error term.
+  const double c = 134217729.0 * ax;  // 2^27 + 1
+  const double hi = c - (c - ax);
+  const double lo = ax - hi;
+  const double sq = ax * ax;
+  const double err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo;
+  const double e = exp_core(-0.5 * sq, -0.5 * err);
+  const double t = kNormalCoreK / (kNormalCoreK + ax);
+  const double s = e * (t * normal_tail_poly(t));  // Phi(-|x|)
+  const double b = 1.0 - s;                        // Phi(|x|)
+  const bool neg = x < 0.0;
+  return {select(neg, s, b), select(neg, b, s), kInvSqrt2Pi * e};
 }
 
 }  // namespace lanes

@@ -115,7 +115,11 @@ struct KernelTable {
 
   /// The branch-free Clark max arithmetic loop over n lanes (validation is
   /// the caller's job; see stats/clark.cpp).  Five SoA outputs mirror
-  /// stats::ClarkLanes.
+  /// stats::ClarkLanes.  Aliasing contract: an output may be the same
+  /// array as an input (lane k's inputs are read before its outputs are
+  /// written, and the loop carries `#pragma GCC ivdep`), but no two arrays
+  /// may overlap at different offsets.  The loop calls nothing (the
+  /// Gaussian core is inlined), so it vectorizes on every backend.
   void (*clark_max_lanes)(const double* mu1, const double* sg1,
                           const double* mu2, const double* sg2,
                           const double* rho, std::size_t n, double* out_mean,

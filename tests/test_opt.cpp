@@ -335,6 +335,19 @@ TEST(Sizer, GridLanesMatchReferenceLoopBitwise) {
   }
 }
 
+TEST(Sizer, RejectsAnInfiniteOutputLoad) {
+  // An infinite load makes every output gate's delay infinite: the walk
+  // then ran all its iterations and returned stat_delay NaN, no exception.
+  auto nl = sp::netlist::iscas_like("c432");
+  const auto m = model();
+  const auto spec = VariationSpec::intra_only();
+  sp::opt::SizerOptions so;
+  so.output_load = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(sp::opt::size_stage(nl, m, spec, so), std::invalid_argument);
+  EXPECT_THROW(sp::opt::size_stage_grid(nl, m, spec, so, {100.0}),
+               std::invalid_argument);
+}
+
 TEST(Sizer, RejectsBadOptions) {
   auto nl = sp::netlist::inverter_chain(4);
   const auto m = model();

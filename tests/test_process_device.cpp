@@ -427,6 +427,38 @@ TEST(AlphaPower, CellLaneFormsMatchScalarAndCheckFirst) {
   for (double v : out) EXPECT_EQ(v, -1.0);
 }
 
+TEST(AlphaPower, CellChecksRejectNonFiniteSizeOrLoad) {
+  // size <= 0 / load < 0 tests let NaN and +inf through; both forms share
+  // the one check, which now requires finite values.
+  const AlphaPowerModel m{Technology{}};
+  const VariationSpec spec = VariationSpec::intra_only();
+  const double inf = HUGE_VAL;
+  const GateKind k = GateKind::kNand2;
+  for (double bad : {std::nan(""), inf, -inf}) {
+    EXPECT_THROW((void)m.nominal_delay(k, bad, 1.0), std::invalid_argument);
+    EXPECT_THROW((void)m.dvth_sensitivity(k, bad, 1.0),
+                 std::invalid_argument);
+    EXPECT_THROW((void)m.delay_sigmas(k, bad, 1.0, spec),
+                 std::invalid_argument);
+  }
+  for (double bad : {std::nan(""), inf}) {
+    EXPECT_THROW((void)m.nominal_delay(k, 1.0, bad), std::invalid_argument);
+    EXPECT_THROW((void)m.delay(k, 1.0, bad, 0.0), std::invalid_argument);
+    EXPECT_THROW((void)m.delay_sigmas(k, 1.0, bad, spec),
+                 std::invalid_argument);
+  }
+  double sz[3] = {1.0, 1.0, 1.0};
+  double ld[3] = {1.0, 1.0, inf};
+  double out[3] = {-1.0, -1.0, -1.0};
+  EXPECT_THROW(m.nominal_delay_lanes(k, sz, ld, 3, out),
+               std::invalid_argument);
+  ld[2] = 1.0;
+  sz[1] = std::nan("");
+  EXPECT_THROW(m.delay_sigmas_lanes(k, sz, ld, 3, spec, {out, out, out}),
+               std::invalid_argument);
+  for (double v : out) EXPECT_EQ(v, -1.0);
+}
+
 TEST(AlphaPower, FactorAgreesWithLibmPow) {
   // variation_factor now runs on the shared polynomial pow core; it must
   // still track the libm formula to ~1e-13 relative over the sampling

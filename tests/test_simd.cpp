@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -192,6 +193,76 @@ TEST(SimdMatrix, ClarkMaxLanesMatchesScalarClarkBitwise) {
         ASSERT_EQ(oa[j], cm.alpha);
         ASSERT_EQ(oaa[j], cm.a);
         ASSERT_EQ(op[j], cm.phi_a);
+      }
+    }
+  }
+
+  // Edge lanes of the Gaussian core, cycled over every width: |alpha| from
+  // +-0 up to 40 (the core clamps at 39) and past exp's underflow, huge
+  // mean gaps, and a degenerate lane.  With s1 = 1, s2 = 0, rho = 0 the
+  // difference sigma a is exactly 1, so alpha is mu1 - mu2.
+  struct Lane {
+    double m1, s1, m2, s2, rho;
+  };
+  std::vector<Lane> edge;
+  for (double al : {0.0, -0.0, 1e-300, 1e-8, 0.5, 1.0, 5.0, 8.3, 20.0, 37.0,
+                    37.5, 38.5, 39.0, 40.0, 1e3, 1e15})
+    for (double sign : {1.0, -1.0}) edge.push_back({sign * al, 1.0, 0.0, 0.0, 0.0});
+  edge.push_back({-0.0, 1.0, 0.0, 0.0, 0.0});  // alpha = -0 - 0 = -0
+  edge.push_back({1e150, 3.0, -1e150, 4.0, 0.25});
+  edge.push_back({-1e150, 3.0, 1e150, 4.0, -0.25});
+  edge.push_back({1e12, 0.5, 1e12 + 1.0, 0.5, 1.0});  // degenerate: a = 0
+  edge.push_back({2.0, 1e-3, 2.0, 1e-3, 1.0 + 5e-10});  // rho clamps to 1
+  for (simd::Backend b : simd::detected_backends()) {
+    BackendGuard guard(b);
+    for (std::size_t w : matrix_widths(simd::kernels().max_width)) {
+      std::vector<double> m1(w), s1(w), m2(w), s2(w), rho(w);
+      for (std::size_t j = 0; j < w; ++j) {
+        const Lane& l = edge[j % edge.size()];
+        m1[j] = l.m1;
+        s1[j] = l.s1;
+        m2[j] = l.m2;
+        s2[j] = l.s2;
+        rho[j] = l.rho;
+      }
+      // Once out of place, once in place (out.mean == x1.mean, and the
+      // other outputs over the remaining inputs index for index).
+      for (bool in_place : {false, true}) {
+        std::vector<double> im1 = m1, is1 = s1, im2 = m2, is2 = s2,
+                            irho = rho;
+        std::vector<double> om(w), os(w), oa(w), oaa(w), op(w);
+        const sp::stats::ClarkLanes out =
+            in_place ? sp::stats::ClarkLanes{im1.data(), is1.data(),
+                                             im2.data(), is2.data(),
+                                             irho.data()}
+                     : sp::stats::ClarkLanes{om.data(), os.data(), oa.data(),
+                                             oaa.data(), op.data()};
+        sp::stats::clark_max_lanes({im1.data(), is1.data()},
+                                   {im2.data(), is2.data()}, irho.data(), w,
+                                   out);
+        for (std::size_t j = 0; j < w; ++j) {
+          const auto cm = sp::stats::clark_max({m1[j], s1[j]}, {m2[j], s2[j]},
+                                               rho[j]);
+          const std::string where = std::string(simd::backend_name(b)) +
+                                    " w=" + std::to_string(w) + " lane " +
+                                    std::to_string(j) +
+                                    (in_place ? " in place" : "");
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(out.mean[j]),
+                    std::bit_cast<std::uint64_t>(cm.max.mean))
+              << where;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(out.sigma[j]),
+                    std::bit_cast<std::uint64_t>(cm.max.sigma))
+              << where;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(out.alpha[j]),
+                    std::bit_cast<std::uint64_t>(cm.alpha))
+              << where;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(out.a[j]),
+                    std::bit_cast<std::uint64_t>(cm.a))
+              << where;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(out.phi_a[j]),
+                    std::bit_cast<std::uint64_t>(cm.phi_a))
+              << where;
+        }
       }
     }
   }

@@ -568,6 +568,20 @@ TEST(CharacterizeGrid, RejectsMissingOutputs) {
 
 // --------------------------------------------------------- characterization
 
+TEST(Characterize, SstaRejectsANonFiniteOutputLoad) {
+  // The cell check now requires a finite load: an infinite or NaN output
+  // load used to come back as mean NaN, sigma 0.
+  const auto nl = sp::netlist::iscas_like("c432");
+  const auto m = model();
+  for (double bad : {HUGE_VAL, std::nan("")}) {
+    SCOPED_TRACE("output_load " + std::to_string(bad));
+    sp::sta::CharacterizeOptions co;
+    co.output_load = bad;
+    EXPECT_THROW((void)sp::sta::characterize_ssta(nl, m, VariationSpec{}, co),
+                 std::invalid_argument);
+  }
+}
+
 TEST(Characterize, InterOnlySplitsAllSigmaToShared) {
   const auto nl = sp::netlist::inverter_chain(8);
   const auto m = model();

@@ -1,12 +1,17 @@
-// Unit tests for the stats substrate: Gaussian primitives, Clark's
-// operator, matrices, samplers, histograms, KS distance.
+// Unit tests for the stats substrate: Gaussian primitives and their core
+// (against the mpmath table in normal_table.inc), Clark's operator,
+// matrices, samplers, histograms, KS distance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "stats/clark.h"
@@ -89,6 +94,127 @@ TEST(Gaussian, DegenerateSigmaCdf) {
   const sp::Gaussian d{5.0, 0.0};
   EXPECT_DOUBLE_EQ(d.cdf(4.999), 0.0);
   EXPECT_DOUBLE_EQ(d.cdf(5.0), 1.0);
+}
+
+// ------------------------------------------------------------ Gaussian core
+
+namespace {
+
+struct NormalRef {
+  double x;
+  long double cdf, sf, pdf;  // mpmath, 30 digits
+};
+
+// tools/gen_normal_core.py writes this table with the core's coefficients.
+const NormalRef kNormalTable[] = {
+#include "normal_table.inc"
+};
+
+long double rel_err(double got, long double want) {
+  return std::fabs((static_cast<long double>(got) - want) / want);
+}
+
+}  // namespace
+
+TEST(NormalCore, MatchesMpmathTableWithinStatedBound) {
+  // The bound is no looser than the libm path it replaced, whose maximum
+  // relative error of min(Phi(x), Phi(-x)) on a 0.01 grid was 3.2e-15 for
+  // |x| <= 5, 5.2e-14 for |x| <= 20 and 1.8e-13 for |x| <= 37.  Past the
+  // point where the tail turns subnormal, relative error is meaningless;
+  // the absolute error must stay within two subnormal steps.
+  constexpr long double kRelBound = 1e-15L;
+  constexpr long double kSubnormalAbs = 2.0L * 0x1p-1074L;
+  ASSERT_GE(std::size(kNormalTable), 200u);
+  long double worst_tail = 0.0L, worst_pdf = 0.0L;
+  for (const NormalRef& r : kNormalTable) {
+    SCOPED_TRACE("x = " + std::to_string(r.x));
+    ASSERT_LE(std::fabs(r.x), 38.0);
+    const sp::lanes::NormalCore g = sp::lanes::normal_core(r.x);
+    // The tail side carries the relative accuracy; the other side is
+    // 1 - tail, so its error is the tail's absolute error.
+    const bool neg = r.x < 0.0;
+    const double tail = neg ? g.cdf : g.sf;
+    const double body = neg ? g.sf : g.cdf;
+    const long double tail_ref = neg ? r.cdf : r.sf;
+    const long double body_ref = neg ? r.sf : r.cdf;
+    if (tail_ref >= static_cast<long double>(DBL_MIN)) {
+      worst_tail = std::max(worst_tail, rel_err(tail, tail_ref));
+      EXPECT_LE(rel_err(tail, tail_ref), kRelBound);
+    } else {
+      EXPECT_LE(std::fabs(tail - tail_ref), kSubnormalAbs);
+    }
+    EXPECT_LE(rel_err(body, body_ref), kRelBound);
+    if (r.pdf >= static_cast<long double>(DBL_MIN)) {
+      worst_pdf = std::max(worst_pdf, rel_err(g.pdf, r.pdf));
+      EXPECT_LE(rel_err(g.pdf, r.pdf), kRelBound);
+    } else {
+      EXPECT_LE(std::fabs(g.pdf - r.pdf), kSubnormalAbs);
+    }
+    // The stats:: wrappers are the core, bit for bit.
+    EXPECT_EQ(sp::normal_cdf(r.x), g.cdf);
+    EXPECT_EQ(sp::normal_sf(r.x), g.sf);
+    EXPECT_EQ(sp::normal_pdf(r.x), g.pdf);
+  }
+  RecordProperty("max_rel_err_tail", std::to_string(worst_tail));
+  RecordProperty("max_rel_err_pdf", std::to_string(worst_pdf));
+}
+
+TEST(NormalCore, ExactAnchors) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double zero : {0.0, -0.0}) {
+    const sp::lanes::NormalCore g = sp::lanes::normal_core(zero);
+    EXPECT_EQ(g.cdf, 0.5);
+    EXPECT_EQ(g.sf, 0.5);
+    EXPECT_EQ(g.pdf, 0x1.9884533d43651p-2);  // 1/sqrt(2 pi), rounded
+  }
+  const sp::lanes::NormalCore hi = sp::lanes::normal_core(inf);
+  EXPECT_EQ(hi.cdf, 1.0);
+  EXPECT_EQ(hi.sf, 0.0);
+  EXPECT_EQ(hi.pdf, 0.0);
+  const sp::lanes::NormalCore lo = sp::lanes::normal_core(-inf);
+  EXPECT_EQ(lo.cdf, 0.0);
+  EXPECT_EQ(lo.sf, 1.0);
+  EXPECT_EQ(lo.pdf, 0.0);
+  const sp::lanes::NormalCore nan = sp::lanes::normal_core(std::nan(""));
+  EXPECT_TRUE(std::isnan(nan.cdf));
+  EXPECT_TRUE(std::isnan(nan.sf));
+  EXPECT_TRUE(std::isnan(nan.pdf));
+  EXPECT_EQ(sp::normal_cdf(-1e300), 0.0);
+  EXPECT_EQ(sp::normal_cdf(1e300), 1.0);
+}
+
+TEST(NormalCore, MonotoneAndComplementaryOnADenseGrid) {
+  // Phi non-decreasing and phi symmetric at every step of 2^-12 over
+  // [-40, 40]; Phi(x) + Phi(-x) within one ulp of 1.
+  double prev = 0.0;
+  for (int i = -40 * 4096; i <= 40 * 4096; ++i) {
+    const double x = i * 0x1p-12;
+    const sp::lanes::NormalCore g = sp::lanes::normal_core(x);
+    ASSERT_GE(g.cdf, prev) << "x = " << x;
+    prev = g.cdf;
+    ASSERT_EQ(g.pdf, sp::lanes::normal_core(-x).pdf) << "x = " << x;
+    ASSERT_EQ(g.cdf, sp::lanes::normal_core(-x).sf) << "x = " << x;
+    ASSERT_LE(std::fabs((g.cdf + g.sf) - 1.0), 0x1p-52) << "x = " << x;
+  }
+}
+
+TEST(NormalCore, ExpCoreAnchors) {
+  EXPECT_EQ(sp::lanes::exp_core(0.0, 0.0), 1.0);
+  EXPECT_EQ(sp::lanes::exp_core(-0.0, 0.0), 1.0);
+  // Below -745.14, exp rounds to zero: the core returns +0, -inf included.
+  for (double y : {-745.2, -760.0, -768.0, -1000.0, -1e300,
+                   -std::numeric_limits<double>::infinity()}) {
+    const double e = sp::lanes::exp_core(y, 0.0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(e), 0u) << "y = " << y;
+  }
+  // Gradual underflow just above the threshold, normal results elsewhere.
+  EXPECT_GT(sp::lanes::exp_core(-745.0, 0.0), 0.0);
+  EXPECT_LT(sp::lanes::exp_core(-745.0, 0.0), DBL_MIN);
+  EXPECT_TRUE(std::isnan(sp::lanes::exp_core(std::nan(""), 0.0)));
+  for (double y : {-1e-8, -0.3, -1.0, -20.0, -300.0, -700.0}) {
+    EXPECT_NEAR(sp::lanes::exp_core(y, 0.0) / std::exp(y), 1.0, 4e-16)
+        << "y = " << y;
+  }
 }
 
 // ---------------------------------------------------------------- Clark op
@@ -200,6 +326,31 @@ TEST(ClarkLanes, RejectsInvalidLanesLikeScalar) {
   double ok_rho[2] = {0.0, 0.0};
   double bad_s[2] = {1.0, -0.5};
   EXPECT_THROW(sp::clark_max_lanes({mu1, bad_s}, {mu2, s2}, ok_rho, 2, out),
+               std::invalid_argument);
+}
+
+TEST(Clark, RejectsNaNSigmaOrRho) {
+  // NaN fails the sigma >= 0 and |rho| <= 1 checks, scalar and lanes alike
+  // (the lane kernel has no control flow left to catch it).
+  const double nan = std::nan("");
+  EXPECT_THROW(sp::clark_max({0.0, nan}, {0.0, 1.0}, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(sp::clark_max({0.0, 1.0}, {0.0, nan}, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(sp::clark_max({0.0, 1.0}, {0.0, 1.0}, nan),
+               std::invalid_argument);
+  double mu1[2] = {1.0, 2.0}, s1[2] = {1.0, 1.0};
+  double mu2[2] = {0.0, 0.0}, s2[2] = {1.0, 1.0};
+  double out_m[2], out_s[2], out_al[2], out_a[2], out_p[2];
+  const sp::ClarkLanes out{out_m, out_s, out_al, out_a, out_p};
+  double nan_rho[2] = {0.0, nan};
+  EXPECT_THROW(sp::clark_max_lanes({mu1, s1}, {mu2, s2}, nan_rho, 2, out),
+               std::invalid_argument);
+  double ok_rho[2] = {0.0, 0.0};
+  double nan_s[2] = {1.0, nan};
+  EXPECT_THROW(sp::clark_max_lanes({mu1, nan_s}, {mu2, s2}, ok_rho, 2, out),
+               std::invalid_argument);
+  EXPECT_THROW(sp::clark_max_lanes({mu1, s1}, {mu2, nan_s}, ok_rho, 2, out),
                std::invalid_argument);
 }
 
