@@ -66,7 +66,7 @@ PipelineModel build(const std::vector<const netlist::Netlist*>& stages,
 PipelineModel build_pipeline_ssta(
     const std::vector<const netlist::Netlist*>& stages,
     const device::AlphaPowerModel& model, const process::VariationSpec& spec,
-    const device::LatchModel& latch, const sta::CharacterizeOptions& opt) {
+    const device::LatchModel& latch, const sta::SstaOptions& opt) {
   return build(stages, latch, spec,
                [&](const netlist::Netlist& nl, std::size_t) {
                  return sta::characterize_ssta(nl, model, spec, opt);

@@ -33,8 +33,7 @@ PipelineModel assemble_pipeline(
 PipelineModel build_pipeline_ssta(
     const std::vector<const netlist::Netlist*>& stages,
     const device::AlphaPowerModel& model, const process::VariationSpec& spec,
-    const device::LatchModel& latch,
-    const sta::CharacterizeOptions& opt = {});
+    const device::LatchModel& latch, const sta::SstaOptions& opt = {});
 
 /// Same, with Monte-Carlo characterization (the SPICE-accurate path of
 /// section 2.4's verification flow).

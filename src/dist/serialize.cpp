@@ -180,9 +180,7 @@ void write_stage_characterization(ByteWriter& w,
   w.f64(c.delay.mean);
   w.f64(c.delay.sigma);
   w.f64(c.sigma_inter);
-  w.f64(c.sigma_private);
   w.f64(c.area);
-  w.f64(c.nominal_delay);
 }
 
 sta::StageCharacterization read_stage_characterization(ByteReader& r) {
@@ -190,9 +188,7 @@ sta::StageCharacterization read_stage_characterization(ByteReader& r) {
   c.delay.mean = r.f64();
   c.delay.sigma = r.f64();
   c.sigma_inter = r.f64();
-  c.sigma_private = r.f64();
   c.area = r.f64();
-  c.nominal_delay = r.f64();
   return c;
 }
 
@@ -329,9 +325,9 @@ std::vector<sta::StageCharacterization> deserialize_characterizations(
                              std::to_string(version) + " (this build speaks " +
                              std::to_string(kWireVersion) + ")");
   const std::uint64_t n = r.u64();
-  // A serialized StageCharacterization is 48 bytes; same hostile-length
+  // A serialized StageCharacterization is 32 bytes; same hostile-length
   // rationale as read_mc_result's stage count.
-  if (n > r.remaining() / 48)
+  if (n > r.remaining() / 32)
     throw std::runtime_error("dist: truncated payload (" + std::to_string(n) +
                              " lanes, " + std::to_string(r.remaining()) +
                              " bytes left)");

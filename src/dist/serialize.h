@@ -43,9 +43,10 @@ namespace statpipe::dist {
 /// kResult frames with the kRangeDone commit marker; v4 (service wire)
 /// added the session_id/request_id header fields plus the client/service
 /// message types (kClientHello..kRelease) so one resident fleet serves
-/// many descriptors from many concurrent sessions.
+/// many descriptors from many concurrent sessions; v5 shrank the
+/// StageCharacterization record (a kSstaGrid unit) from 48 to 32 bytes.
 inline constexpr std::uint32_t kWireMagic = 0x31445053;
-inline constexpr std::uint16_t kWireVersion = 4;
+inline constexpr std::uint16_t kWireVersion = 5;
 
 /// Append-only little-endian byte sink.
 class ByteWriter {
@@ -109,7 +110,7 @@ stats::RunningStats read_running_stats(ByteReader& r);
 void write_mc_result(ByteWriter& w, const mc::McResult& r);
 mc::McResult read_mc_result(ByteReader& r);
 
-/// Six f64 fields in declaration order (48 bytes) — the unit payload of a
+/// Four f64 fields in declaration order (32 bytes) — the unit payload of a
 /// kSstaGrid lane.  Exact bit patterns, so a lane that crossed the wire is
 /// indistinguishable from one computed locally.
 void write_stage_characterization(ByteWriter& w,

@@ -45,7 +45,7 @@ std::size_t task_unit_count(const RunDescriptor& desc) {
 
 std::size_t task_unit_wire_bytes(const RunDescriptor& desc) {
   if (desc.task_kind == TaskKind::kSstaGrid)
-    return 64;  // 48-byte StageCharacterization + index and slack
+    return 48;  // 32-byte StageCharacterization + index and slack
   return static_cast<std::size_t>(desc.samples_per_shard) * 8;
 }
 

@@ -46,7 +46,7 @@ std::size_t task_unit_count(const RunDescriptor& desc);
 
 /// Serialized per-unit payload size estimate for frame-budget checks: a
 /// shard's McResult scales with samples_per_shard; a grid lane is a fixed
-/// 48-byte StageCharacterization.
+/// 32-byte StageCharacterization.
 std::size_t task_unit_wire_bytes(const RunDescriptor& desc);
 
 /// Receives one serialized unit payload as it completes.  The runner calls

@@ -119,6 +119,7 @@ netlist::Netlist build_grid_stage(const RunDescriptor& desc) {
         "dist: ssta-grid descriptor with an empty size grid");
   sta::check_size_grid(nl, desc.size_grid,
                        sta::SstaOptions{.output_load = desc.output_load});
+  process::check_variation_spec(descriptor_spec(desc));
   if (desc.netlist_hash != 0) {
     const std::uint64_t h =
         netlist::fnv1a_fold(netlist::kFnvOffsetBasis, nl.structural_hash());

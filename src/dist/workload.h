@@ -92,7 +92,8 @@ void set_descriptor_technology(RunDescriptor& d,
 /// Rebuilds and validates the single stage netlist of a kSstaGrid
 /// descriptor: exactly one circuit name, a non-empty size grid that
 /// passes sta::check_size_grid (full-length lanes of finite positive
-/// sizes, a finite non-negative output_load), and (when desc.netlist_hash
+/// sizes, a finite non-negative output_load), a spec that passes
+/// process::check_variation_spec, and (when desc.netlist_hash
 /// != 0) a structural-hash match.  Throws std::invalid_argument naming the
 /// offending field; both finalize_descriptor and the worker-side grid
 /// assembly (dist/task.h) go through it, so coordinator and worker agree

@@ -28,8 +28,7 @@ GlobalPipelineOptimizer::GlobalPipelineOptimizer(
 }
 
 core::PipelineModel GlobalPipelineOptimizer::current_model() const {
-  return model_from(
-      characterize_stages(sta::CharacterizeOptions{}.output_load));
+  return model_from(characterize_stages(sta::SstaOptions{}.output_load));
 }
 
 std::vector<sta::StageCharacterization>
@@ -151,7 +150,6 @@ GlobalOptimizerResult GlobalPipelineOptimizer::optimize(
     sim::parallel_for(n, [&](std::size_t i) {
       netlist::Netlist work = *stages_[i];
       SweepOptions sw = opt.sweep;
-      sw.yield_target = opt.sizer.yield_target;
       sw.sizer = opt.sizer;
       try {
         const auto sweep = area_delay_sweep(work, *model_, spec_, sw);

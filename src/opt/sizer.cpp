@@ -146,11 +146,9 @@ template class LrStage<1>;
 double stat_delay(const Netlist& nl, const device::AlphaPowerModel& model,
                   const process::VariationSpec& spec, double yield_target,
                   double output_load) {
-  sta::SstaOptions so;
-  so.output_load = output_load;
-  const auto d = sta::analyze_ssta(nl, model, spec, so);
-  const double z = stats::normal_icdf(yield_target);
-  return d.mu + z * d.sigma();
+  const auto c = sta::characterize_ssta(nl, model, spec,
+                                       {.output_load = output_load});
+  return c.delay.mean + stats::normal_icdf(yield_target) * c.delay.sigma;
 }
 
 namespace {

@@ -50,7 +50,6 @@ SweepResult area_delay_sweep(netlist::Netlist& nl,
   // Find the fastest achievable statistical delay: size everything at an
   // aggressive (tiny) target; the sizer saturates at its speed limit.
   SizerOptions fast = opt.sizer;
-  fast.yield_target = opt.yield_target;
   fast.t_target = 1e-3;
   const double d_min = size_stage(nl, model, spec, fast).stat_delay;
 
@@ -63,10 +62,8 @@ SweepResult area_delay_sweep(netlist::Netlist& nl,
     targets[k] = d_min * 1.02 + (d_max - d_min * 1.02) *
                                     static_cast<double>(k) /
                                     static_cast<double>(opt.points - 1);
-  SizerOptions so = opt.sizer;
-  so.yield_target = opt.yield_target;
   std::vector<std::vector<double>> cand_sizes;
-  for (auto& lane : size_stage_grid(nl, model, spec, so, targets))
+  for (auto& lane : size_stage_grid(nl, model, spec, opt.sizer, targets))
     cand_sizes.push_back(std::move(lane.sizes));
 
   // Score the whole candidate grid in one batched SSTA pass: one topological
@@ -79,7 +76,7 @@ SweepResult area_delay_sweep(netlist::Netlist& nl,
   ssta_opt.output_load = opt.sizer.output_load;
   const auto chars =
       sta::characterize_grid(nl, model, cand_sizes, spec, ssta_opt, opt.grid);
-  const double z = stats::normal_icdf(opt.yield_target);
+  const double z = stats::normal_icdf(opt.sizer.yield_target);
 
   // Deterministic selection in target order with the usual monotone filter:
   // accept only points that trade delay for strictly less area.

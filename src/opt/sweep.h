@@ -17,9 +17,9 @@ namespace statpipe::opt {
 
 struct SweepOptions {
   std::size_t points = 12;        ///< number of delay targets to probe
-  double yield_target = 0.95;     ///< statistical metric mu + z*sigma
   double slow_factor = 2.0;       ///< slowest target = fastest * slow_factor
-  SizerOptions sizer;             ///< inner sizing options (t_target ignored)
+  SizerOptions sizer;             ///< inner sizing options (t_target ignored;
+                                  ///< yield_target sets mu + z*sigma)
   /// Whole-grid characterization backend for the sweep's candidate grids
   /// (an ExecutionOptions-style switch): empty = the local path;
   /// dist::grid_characterizer(...) = submit each grid to a cluster.  Any

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/telemetry.h"
@@ -40,6 +41,24 @@ VariationSpec VariationSpec::inter_intra(double sigma_v_inter,
   s.correlation_length = corr_length;
   s.enable_rdf = true;
   return s;
+}
+
+void check_variation_spec(const VariationSpec& spec) {
+  const std::pair<const char*, double> sigmas[] = {
+      {"sigma_vth_inter", spec.sigma_vth_inter},
+      {"sigma_vth_systematic", spec.sigma_vth_systematic},
+      {"sigma_l_inter_rel", spec.sigma_l_inter_rel},
+      {"sigma_l_systematic_rel", spec.sigma_l_systematic_rel}};
+  for (const auto& [field, v] : sigmas)
+    if (!(std::isfinite(v) && v >= 0.0))
+      throw std::invalid_argument("variation spec: " + std::string(field) +
+                                  " " + std::to_string(v) +
+                                  " is not finite and >= 0");
+  if (spec.has_systematic() && !(spec.correlation_length > 0.0))
+    throw std::invalid_argument(
+        "variation spec: correlation_length " +
+        std::to_string(spec.correlation_length) +
+        " must be > 0 with a systematic component");
 }
 
 double DieSample::dvth_at(std::size_t i, double width_mult) const {
@@ -87,15 +106,10 @@ VariationSampler::VariationSampler(Technology tech, VariationSpec spec,
     : tech_(tech), spec_(spec), positions_(std::move(site_positions)) {
   if (positions_.empty())
     throw std::invalid_argument("VariationSampler: no device sites");
-  if (spec_.sigma_vth_inter < 0.0 || spec_.sigma_vth_systematic < 0.0)
-    throw std::invalid_argument("VariationSampler: negative sigma");
-  has_systematic_ = spec_.sigma_vth_systematic > 0.0 ||
-                    spec_.sigma_l_systematic_rel > 0.0;
+  check_variation_spec(spec_);
+  has_systematic_ = spec_.has_systematic();
   if (!has_systematic_) return;
   const double L = spec_.correlation_length;
-  if (!(L > 0.0))  // also rejects NaN
-    throw std::invalid_argument(
-        "VariationSampler: correlation_length must be > 0");
   // (position, index) pairs sort into the stable position order.
   const std::size_t n = positions_.size();
   std::vector<std::pair<double, std::size_t>> sorted(n);

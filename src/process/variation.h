@@ -72,7 +72,19 @@ struct VariationSpec {
   static VariationSpec inter_intra(double sigma_v_inter,
                                    double sigma_v_systematic = 0.010,
                                    double corr_length = 0.5);
+
+  /// True when a systematic (spatially correlated) component is on.
+  bool has_systematic() const noexcept {
+    return sigma_vth_systematic > 0.0 || sigma_l_systematic_rel > 0.0;
+  }
 };
+
+/// Throws std::invalid_argument, naming the field, unless every sigma of
+/// `spec` is finite and >= 0 and, with a systematic component on,
+/// correlation_length is > 0 (not NaN).  The one spec check: the
+/// VariationSampler, the SSTA lane evaluator (sta::SizeLanes, under
+/// characterize_grid and the sizer) and dist::build_grid_stage run it.
+void check_variation_spec(const VariationSpec& spec);
 
 /// One sampled die: parameter shifts for every device site.
 struct DieSample {
@@ -142,8 +154,8 @@ struct BlockWorkspace {
 /// sampler are safe as long as each caller owns its Rng/workspace.
 class VariationSampler {
  public:
-  /// Throws std::invalid_argument on no sites, a negative Vth sigma, or,
-  /// with a systematic component, a non-finite position or length <= 0.
+  /// Throws std::invalid_argument on no sites, a spec check_variation_spec
+  /// rejects, or, with a systematic component, a non-finite position.
   VariationSampler(Technology tech, VariationSpec spec,
                    std::vector<double> site_positions);
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "sta/ssta_batch.h"
 #include "stats/descriptive.h"
 
 namespace statpipe::sta {
@@ -35,43 +36,17 @@ StageCharacterization characterize_mc(const netlist::Netlist& nl,
   StageCharacterization c;
   c.delay = {stats::mean(delays), stats::stddev(delays)};
   c.area = nl.total_area();
-  c.nominal_delay = analyze(nl, model, sta_opt).critical_delay;
-
-  // Split sigma into the part explained by the shared inter-die draw
-  // (slope * sigma_inter) and the residual.
-  if (spec.sigma_vth_inter > 0.0) {
-    const double r = stats::pearson(delays, inters);
-    c.sigma_inter = std::abs(r) * c.delay.sigma;
-    const double resid = c.delay.variance() - c.sigma_inter * c.sigma_inter;
-    c.sigma_private = resid > 0.0 ? std::sqrt(resid) : 0.0;
-  } else {
-    c.sigma_inter = 0.0;
-    c.sigma_private = c.delay.sigma;
-  }
+  // The part of sigma explained by the shared inter-die draw.
+  if (spec.sigma_vth_inter > 0.0)
+    c.sigma_inter = std::abs(stats::pearson(delays, inters)) * c.delay.sigma;
   return c;
 }
 
 StageCharacterization characterize_ssta(const netlist::Netlist& nl,
                                         const device::AlphaPowerModel& model,
                                         const process::VariationSpec& spec,
-                                        const CharacterizeOptions& opt) {
-  SstaOptions ssta_opt;
-  ssta_opt.output_load = opt.output_load;
-  const CanonicalDelay d = analyze_ssta(nl, model, spec, ssta_opt);
-
-  StaOptions sta_opt;
-  sta_opt.output_load = opt.output_load;
-
-  StageCharacterization c;
-  c.delay = d.as_gaussian();
-  c.sigma_inter = std::abs(d.b_inter);
-  // Systematic is shared within the stage but private across stages (the
-  // spatial field decorrelates between stage placements).
-  c.sigma_private =
-      std::sqrt(d.b_sys * d.b_sys + d.sigma_ind * d.sigma_ind);
-  c.area = nl.total_area();
-  c.nominal_delay = analyze(nl, model, sta_opt).critical_delay;
-  return c;
+                                        const SstaOptions& opt) {
+  return characterize_grid(nl, model, {nl.sizes()}, spec, opt)[0];
 }
 
 }  // namespace statpipe::sta

@@ -16,13 +16,13 @@
 
 namespace statpipe::sta {
 
-/// Combinational-delay statistics of one stage netlist.
+/// Combinational-delay statistics of one stage netlist: what the pipeline
+/// model (eqs. 4-6) and the optimizers read.  From SSTA it is the
+/// canonical form's projection (mu, sigma, |b_inter|) plus the cell area.
 struct StageCharacterization {
   stats::Gaussian delay;        ///< total T_comb distribution [ps]
   double sigma_inter = 0.0;     ///< shared (inter-die) sigma component
-  double sigma_private = 0.0;   ///< stage-private sigma component
   double area = 0.0;            ///< total cell area [min-inv areas]
-  double nominal_delay = 0.0;   ///< variation-free critical delay [ps]
 };
 
 struct CharacterizeOptions {
@@ -31,19 +31,21 @@ struct CharacterizeOptions {
 };
 
 /// Monte-Carlo characterization (the SPICE stand-in): samples dies, runs
-/// sample STA, returns mean/sigma.  The inter/private split is estimated by
-/// regressing delay on the inter-die draw.
+/// sample STA, returns mean/sigma.  sigma_inter is estimated by regressing
+/// delay on the inter-die draw.
 StageCharacterization characterize_mc(const netlist::Netlist& nl,
                                       const device::AlphaPowerModel& model,
                                       const process::VariationSpec& spec,
                                       stats::Rng& rng,
                                       const CharacterizeOptions& opt = {});
 
-/// Analytical characterization via canonical-form SSTA — orders of
-/// magnitude faster; used inside the sizing optimizer's inner loop.
+/// Analytical characterization via canonical-form SSTA at nl's sizes —
+/// orders of magnitude faster than characterize_mc.  The one-lane
+/// characterize_grid call (sta/ssta_batch.h), so every SSTA
+/// characterization comes from one producer.
 StageCharacterization characterize_ssta(const netlist::Netlist& nl,
                                         const device::AlphaPowerModel& model,
                                         const process::VariationSpec& spec,
-                                        const CharacterizeOptions& opt = {});
+                                        const SstaOptions& opt = {});
 
 }  // namespace statpipe::sta

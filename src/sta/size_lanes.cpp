@@ -55,6 +55,7 @@ SizeLanes<kLanes>::SizeLanes(const netlist::Netlist& nl,
       in_(lanes) {
   if (kLanes > 0 && lanes != kLanes)
     throw std::logic_error("SizeLanes: lane count differs from kLanes");
+  process::check_variation_spec(spec);
   const auto& gates = nl.gates();
   for (GateId id = 0; id < nl.size(); ++id)
     std::fill_n(&size_[id * lanes], lanes, gates[id].size);

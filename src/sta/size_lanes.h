@@ -41,7 +41,8 @@ void check_size_grid(const netlist::Netlist& nl,
 template <std::size_t kLanes>
 class SizeLanes {
  public:
-  /// Every lane starts at nl's sizes.
+  /// Every lane starts at nl's sizes.  Throws std::invalid_argument on a
+  /// spec process::check_variation_spec rejects.
   SizeLanes(const netlist::Netlist& nl, const device::AlphaPowerModel& model,
             const process::VariationSpec& spec, double output_load, double z,
             std::size_t lanes = kLanes);

@@ -110,6 +110,12 @@ struct SstaOptions {
   double output_load = 2.0;
 };
 
+// The scalar references.  gate_canonical_delay, analyze_ssta and
+// fold_ssta are what the tests hold the lane evaluator (sta::SizeLanes)
+// and characterize_grid to, bit for bit; no other library code calls
+// them.  Characterizations come from characterize_grid
+// (sta/ssta_batch.h).
+
 /// Canonical delay of one cell instance under the variation spec.
 CanonicalDelay gate_canonical_delay(const netlist::Netlist& nl,
                                     netlist::GateId id,
@@ -118,7 +124,8 @@ CanonicalDelay gate_canonical_delay(const netlist::Netlist& nl,
                                     const SstaOptions& opt = {});
 
 /// Full-netlist SSTA: canonical arrival at the critical output.  This is
-/// fold_ssta over every gate's gate_canonical_delay.
+/// fold_ssta over every gate's gate_canonical_delay: the scalar reference
+/// of one characterize_grid lane.
 CanonicalDelay analyze_ssta(const netlist::Netlist& nl,
                             const device::AlphaPowerModel& model,
                             const process::VariationSpec& spec,

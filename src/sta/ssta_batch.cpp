@@ -25,8 +25,8 @@ std::size_t block_lanes(std::size_t lanes) {
 }
 
 /// Characterizes lanes grid[0 .. L) into out[0 .. L) in one walk of
-/// `lanes`, an evaluator of width L at z = 0, whose arrivals are then the
-/// nominal STA's.
+/// `lanes`, an evaluator of width L.  The one map from the canonical form
+/// to a StageCharacterization.
 template <class Lanes>
 void characterize_block(const netlist::Netlist& nl, Lanes& lanes,
                         const std::vector<double>* grid,
@@ -46,21 +46,9 @@ void characterize_block(const netlist::Netlist& nl, Lanes& lanes,
   CanonicalLaneArrays res(1, L);
   lanes.fold_ssta(res.at(0));
 
-  const std::vector<double>& arrival = lanes.arrivals();
   for (std::size_t k = 0; k < L; ++k) {
     const CanonicalDelay d = res.at(0).load(k);
-    StageCharacterization& c = out[k];
-    c.delay = d.as_gaussian();
-    c.sigma_inter = std::abs(d.b_inter);
-    // Same split as characterize_ssta: systematic is shared within the
-    // stage but private across stages.
-    c.sigma_private = std::sqrt(d.b_sys * d.b_sys + d.sigma_ind * d.sigma_ind);
-    c.area = area[k];
-    // sta::analyze's critical delay: the last maximal output arrival.
-    double critical = 0.0;
-    for (netlist::GateId o : nl.outputs())
-      if (arrival[o * L + k] >= critical) critical = arrival[o * L + k];
-    c.nominal_delay = critical;
+    out[k] = {d.as_gaussian(), std::abs(d.b_inter), area[k]};
   }
 }
 

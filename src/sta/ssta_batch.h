@@ -6,14 +6,17 @@
 // many per-gate size assignments.  characterize_grid runs the lanes
 // through the lane evaluator (sta::SizeLanes, sta/size_lanes.h) in narrow
 // blocks over the shared pool: one topological walk per block computes
-// every lane's loads, canonical delays and nominal arrivals, then one lane
-// fold (fold_ssta_lanes) gives each lane's critical-output delay.
+// every lane's loads and canonical delays, then one lane fold
+// (fold_ssta_lanes) gives each lane's critical-output delay.  It is the
+// only producer of SSTA characterizations: characterize_ssta is its
+// one-lane call.
 //
 // Determinism contract: per lane, the walk executes exactly the
-// floating-point sequence of the scalar path, so
+// floating-point sequence of the scalar references, so with nl_k a copy of
+// nl carrying grid[k] and d = analyze_ssta(nl_k, model, spec, opt),
 //
 //   characterize_grid(nl, model, grid, spec, opt)[k]
-//     == characterize_ssta(nl_with(grid[k]), model, spec, {.output_load})
+//     == {d.as_gaussian(), |d.b_inter|, nl_k.total_area()}
 //
 // bitwise, for every k.  Lanes carry no random state, so results are also
 // independent of how the grid is cut into blocks, of the thread count, and

@@ -34,7 +34,8 @@ struct StaResult {
                                              const StaOptions& opt = {}) const;
 };
 
-/// Nominal (variation-free) STA.
+/// Nominal (variation-free) STA; also the scalar reference of the lane
+/// evaluator's z = 0 arrivals (sta::SizeLanes).
 StaResult analyze(const netlist::Netlist& nl,
                   const device::AlphaPowerModel& model,
                   const StaOptions& opt = {});

@@ -196,13 +196,6 @@ void RngBlock::normal_fill(double sigma, double* out, std::size_t n,
                                     n, stride, out);
 }
 
-void RngBlock::uniform_u64(std::uint64_t* out, std::size_t n,
-                           std::size_t stride) {
-  require_packed("uniform_u64");
-  simd::kernels().uniform_u64_lanes(s_[0], s_[1], s_[2], s_[3], width_, n,
-                                    stride, out);
-}
-
 void RngBlock::require_packed(const char* fn) const {
   if (width_ == 0)
     throw std::logic_error(std::string("RngBlock::") + fn +

@@ -16,7 +16,7 @@
 //
 // For the block Monte-Carlo path, RngBlock holds W lane streams in SoA
 // form and batches their draws through the active SIMD backend
-// (stats/simd.h's uniform_u64_lanes / normal_fill_lanes): lane j still
+// (stats/simd.h's normal_fill_lanes): lane j still
 // consumes exactly its own stream's u64 sequence, so batching reorders
 // draws only across lanes — unobservable per stream — and every lane stays
 // bitwise-identical to the same draws issued one by one on that lane's Rng.
@@ -213,10 +213,6 @@ class RngBlock {
   /// to the active SIMD backend; stride must be >= width().
   void normal_fill(double sigma, double* out, std::size_t n,
                    std::size_t stride);
-
-  /// Batched strided raw engine draws: out[i*stride + j] = the i-th u64 of
-  /// lane j.  Same layout and stride rule as normal_fill.
-  void uniform_u64(std::uint64_t* out, std::size_t n, std::size_t stride);
 
  private:
   void require_packed(const char* fn) const;

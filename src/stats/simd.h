@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD backend layer for the lane kernels.
 //
-// The lane kernels (stats/lanes.h's pow core, the branch-free Clark
-// operator, the RNG draw kernels, the block sample-STA walk) are
+// The lane kernels (the branch-free Clark operator, the normal draw
+// kernel, the block sample-STA walk over stats/lanes.h's pow core) are
 // straight-line loops a compiler can vectorize — but how *wide* it
 // vectorizes is fixed at compile time by the -m flags of the translation
 // unit.  This layer compiles the one kernel source (lanes_kernels.inl)
@@ -109,10 +109,6 @@ struct KernelTable {
   std::size_t max_width;     ///< widest block this backend accepts
   std::size_t default_width; ///< width the backend prefers (bench/CLI hint)
 
-  /// out[i] = lanes::pow_pos(x[i], y) for i < n.
-  void (*pow_pos_lanes)(const double* x, double y, std::size_t n,
-                        double* out);
-
   /// The branch-free Clark max arithmetic loop over n lanes (validation is
   /// the caller's job; see stats/clark.cpp).  Five SoA outputs mirror
   /// stats::ClarkLanes.  Aliasing contract: an output may be the same
@@ -126,23 +122,15 @@ struct KernelTable {
                           double* out_sigma, double* out_alpha, double* out_a,
                           double* out_phi);
 
-  /// Advance w interleaved xoshiro256** streams by n steps each:
-  /// out[i*stride + j] = the i-th raw u64 of lane j, states (four SoA word
-  /// planes s0..s3, lane j at index j) advanced in place.  Lane j's output
-  /// sequence is exactly Xoshiro256::operator()'s from the same state —
-  /// pure integer ops, so "bitwise per lane" here is unconditional.
-  void (*uniform_u64_lanes)(std::uint64_t* s0, std::uint64_t* s1,
-                            std::uint64_t* s2, std::uint64_t* s3,
-                            std::size_t w, std::size_t n, std::size_t stride,
-                            std::uint64_t* out);
-
-  /// Lane-batched ziggurat normal fill: out[i*stride + j] = sigma * (the
-  /// i-th standard-normal deviate of lane j's stream), states advanced in
-  /// place as in uniform_u64_lanes.  The ~98.8% rectangle-accept fast path
-  /// runs branch-free across the lane row; a rejected lane replays the
-  /// identical tail/wedge logic through ziggurat::normal_slow (stats/rng.h)
-  /// on its own state, so lane j is bitwise-equal to the same draws issued
-  /// one by one on lane j's Rng — on every backend.
+  /// Lane-batched ziggurat normal fill over w interleaved xoshiro256**
+  /// streams: out[i*stride + j] = sigma * (the i-th standard-normal deviate
+  /// of lane j's stream), for i < n, with the states (four SoA word planes
+  /// s0..s3, lane j at index j) advanced in place.  The ~98.8%
+  /// rectangle-accept fast path runs branch-free across the lane row; a
+  /// rejected lane replays the identical tail/wedge logic through
+  /// ziggurat::normal_slow (stats/rng.h) on its own state, so lane j is
+  /// bitwise-equal to the same draws issued one by one on lane j's Rng —
+  /// on every backend.
   void (*normal_fill_lanes)(std::uint64_t* s0, std::uint64_t* s1,
                             std::uint64_t* s2, std::uint64_t* s3,
                             std::size_t w, double sigma, std::size_t n,

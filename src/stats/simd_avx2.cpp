@@ -20,9 +20,7 @@ const KernelTable* avx2_table() noexcept {
       "avx2",
       /*max_width=*/32,
       /*default_width=*/16,
-      &avx2::pow_pos_lanes,
       &avx2::clark_max_lanes,
-      &avx2::uniform_u64_lanes,
       &avx2::normal_fill_lanes,
       &avx2::sta_block_walk,
   };

@@ -21,9 +21,7 @@ const KernelTable* avx512_table() noexcept {
       "avx512",
       /*max_width=*/lanes::kMaxWidth,
       /*default_width=*/32,
-      &avx512::pow_pos_lanes,
       &avx512::clark_max_lanes,
-      &avx512::uniform_u64_lanes,
       &avx512::normal_fill_lanes,
       &avx512::sta_block_walk,
   };

@@ -22,9 +22,7 @@ const KernelTable* neon_table() noexcept {
       "neon",
       /*max_width=*/16,
       /*default_width=*/8,
-      &neon::pow_pos_lanes,
       &neon::clark_max_lanes,
-      &neon::uniform_u64_lanes,
       &neon::normal_fill_lanes,
       &neon::sta_block_walk,
   };

@@ -18,9 +18,7 @@ const KernelTable* scalar_table() noexcept {
       "scalar",
       /*max_width=*/lanes::kMaxWidth,
       /*default_width=*/8,
-      &scalar::pow_pos_lanes,
       &scalar::clark_max_lanes,
-      &scalar::uniform_u64_lanes,
       &scalar::normal_fill_lanes,
       &scalar::sta_block_walk,
   };

@@ -21,9 +21,7 @@ const KernelTable* sse42_table() noexcept {
       "sse42",
       /*max_width=*/16,
       /*default_width=*/8,
-      &sse42::pow_pos_lanes,
       &sse42::clark_max_lanes,
-      &sse42::uniform_u64_lanes,
       &sse42::normal_fill_lanes,
       &sse42::sta_block_walk,
   };

@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "bad_specs.h"
 #include "dist/cluster.h"
 #include "dist/hmac.h"
 #include "dist/serialize.h"
@@ -307,6 +308,26 @@ TEST(DistWorkload, NanCorrelationLengthIsRejectedUpFront) {
   }
 }
 
+TEST(DistWorkload, DescriptorsRejectBadVariationSpecs) {
+  // Both task kinds, at finalization and at worker setup: a NaN sigma must
+  // neither run as 0 on the MC path (a result the cache would keep) nor
+  // reach a grid worker, where clark_max would throw on every retry.
+  for (const auto& base : {small_descriptor(), grid_descriptor("c432", 2)}) {
+    SCOPED_TRACE(base.task_kind == sp::dist::TaskKind::kSstaGrid ? "grid"
+                                                                 : "mc");
+    bad_specs::expect_rejected([&](const sp::process::VariationSpec& spec) {
+      auto d = base;
+      sp::dist::set_descriptor_spec(d, spec);
+      sp::dist::finalize_descriptor(d);
+    });
+    bad_specs::expect_rejected([&](const sp::process::VariationSpec& spec) {
+      auto d = base;
+      sp::dist::set_descriptor_spec(d, spec);
+      (void)sp::dist::make_unit_runner(d);
+    });
+  }
+}
+
 TEST(DistWorkload, McDescriptorRejectsBadOutputLoad) {
   // The engine rejects a load that is not finite and >= 0, so finalizing
   // and every worker-side or local assembly of such a descriptor fail.
@@ -520,12 +541,10 @@ TEST(DistSerialize, StageCharacterizationRoundTripFuzzIsByteStable) {
     sp::sta::StageCharacterization c;
     c.delay = {d(g), std::abs(d(g))};
     c.sigma_inter = std::abs(d(g));
-    c.sigma_private = std::abs(d(g));
     c.area = std::abs(d(g));
-    c.nominal_delay = d(g);
     ByteWriter w;
     sp::dist::write_stage_characterization(w, c);
-    EXPECT_EQ(w.bytes().size(), 48u);  // the documented fixed record size
+    EXPECT_EQ(w.bytes().size(), 32u);  // the documented fixed record size
     ByteReader r(w.bytes());
     const auto back = sp::dist::read_stage_characterization(r);
     EXPECT_TRUE(r.done());

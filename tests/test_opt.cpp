@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "bad_specs.h"
 #include "core/characterized_pipeline.h"
 #include "netlist/generators.h"
 #include "obs/telemetry.h"
@@ -348,6 +349,16 @@ TEST(Sizer, RejectsAnInfiniteOutputLoad) {
                std::invalid_argument);
 }
 
+TEST(Sizer, RejectsBadVariationSpecs) {
+  auto nl = sp::netlist::inverter_chain(4);
+  const auto m = model();
+  sp::opt::SizerOptions so;
+  so.t_target = 100.0;
+  bad_specs::expect_rejected([&](const VariationSpec& spec) {
+    (void)sp::opt::size_stage(nl, m, spec, so);
+  });
+}
+
 TEST(Sizer, RejectsBadOptions) {
   auto nl = sp::netlist::inverter_chain(4);
   const auto m = model();
@@ -423,7 +434,7 @@ TEST(Sweep, ProducesMonotoneCurve) {
     EXPECT_LT(pts[i].area, pts[i - 1].area);
   }
   // Netlist left at the fastest point.
-  EXPECT_NEAR(stat_delay_of(nl, m, spec, so.yield_target),
+  EXPECT_NEAR(stat_delay_of(nl, m, spec, so.sizer.yield_target),
               pts.front().delay, 0.5);
 }
 

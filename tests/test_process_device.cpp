@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <numeric>
 
+#include "bad_specs.h"
 #include "device/delay_model.h"
 #include "device/gate_library.h"
 #include "device/latch.h"
@@ -221,6 +222,14 @@ TEST(VariationSampler, RejectsBadFieldInputs) {
   spec.sigma_vth_systematic = 0.0;
   spec.correlation_length = std::nan("");
   EXPECT_NO_THROW(sp::process::VariationSampler(tech, spec, sites));
+}
+
+TEST(VariationSampler, RejectsBadSigmas) {
+  // Every sigma field, Vth and L alike, is checked and named.
+  bad_specs::expect_rejected([](const VariationSpec& spec) {
+    (void)sp::process::VariationSampler(Technology{}, spec,
+                                        sp::process::linear_sites(4));
+  });
 }
 
 TEST(VariationSampler, RdfScalesWithDeviceWidth) {

@@ -337,7 +337,9 @@ TEST(WireV4, V3PeerGetsTheClearVersionError) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("wire version 3"), std::string::npos)
         << e.what();
-    EXPECT_NE(std::string(e.what()).find("this build 4"), std::string::npos)
+    const std::string this_build =
+        "this build " + std::to_string(sp::dist::kWireVersion);
+    EXPECT_NE(std::string(e.what()).find(this_build), std::string::npos)
         << e.what();
   }
 }

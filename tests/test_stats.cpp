@@ -534,23 +534,6 @@ TEST(RngBlock, NormalFillStridedLeavesGapsUntouched) {
   }
 }
 
-TEST(RngBlock, UniformU64MatchesPerLaneEngine) {
-  const std::size_t w = 8, n = 64;
-  sp::Rng root(99);
-  std::vector<sp::Rng> lanes;
-  for (std::size_t j = 0; j < w; ++j) lanes.push_back(root.fork(j));
-  std::vector<sp::Xoshiro256> engines;
-  for (std::size_t j = 0; j < w; ++j) engines.push_back(lanes[j].engine());
-
-  sp::RngBlock rb;
-  rb.pack(lanes.data(), w);
-  std::vector<std::uint64_t> got(n * w);
-  rb.uniform_u64(got.data(), n, w);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < w; ++j)
-      EXPECT_EQ(got[i * w + j], engines[j]()) << "lane " << j << " row " << i;
-}
-
 TEST(Rng, NormalFillVariantsShareOneCore) {
   // normal_vector / normal_fill / normal_fill_scaled(1.0, ...) are one
   // strided core: identical draws from identical states.
