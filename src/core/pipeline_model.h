@@ -5,11 +5,14 @@
 //   T_P  = max_i SD_i                       (eq. 1)
 //   Yield(T) = Pr{T_P <= T}                 (eq. 2)
 //
-// Each stage delay carries a variance decomposition into a die-shared
-// (inter-die) component and a stage-private component; the implied stage
-// correlation  rho_ij = s_inter,i * s_inter,j / (sigma_i * sigma_j)  feeds
-// Clark's reduction (eqs. 4-6).  A uniform correlation override supports
-// the paper's rho-sweep studies (Fig. 3b, 5b).
+// Each stage delay carries one variance decomposition into a die-shared
+// (inter-die) component s_i and a stage-private one p_i, so the model is
+// one-factor: SD_i = mu_i + s_i*Z + p_i*e_i with Z, e_i iid N(0,1).  The
+// implied stage correlation  rho_ij = s_i * s_j / (sigma_i * sigma_j)  feeds
+// Clark's reduction (eqs. 4-6); stage_factors() hands the same loadings to
+// the stage-level Monte-Carlo.  A uniform correlation override supports the
+// paper's rho-sweep studies (Fig. 3b, 5b): it sets s_i = sqrt(rho)*sigma_i
+// and p_i = sqrt(1 - rho)*sigma_i.
 //
 // Layer contract (src/core, see docs/ARCHITECTURE.md): owns the paper's
 // analytical modeling — the pipeline model, the characterized-pipeline
@@ -28,7 +31,11 @@
 
 namespace statpipe::core {
 
-/// One pipe stage at the abstraction the analytical model consumes.
+/// One pipe stage at the abstraction the analytical model consumes.  The
+/// constructor, and PipelineModel's for every stage it is given, throws
+/// std::invalid_argument naming the field unless the mean and area are
+/// finite, sigma is finite and >= 0, and sigma_inter is finite and in
+/// [0, sigma].
 struct StageModel {
   std::string name;
   stats::Gaussian comb;       ///< T_comb distribution [ps]
@@ -43,11 +50,21 @@ struct StageModel {
              double a = 0.0);
 };
 
-/// Latch (flip-flop) timing overhead added to every stage delay.
+/// Latch (flip-flop) timing overhead added to every stage delay.  Every
+/// field must be finite and >= 0 (PipelineModel checks).
 struct LatchOverhead {
   double mean = 0.0;          ///< Tc-q + Tsetup [ps]
   double sigma_inter = 0.0;   ///< die-shared sigma [ps]
   double sigma_random = 0.0;  ///< latch-private sigma [ps]
+};
+
+/// One-factor loadings of a stage delay:
+/// SD_i = mean + shared * Z + independent * e_i, with the die-shared Z and
+/// the stage-private e_i iid N(0,1).
+struct StageFactors {
+  double mean = 0.0;
+  double shared = 0.0;       ///< loading on the die-shared Z [ps]
+  double independent = 0.0;  ///< loading on the stage-private e_i [ps]
 };
 
 class PipelineModel {
@@ -57,18 +74,25 @@ class PipelineModel {
 
   std::size_t stage_count() const noexcept { return stages_.size(); }
   const std::vector<StageModel>& stages() const noexcept { return stages_; }
-  StageModel& stage(std::size_t i) { return stages_.at(i); }
   const StageModel& stage(std::size_t i) const { return stages_.at(i); }
   const LatchOverhead& latch() const noexcept { return latch_; }
 
   /// Forces rho_ij = rho for all i != j instead of the variance-derived
-  /// correlation (the paper's correlation sweeps).
+  /// correlation (the paper's correlation sweeps).  Throws
+  /// std::invalid_argument unless rho is in [0, 1] (NaN fails).
   void set_uniform_correlation(double rho);
   void clear_correlation_override();
 
   /// Total stage delay SD_i = latch + comb_i [Gaussian].
   stats::Gaussian stage_delay(std::size_t i) const;
   std::vector<stats::Gaussian> stage_delays() const;
+
+  /// Stage i's one-factor loadings: the variance-derived split (latch plus
+  /// stage inter-die sigma shared, the rest private), or sqrt(rho) and
+  /// sqrt(1 - rho) of stage_delay(i).sigma under the uniform override.
+  /// shared^2 + independent^2 is stage_delay(i).sigma^2, and
+  /// shared_i * shared_j / (sigma_i * sigma_j) is correlation()(i, j).
+  StageFactors stage_factors(std::size_t i) const;
 
   /// Stage-delay correlation matrix (variance-derived or override).
   stats::Matrix correlation() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -84,43 +85,29 @@ double McResult::yield_ci95(double t_target) const {
 
 // ------------------------------------------------------------ stage level
 
-namespace {
-
-stats::CorrelatedNormalSampler make_stage_sampler(
-    const core::PipelineModel& model) {
-  std::vector<double> mu, sg;
-  for (const auto& sd : model.stage_delays()) {
-    mu.push_back(sd.mean);
-    sg.push_back(sd.sigma);
-  }
-  return {std::move(mu), std::move(sg), model.correlation()};
-}
-
-}  // namespace
-
-StageLevelMonteCarlo::StageLevelMonteCarlo(const core::PipelineModel& model)
-    : sampler_(make_stage_sampler(model)) {
-  for (const auto& sd : model.stage_delays()) {
-    means_.push_back(sd.mean);
-    sigmas_.push_back(sd.sigma);
-  }
+StageLevelMonteCarlo::StageLevelMonteCarlo(const core::PipelineModel& model) {
+  for (std::size_t i = 0; i < model.stage_count(); ++i)
+    factors_.push_back(model.stage_factors(i));
 }
 
 McResult StageLevelMonteCarlo::run_shard(const sim::Shard& shard,
                                          const stats::Rng& root) const {
   stats::Rng rng = root.fork(shard.index);
+  const std::size_t n = factors_.size();
   McResult r;
   r.tp_samples.reserve(shard.count);
-  r.stage_stats.resize(means_.size());
-  std::vector<double> z, sd;  // per-shard batch buffers
+  r.stage_stats.resize(n);
+  std::vector<double> z;  // per-die draws: Z, then e_1..e_n
   for (std::size_t k = 0; k < shard.count; ++k) {
-    sampler_.sample_into(rng, z, sd);
-    double mx = sd[0];
-    for (std::size_t i = 0; i < sd.size(); ++i) {
-      r.stage_stats[i].add(sd[i]);
-      mx = std::max(mx, sd[i]);
+    rng.normal_fill(z, n + 1);
+    double tp = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < n; ++i) {
+      const core::StageFactors& f = factors_[i];
+      const double sd = f.mean + f.shared * z[0] + f.independent * z[i + 1];
+      r.stage_stats[i].add(sd);
+      tp = std::max(tp, sd);
     }
-    r.tp_samples.push_back(mx);
+    r.tp_samples.push_back(tp);
   }
   return r;
 }

@@ -3,8 +3,9 @@
 // authors' SPICE testbench.
 //
 // Two granularities:
-//  * StageLevelMonteCarlo — samples the per-stage Gaussian delays (with
-//    their correlation matrix) and takes the max.  Verifies the Clark
+//  * StageLevelMonteCarlo — samples the model's one-factor stage delays
+//    (core::PipelineModel::stage_factors: one die-shared normal plus one
+//    private normal per stage) and takes the max.  Verifies the Clark
 //    reduction itself, exactly as eq. (2) defines yield.
 //  * GateLevelMonteCarlo — samples process parameters per die (one shared
 //    inter-die draw, one spatially-correlated systematic field spanning all
@@ -77,7 +78,11 @@ struct McResult {
   double yield_ci95(double t_target) const;
 };
 
-/// Samples the analytical stage model: SD ~ correlated Gaussians, T_P = max.
+/// Samples the analytical stage model in its one-factor form and takes
+/// T_P = max_i SD_i.  Per die it draws n + 1 standard normals from the
+/// shard stream, Z then e_1..e_n, and sets
+/// SD_i = mean_i + shared_i * Z + independent_i * e_i — exact at any
+/// correlation, rho = 1 included, with no factorization and O(n) per die.
 class StageLevelMonteCarlo {
  public:
   explicit StageLevelMonteCarlo(const core::PipelineModel& model);
@@ -92,8 +97,7 @@ class StageLevelMonteCarlo {
  private:
   McResult run_shard(const sim::Shard& shard, const stats::Rng& root) const;
 
-  std::vector<double> means_, sigmas_;
-  stats::CorrelatedNormalSampler sampler_;
+  std::vector<core::StageFactors> factors_;
 };
 
 /// Full gate-level reference simulation.

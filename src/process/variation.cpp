@@ -261,14 +261,6 @@ void VariationSampler::sample_block_into(stats::Rng* lane_rngs,
   rb.unpack(lane_rngs);
 }
 
-double VariationSampler::implied_correlation(double sigma_shared,
-                                             double sigma_private) {
-  const double vs = sigma_shared * sigma_shared;
-  const double vp = sigma_private * sigma_private;
-  if (vs + vp == 0.0) return 0.0;
-  return vs / (vs + vp);
-}
-
 std::vector<double> linear_sites(std::size_t n) {
   if (n == 0) throw std::invalid_argument("linear_sites: n == 0");
   std::vector<double> p(n);

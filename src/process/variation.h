@@ -183,12 +183,6 @@ class VariationSampler {
   void sample_block_into(stats::Rng* lane_rngs, std::size_t width,
                          DieBlock& out, BlockWorkspace& ws) const;
 
-  /// Effective stage-to-stage delay correlation implied by the spec when a
-  /// stage's delay sigma decomposes into inter + systematic + random parts:
-  /// rho = shared_variance / total_variance.  Used by the analytical side
-  /// to build stage correlation matrices consistent with MC.
-  static double implied_correlation(double sigma_shared, double sigma_private);
-
  private:
   // The recursion in place over site-major normals, w lanes per site.
   void correlate_field(double* f, std::size_t w) const;

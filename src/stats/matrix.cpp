@@ -12,67 +12,10 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-std::vector<double> Matrix::apply(const std::vector<double>& x) const {
-  if (x.size() != n_) throw std::invalid_argument("Matrix::apply: size mismatch");
-  std::vector<double> y(n_, 0.0);
-  for (std::size_t i = 0; i < n_; ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j < n_; ++j) s += a_[i * n_ + j] * x[j];
-    y[i] = s;
-  }
-  return y;
-}
-
-bool Matrix::is_symmetric(double tol) const noexcept {
-  for (std::size_t i = 0; i < n_; ++i)
-    for (std::size_t j = i + 1; j < n_; ++j)
-      if (std::abs((*this)(i, j) - (*this)(j, i)) > tol) return false;
-  return true;
-}
-
-Matrix cholesky(const Matrix& a) {
-  const std::size_t n = a.size();
-  if (!a.is_symmetric(1e-9))
-    throw std::domain_error("cholesky: matrix not symmetric");
-  Matrix l(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    double d = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) d -= l(j, k) * l(j, k);
-    if (d <= 0.0)
-      throw std::domain_error("cholesky: matrix not positive definite (pivot " +
-                              std::to_string(j) + ")");
-    l(j, j) = std::sqrt(d);
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double s = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
-      l(i, j) = s / l(j, j);
-    }
-  }
-  return l;
-}
-
-Matrix cholesky_psd(const Matrix& a, double max_jitter) {
-  double jitter = 0.0;
-  for (;;) {
-    Matrix aj = a;
-    if (jitter > 0.0)
-      for (std::size_t i = 0; i < aj.size(); ++i) aj(i, i) += jitter;
-    try {
-      return cholesky(aj);
-    } catch (const std::domain_error&) {
-      jitter = jitter == 0.0 ? 1e-12 : jitter * 10.0;
-      if (jitter > max_jitter)
-        throw std::domain_error(
-            "cholesky_psd: matrix not PSD even with jitter " +
-            std::to_string(max_jitter));
-    }
-  }
-}
-
 Matrix uniform_correlation(std::size_t n, double rho) {
   if (n == 0) throw std::invalid_argument("uniform_correlation: n == 0");
   const double lo = n > 1 ? -1.0 / static_cast<double>(n - 1) : -1.0;
-  if (rho < lo - 1e-12 || rho > 1.0 + 1e-12)
+  if (!(rho >= lo - 1e-12 && rho <= 1.0 + 1e-12))
     throw std::invalid_argument("uniform_correlation: rho outside valid range");
   Matrix m(n, rho);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
@@ -92,23 +35,6 @@ Matrix spatial_correlation(const std::vector<double>& positions, double length) 
     }
   }
   return m;
-}
-
-bool is_valid_correlation(const Matrix& m) {
-  const std::size_t n = m.size();
-  if (n == 0) return false;
-  if (!m.is_symmetric(1e-9)) return false;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (std::abs(m(i, i) - 1.0) > 1e-9) return false;
-    for (std::size_t j = 0; j < n; ++j)
-      if (m(i, j) < -1.0 - 1e-9 || m(i, j) > 1.0 + 1e-9) return false;
-  }
-  try {
-    (void)cholesky_psd(m);
-  } catch (const std::domain_error&) {
-    return false;
-  }
-  return true;
 }
 
 }  // namespace statpipe::stats

@@ -202,35 +202,4 @@ void RngBlock::require_packed(const char* fn) const {
                            ": no lanes packed");
 }
 
-CorrelatedNormalSampler::CorrelatedNormalSampler(std::vector<double> means,
-                                                 std::vector<double> sigmas,
-                                                 const Matrix& correlation)
-    : means_(std::move(means)), sigmas_(std::move(sigmas)) {
-  if (means_.size() != sigmas_.size() || means_.size() != correlation.size())
-    throw std::invalid_argument(
-        "CorrelatedNormalSampler: means/sigmas/correlation size mismatch");
-  for (double s : sigmas_)
-    if (s < 0.0)
-      throw std::invalid_argument("CorrelatedNormalSampler: negative sigma");
-  chol_ = cholesky_psd(correlation);
-}
-
-std::vector<double> CorrelatedNormalSampler::sample(Rng& rng) const {
-  std::vector<double> z, x;
-  sample_into(rng, z, x);
-  return x;
-}
-
-void CorrelatedNormalSampler::sample_into(Rng& rng, std::vector<double>& z,
-                                          std::vector<double>& out) const {
-  const std::size_t n = means_.size();
-  rng.normal_fill(z, n);
-  out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = 0.0;
-    for (std::size_t j = 0; j <= i; ++j) s += chol_(i, j) * z[j];
-    out[i] = means_[i] + sigmas_[i] * s;
-  }
-}
-
 }  // namespace statpipe::stats

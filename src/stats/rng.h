@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "stats/lanes.h"
-#include "stats/matrix.h"
 
 namespace statpipe::stats {
 
@@ -141,9 +140,9 @@ class Rng {
   /// Writes n iid N(0, sigma^2) draws to out[0], out[stride], ... — one
   /// batched call for strided SoA targets (a DieBlock lane) and contiguous
   /// arrays alike.  This is the single strided core every other normal
-  /// batch form (normal_vector, normal_fill, CorrelatedNormalSampler)
-  /// routes through; draw k equals sigma * normal() issued k-th, so scalar
-  /// and lane-block samplers consuming the same stream stay bitwise-equal.
+  /// batch form (normal_vector, normal_fill) routes through; draw k
+  /// equals sigma * normal() issued k-th, so scalar and lane-block
+  /// samplers consuming the same stream stay bitwise-equal.
   void normal_fill_scaled(double sigma, double* out, std::size_t n,
                           std::size_t stride = 1);
 
@@ -219,32 +218,6 @@ class RngBlock {
 
   std::size_t width_ = 0;
   std::uint64_t s_[4][lanes::kMaxWidth];
-};
-
-/// Draws from a multivariate normal with given means, sigmas and correlation
-/// matrix.  The Cholesky factor of the correlation matrix is computed once
-/// at construction (PSD-tolerant, so rho = 1 "inter-die only" cases work).
-class CorrelatedNormalSampler {
- public:
-  CorrelatedNormalSampler(std::vector<double> means, std::vector<double> sigmas,
-                          const Matrix& correlation);
-
-  /// One joint draw: x_i = mu_i + sigma_i * (L z)_i with z iid N(0,1).
-  std::vector<double> sample(Rng& rng) const;
-
-  /// Same draw into caller-owned buffers: `z` is the standard-normal
-  /// workspace, `out` the joint sample.  Both are resized; no other
-  /// allocation happens in steady state — the batched form the Monte-Carlo
-  /// shards loop over.
-  void sample_into(Rng& rng, std::vector<double>& z,
-                   std::vector<double>& out) const;
-
-  std::size_t dimension() const noexcept { return means_.size(); }
-
- private:
-  std::vector<double> means_;
-  std::vector<double> sigmas_;
-  Matrix chol_;  // lower factor of the correlation matrix
 };
 
 }  // namespace statpipe::stats

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/area_delay.h"
 #include "core/balance.h"
@@ -93,10 +96,47 @@ TEST(PipelineModel, IndependentYieldProductFormula) {
 TEST(PipelineModel, CorrelationMatrixFromComponents) {
   const auto p = five_stage();
   const auto c = p.correlation();
-  EXPECT_TRUE(sp::stats::is_valid_correlation(c));
   // All stages share latch+stage inter components: strictly positive rho.
-  for (std::size_t i = 0; i < 5; ++i)
-    for (std::size_t j = i + 1; j < 5; ++j) EXPECT_GT(c(i, j), 0.0);
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(c(i, i), 1.0);
+    for (std::size_t j = i + 1; j < 5; ++j) {
+      EXPECT_EQ(c(i, j), c(j, i));
+      EXPECT_GT(c(i, j), 0.0);
+      EXPECT_LT(c(i, j), 1.0);
+    }
+  }
+}
+
+// The one-factor loadings restate the model's moments: shared^2 +
+// independent^2 is the stage variance and shared_i shared_j / (sigma_i
+// sigma_j) the correlation, with and without the uniform override.
+TEST(PipelineModel, StageFactorsReproduceSigmaAndCorrelation) {
+  auto check = [](const PipelineModel& p, const std::string& mode) {
+    const auto c = p.correlation();
+    for (std::size_t i = 0; i < p.stage_count(); ++i) {
+      const auto fi = p.stage_factors(i);
+      const auto sdi = p.stage_delay(i);
+      EXPECT_EQ(fi.mean, sdi.mean) << mode << " stage " << i;
+      EXPECT_NEAR(std::hypot(fi.shared, fi.independent), sdi.sigma, 1e-12)
+          << mode << " stage " << i;
+      for (std::size_t j = i + 1; j < p.stage_count(); ++j) {
+        const double sj = p.stage_delay(j).sigma;
+        EXPECT_NEAR(fi.shared * p.stage_factors(j).shared / (sdi.sigma * sj),
+                    c(i, j), 1e-12)
+            << mode << " stages " << i << "," << j;
+      }
+    }
+  };
+  auto p = five_stage();
+  check(p, "variance-derived");
+  // Latch + stage inter-die sigma is shared; the rest is private.
+  EXPECT_EQ(p.stage_factors(0).shared, 1.0 + 2.0);
+  EXPECT_NEAR(p.stage_factors(0).independent,
+              std::sqrt(4.0 * 4.0 - 2.0 * 2.0 + 0.7 * 0.7), 1e-12);
+  for (const double rho : {0.0, 0.35, 1.0}) {
+    p.set_uniform_correlation(rho);
+    check(p, "rho " + std::to_string(rho));
+  }
 }
 
 TEST(PipelineModel, UniformOverrideTakesPrecedence) {
@@ -130,6 +170,78 @@ TEST(PipelineModel, RejectsBadInputs) {
                std::invalid_argument);  // sigma_inter > sigma
   auto p = five_stage();
   EXPECT_THROW(p.set_uniform_correlation(1.5), std::invalid_argument);
+}
+
+namespace {
+
+// Expects `make` to throw std::invalid_argument naming `field` ("field =").
+template <typename F>
+void expect_rejected(F&& make, const std::string& field) {
+  try {
+    make();
+    ADD_FAILURE() << field << ": accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field + " = "), std::string::npos)
+        << field << ": " << e.what();
+  }
+}
+
+const double kNaN = std::nan("");
+const double kInf = HUGE_VAL;
+
+}  // namespace
+
+TEST(PipelineModel, UniformCorrelationRejectsNaN) {
+  auto p = five_stage();
+  EXPECT_THROW(p.set_uniform_correlation(kNaN), std::invalid_argument);
+  EXPECT_THROW(p.set_uniform_correlation(-0.1), std::invalid_argument);
+}
+
+TEST(PipelineModel, StageRejectsNonFiniteSigma) {
+  for (const double bad : {kNaN, kInf, -1.0})
+    expect_rejected([&] { StageModel("x", Gaussian{100.0, bad}, 0.0, 0.0); },
+                    "sigma");
+}
+
+TEST(PipelineModel, StageRejectsNonFiniteSigmaInter) {
+  for (const double bad : {kNaN, kInf, -1.0, 5.5})
+    expect_rejected([&] { StageModel("x", Gaussian{100.0, 5.0}, bad, 0.0); },
+                    "sigma_inter");
+}
+
+TEST(PipelineModel, StageRejectsNonFiniteMeanAndArea) {
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    expect_rejected([&] { StageModel("x", Gaussian{bad, 5.0}, 0.0, 0.0); },
+                    "mean");
+    expect_rejected([&] { StageModel("x", Gaussian{100.0, 5.0}, 0.0, bad); },
+                    "area");
+  }
+}
+
+TEST(PipelineModel, RejectsStagesBuiltFieldByField) {
+  StageModel s;  // the default constructor leaves the check to the model
+  s.name = "x";
+  s.comb = Gaussian{100.0, kNaN};
+  expect_rejected([&] { PipelineModel({s}, {}); }, "sigma");
+}
+
+TEST(PipelineModel, LatchRejectsNonFiniteFields) {
+  const std::pair<const char*, double LatchOverhead::*> fields[] = {
+      {"mean", &LatchOverhead::mean},
+      {"sigma_inter", &LatchOverhead::sigma_inter},
+      {"sigma_random", &LatchOverhead::sigma_random}};
+  for (const auto& [field, member] : fields)
+    for (const double bad : {kNaN, kInf, -1.0}) {
+      LatchOverhead latch{36.0, 1.0, 0.7};
+      latch.*member = bad;
+      expect_rejected(
+          [&] {
+            std::vector<StageModel> s;
+            s.emplace_back("a", Gaussian{100.0, 5.0}, 0.0, 0.0);
+            PipelineModel(std::move(s), latch);
+          },
+          field);
+    }
 }
 
 // -------------------------------------------------------------- DesignSpace

@@ -359,7 +359,7 @@ TEST(DistEngine, ShardRangePartsFoldToLocalRun) {
   const sp::mc::McResult local = sp::dist::run_local(desc);
   // Recompute the run in arbitrary contiguous pieces; fold ascending.
   std::vector<sp::mc::McResult> parts;
-  for (const auto [b, e] :
+  for (const auto& [b, e] :
        {std::pair<std::size_t, std::size_t>{0, 3}, {3, 4}, {4, 8}}) {
     auto range = wl->engine().run_shard_range(desc.n_samples, desc.root_seed,
                                               b, e, wl->exec(desc));

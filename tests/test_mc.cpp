@@ -106,6 +106,97 @@ TEST(StageMc, DistributionIsApproximatelyGaussian) {
   EXPECT_LT(ks, 0.03);
 }
 
+// Per die the sampler draws Z, then e_1..e_n, as one normal_fill of n + 1
+// values from the shard stream, and sets SD_i = mean + shared Z +
+// independent e_i (docs/DETERMINISM.md).  One shard: the stream is
+// rng.fork().fork(0).
+TEST(StageMc, DrawsSharedThenPrivateNormalsPerDie) {
+  const auto p = small_pipeline(0.4);
+  sp::mc::StageLevelMonteCarlo mc(p);
+  sp::stats::Rng rng(107), ref_rng(107);
+  const auto r = mc.run(300, rng);
+  sp::stats::Rng shard = ref_rng.fork().fork(0);
+  std::vector<double> z;
+  for (std::size_t k = 0; k < 300; ++k) {
+    shard.normal_fill(z, p.stage_count() + 1);
+    double tp = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < p.stage_count(); ++i) {
+      const auto f = p.stage_factors(i);
+      tp = std::max(tp, f.mean + f.shared * z[0] + f.independent * z[i + 1]);
+    }
+    ASSERT_EQ(r.tp_samples[k], tp) << "die " << k;
+  }
+}
+
+namespace {
+
+// Identical stages that share all their variation must draw identical
+// delays: every stage's accumulator ends bit for bit the same.
+void expect_stage_stats_identical(const PipelineModel& p) {
+  sp::mc::StageLevelMonteCarlo mc(p);
+  sp::stats::Rng rng(108);
+  const auto r = mc.run(5000, rng);
+  ASSERT_EQ(r.stage_stats.size(), p.stage_count());
+  const auto& a = r.stage_stats[0];
+  EXPECT_GT(a.variance(), 0.0);
+  for (std::size_t i = 1; i < r.stage_stats.size(); ++i) {
+    const auto& b = r.stage_stats[i];
+    EXPECT_EQ(a.count(), b.count()) << "stage " << i;
+    EXPECT_EQ(a.mean(), b.mean()) << "stage " << i;
+    EXPECT_EQ(a.variance(), b.variance()) << "stage " << i;
+    EXPECT_EQ(a.min(), b.min()) << "stage " << i;
+    EXPECT_EQ(a.max(), b.max()) << "stage " << i;
+  }
+}
+
+PipelineModel identical_stages(double sigma_inter, LatchOverhead latch) {
+  std::vector<StageModel> s;
+  for (int i = 0; i < 4; ++i)
+    s.emplace_back("s" + std::to_string(i), Gaussian{150.0, 6.0}, sigma_inter,
+                   50.0);
+  return PipelineModel(std::move(s), latch);
+}
+
+}  // namespace
+
+TEST(StageMc, PerfectUniformCorrelationDrawsIdenticalStages) {
+  auto p = identical_stages(0.0, LatchOverhead{40.0, 0.0, 0.5});
+  p.set_uniform_correlation(1.0);
+  expect_stage_stats_identical(p);
+}
+
+TEST(StageMc, InterOnlyStagesDrawIdenticalStages) {
+  // sigma_inter = sigma and a latch without a private part: rho = 1 from
+  // the variance decomposition.
+  expect_stage_stats_identical(
+      identical_stages(6.0, LatchOverhead{40.0, 1.0, 0.0}));
+}
+
+// Clark's moments of a two-variable max are exact, so a 2-stage MC must
+// land within 4 standard errors of them at any correlation, rho = 1 too.
+TEST(StageMc, TwoStageMomentsMatchExactClark) {
+  for (const double rho : {0.0, 0.6, 1.0}) {
+    std::vector<StageModel> s;
+    s.emplace_back("a", Gaussian{100.0, 5.0}, 0.0, 0.0);
+    s.emplace_back("b", Gaussian{102.0, 4.0}, 0.0, 0.0);
+    PipelineModel p(std::move(s), {});
+    p.set_uniform_correlation(rho);
+    sp::mc::StageLevelMonteCarlo mc(p);
+    sp::stats::Rng rng(static_cast<std::uint64_t>(110 + 10 * rho));
+    const auto r = mc.run(100000, rng);
+    const auto exact = p.delay_distribution();
+    const auto est = r.tp_estimate();
+    const double n = static_cast<double>(r.tp_samples.size());
+    double m4 = 0.0;  // fourth central moment, for the sigma's error
+    for (const double x : r.tp_samples) m4 += std::pow(x - est.mean, 4) / n;
+    const double s2 = est.sigma * est.sigma;
+    const double se_mean = est.sigma / std::sqrt(n);
+    const double se_sigma = std::sqrt((m4 - s2 * s2) / n) / (2.0 * est.sigma);
+    EXPECT_NEAR(est.mean, exact.mean, 4.0 * se_mean) << "rho " << rho;
+    EXPECT_NEAR(est.sigma, exact.sigma, 4.0 * se_sigma) << "rho " << rho;
+  }
+}
+
 // -------------------------------------------------------------- gate level
 
 namespace {

@@ -259,11 +259,11 @@ TEST_F(ObsTest, EnabledDisabledBitwiseInvarianceMatrix) {
       sp::obs::set_enabled(true);
       sp::obs::reset();
       const sp::mc::McResult on = run_mc(nl, threads, width);
-      // Telemetry actually recorded something in the "on" leg... (width 1
-      // runs the scalar per-sample path, which has no block draw spans)
+      // Telemetry actually recorded something in the "on" leg (one-lane
+      // blocks draw through the block path too)...
       const auto snap = sp::obs::snapshot();
       EXPECT_EQ(snap.counter("mc.samples"), 1024u);
-      if (width > 1) EXPECT_GT(snap.span("mc.draw").count, 0u);
+      EXPECT_GT(snap.span("mc.draw").count, 0u);
       EXPECT_GT(snap.span("mc.shard").count, 0u);
       sp::obs::set_enabled(false);
       // ...and changed nothing.

@@ -137,11 +137,12 @@ TEST(VariationSampler, SystematicFieldSpatiallyCorrelated) {
             << (fields == &scalar ? "sample" : "sample_block_into")
             << " sites " << a << "," << c;
         // Coincident sites (r = 1, s = 0) share the field bit for bit.
-        if (x[a] == x[c])
+        if (x[a] == x[c]) {
           for (const auto& f : *fields)
             ASSERT_EQ(std::bit_cast<std::uint64_t>(f[a]),
                       std::bit_cast<std::uint64_t>(f[c]))
                 << "sites " << a << "," << c;
+        }
       }
     }
   }
@@ -309,13 +310,6 @@ TEST(LinearSites, EvenSpacing) {
   EXPECT_DOUBLE_EQ(p.back(), 1.0);
   EXPECT_DOUBLE_EQ(p[2], 0.5);
   EXPECT_THROW(sp::process::linear_sites(0), std::invalid_argument);
-}
-
-TEST(ImpliedCorrelation, VarianceRatio) {
-  using sp::process::VariationSampler;
-  EXPECT_DOUBLE_EQ(VariationSampler::implied_correlation(1.0, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(VariationSampler::implied_correlation(0.0, 1.0), 0.0);
-  EXPECT_DOUBLE_EQ(VariationSampler::implied_correlation(1.0, 1.0), 0.5);
 }
 
 // ------------------------------------------------------------------ device

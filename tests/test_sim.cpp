@@ -122,7 +122,7 @@ TEST(Shards, SubrangePlanMatchesFullPlanSlice) {
   const std::size_t n = 10000, per = 1024;
   const auto full = sp::sim::plan_shards(n, per);
   EXPECT_EQ(sp::sim::shard_count(n, per), full.size());
-  for (const auto [b, e] :
+  for (const auto& [b, e] :
        {std::pair<std::size_t, std::size_t>{0, full.size()}, {3, 7}, {9, 10}}) {
     const auto sub = sp::sim::plan_shard_range(n, per, b, e);
     ASSERT_EQ(sub.size(), e - b);
