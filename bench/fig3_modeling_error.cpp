@@ -103,6 +103,7 @@ int main() {
   std::printf(
       "\nExpected shape (paper): both errors grow with stage count and with\n"
       "correlation; sigma error dominates mean error; increasing-mean\n"
-      "ordering is no worse than document order.\n");
+      "ordering's sigma error is no worse than document order's (the mean\n"
+      "errors are too close to the MC noise to rank the orders).\n");
   return 0;
 }

@@ -46,19 +46,21 @@ class AlphaPowerModel {
   /// Throws std::domain_error if dvth drives the gate out of saturation
   /// (Vdd - Vth <= 0) — a die that badly broken is a functional failure,
   /// not a timing sample.
-  /// The exponentiation runs on the shared vectorizable pow core
-  /// (stats::lanes::pow_pos), the same per-element function the block
-  /// sample-STA walk evaluates — so the scalar and block sample-STA paths
-  /// stay bitwise-identical by construction.
+  /// The exponentiation runs on the one pow core, stats::lanes::
+  /// pow_pos_row: this call is its one-lane row (stats::lanes::pow_pos),
+  /// and the block sample-STA walk runs it on whole lane rows, every lane
+  /// through the same operation sequence — so the scalar and block
+  /// sample-STA paths stay bitwise-identical by construction.
   double variation_factor(double dvth, double dl_rel = 0.0) const;
 
   /// The variation-factor arithmetic flattened to plain doubles, for
   /// callers that inline the computation into a dispatched SIMD kernel
-  /// (the block sample-STA walk): factor = pow_pos(drive0 / (drive0 -
-  /// dvth), alpha) * (1 + dl_rel)^2, valid only while drive0 - dvth > 0,
-  /// 1 + dl_rel > 0 and the drive ratio stays within [min_ratio,
-  /// max_ratio] — outside that window the scalar variation_factor throws,
-  /// and kernel callers must reproduce the same rejection.
+  /// (the block sample-STA walk, which runs pow_pos_row over a row of
+  /// ratios): factor = pow_pos(drive0 / (drive0 - dvth), alpha) * (1 +
+  /// dl_rel) * (1 + dl_rel), valid only while drive0 - dvth > 0, 1 + dl_rel
+  /// > 0 and the drive ratio stays within [min_ratio, max_ratio] — outside
+  /// that window the scalar variation_factor throws, and kernel callers
+  /// must reproduce the same rejection.
   struct VariationKernelParams {
     double drive0;     ///< Vdd - Vth0
     double alpha;      ///< velocity-saturation index

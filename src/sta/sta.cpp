@@ -106,10 +106,9 @@ void critical_delay_sample_block(const BoundStage& stage,
   ws.arrival.assign(stage.rows * W, 0.0);
   ws.dvth.resize(W);
   ws.dl.resize(W);
-  ws.vf.resize(W);
 
   // The whole walk — fanin max fold, SoA parameter gather, variation-factor
-  // pow sweep, output fold — runs as one dispatched kernel of the active
+  // pow row, output fold — runs as one dispatched kernel of the active
   // SIMD backend (stats/simd.h; body in stats/lanes_kernels.inl).  Per die
   // the operation order is analyze_sample's, per gate the domain checks
   // are the scalar variation_factor's in the same lane order.
@@ -140,7 +139,6 @@ void critical_delay_sample_block(const BoundStage& stage,
   args.arrival = ws.arrival.data();
   args.dvth = ws.dvth.data();
   args.dl = ws.dl.data();
-  args.vf = ws.vf.data();
   args.outputs = stage.outputs.data();
   args.n_outputs = stage.outputs.size();
   args.critical = critical;

@@ -86,14 +86,13 @@ BoundStage bind_stage(const netlist::Netlist& nl,
                       const StaOptions& opt);
 
 /// Caller-owned lane scratch for the block sample STA: gate-major arrival
-/// lanes plus per-gate lane rows.  It holds no stage structure, so one
-/// workspace serves every stage in turn, and steady-state block STA
-/// allocates nothing.
+/// lanes plus the shift rows of a gate that faults.  It holds no stage
+/// structure, so one workspace serves every stage in turn, and
+/// steady-state block STA allocates nothing.
 struct StaBlockWorkspace {
   std::vector<double> arrival;  ///< [rows * width], gate-major lane rows
-  std::vector<double> dvth;     ///< [width] per-gate Vth shifts
-  std::vector<double> dl;       ///< [width] per-gate dL/L shifts
-  std::vector<double> vf;       ///< [width] per-gate variation factors
+  std::vector<double> dvth;     ///< [width] Vth shifts of a faulting gate
+  std::vector<double> dl;       ///< [width] dL/L shifts of a faulting gate
 };
 
 /// Block sample STA: evaluates the alpha-power delay model and the topo max

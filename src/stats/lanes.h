@@ -82,96 +82,165 @@ __attribute__((always_inline)) inline double select(bool cond, double a,
                                (std::bit_cast<std::uint64_t>(b) & ~mask));
 }
 
-/// Branch-free polynomial pow for positive normal finite x: the shared
-/// exponentiation core of AlphaPowerModel::variation_factor, which std::pow
-/// made ~80% of the block sample-STA kernel.  Evaluated as
-/// exp2(y * log2(x)) with a bit-level exponent split, an atanh-series log2
-/// on [sqrt(1/2), sqrt(2)) and a degree-12 Taylor exp — straight-line
-/// arithmetic a compiler can vectorize across lanes, unlike the libm call.
+/// One Horner step across a row: acc[j] = acc[j] * v[j] + c for j < n.
+__attribute__((always_inline)) inline void horner_step(
+    double* __restrict acc, const double* __restrict v, double c,
+    std::size_t n) noexcept {
+#pragma GCC unroll 4
+  for (std::size_t j = 0; j < n; ++j) acc[j] = acc[j] * v[j] + c;
+}
+
+/// Branch-free polynomial pow for positive normal finite x over a row of
+/// lanes: out[j] = x[j]^y for j < n.  The one exponentiation core of
+/// AlphaPowerModel::variation_factor (through pow_pos below) and of the
+/// block sample-STA walk.  Evaluated as exp2(y * log2(x)) with a bit-level
+/// exponent split, an atanh-series log2 on [sqrt(1/2), sqrt(2)) and a
+/// degree-12 Taylor exp: straight-line arithmetic a compiler can vectorize
+/// across lanes, unlike the libm call.
 ///
-/// Both the scalar and the lane paths call this exact function per element,
-/// so the repository-wide bitwise scalar/block contract holds by
-/// construction.  It is a distinct function from std::pow (results differ
-/// from libm in the last couple of ulps; relative error < ~1e-13 over the
-/// variation-factor domain), which is why BOTH paths must use it.
-/// Exactness anchors: pow_pos(1.0, y) == 1.0 and pow_pos(x, 0.0) == 1.0.
+/// Step-major: each step below (the split, t, every Horner step of both
+/// series, the exp2 split, the scale) runs across the whole row before the
+/// next one starts, so a wide row is W/lanes-per-register independent
+/// operations per step instead of one long dependency chain per register.
+/// Lane j still executes exactly the one-lane floating-point sequence;
+/// only the order ACROSS lanes changes, which no lane's result can see.
+/// So every row width and every backend give each lane the same bits as
+/// the scalar pow_pos, by construction.
+///
+/// kW > 0 fixes the row at kW lanes at compile time (n is ignored); gcc
+/// then keeps each step as a few full-width register operations.  kW == 0
+/// takes n at run time and runs lane-major instead: each lane runs the
+/// one-lane row, so it too gives every lane the scalar bits.  Every
+/// step-major lane loop here and in the walk carries `#pragma GCC unroll
+/// 4`: at -O3 gcc otherwise unrolls loops of up to 16 iterations
+/// completely before its loop vectorizer runs, and its basic-block
+/// vectorizer cannot pack the mask selects again, so 8- and 16-lane rows
+/// came out scalar.  With the pragma the loop vectorizer takes the row,
+/// and a vector loop of up to 4 registers (32 lanes on AVX-512) is still
+/// unrolled after it.
+///
+/// It is a distinct function from std::pow (results differ from libm in
+/// the last couple of ulps; relative error < ~1e-13 over the
+/// variation-factor domain), which is why the scalar and lane paths must
+/// both use it.  Exactness anchors: x^y == 1.0 at x == 1.0 or y == 0.0.
 /// Preconditions (the caller's to reject — variation_factor's domain
-/// checks do): x positive, normal, finite; |y * log2(x)| <= 1020 so the
-/// bit-built 2^k scale stays inside the normal exponent range.  There is
-/// deliberately no internal clamp: a clamp's constant arm makes the rest
-/// of the computation compile-time-constant, and gcc then specializes it
-/// into a real branch — killing vectorization of every lane loop over
+/// checks do): every x positive, normal, finite; |y * log2(x)| <= 1020 so
+/// the bit-built 2^k scale stays inside the normal exponent range.  There
+/// is deliberately no internal clamp: a clamp's constant arm makes the
+/// rest of the computation compile-time-constant, and gcc then specializes
+/// it into a real branch — killing vectorization of every lane loop over
 /// this function.
 /// always_inline for the same ODR reason as select above: every SIMD
 /// backend TU compiles this body under its own -m flags, and no
 /// deduplicatable out-of-line copy may exist.
+template <std::size_t kW>
+__attribute__((always_inline)) inline void pow_pos_row(
+    const double* __restrict x, double y, double* __restrict out,
+    std::size_t n) noexcept {
+  if constexpr (kW == 0) {
+    // Run-time width: lane-major, each lane running the one-lane row in
+    // turn, which gcc vectorizes as one whole pow per register of lanes.
+    // Step-major over a run-time n makes every step a vector loop plus a
+    // scalar remainder, and measured slower than this on the narrow tail
+    // blocks that take this path.
+    for (std::size_t j = 0; j < n; ++j) pow_pos_row<1>(x + j, y, out + j, 1);
+  } else {
+    constexpr std::size_t kRow = kW;
+    n = kW;
+    // Split x = 2^e * m, then re-center m into [sqrt(1/2), sqrt(2)) so the
+    // atanh argument t stays within +-0.1716.  The exponent is read as a
+    // double by splicing the 11 exponent bits into the mantissa of 2^52 and
+    // subtracting (2^52 + 1023) — exact, and free of int64<->double
+    // converts: those need AVX-512DQ to vectorize, and keeping the bit
+    // splices in pure integer/double ops lets every backend down to the
+    // SSE2 baseline vectorize this body.
+    constexpr double kSqrt2 = 1.4142135623730951;
+    double e[kRow], m[kRow];
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint64_t bits = std::bit_cast<std::uint64_t>(x[j]);
+      const double eb = std::bit_cast<double>(((bits >> 52) & 0x7ffULL) |
+                                              0x4330000000000000ULL);
+      const double mj = std::bit_cast<double>(
+          (bits & 0x000fffffffffffffULL) | 0x3ff0000000000000ULL);
+      // Re-centering select as a mask blend (not a ternary): gcc turns the
+      // ternary into a real branch here, which blocks if-conversion and with
+      // it vectorization of the lane loop.
+      const std::uint64_t rmask =
+          0ULL - static_cast<std::uint64_t>(mj >= kSqrt2);
+      m[j] = std::bit_cast<double>(
+          (std::bit_cast<std::uint64_t>(0.5 * mj) & rmask) |
+          (std::bit_cast<std::uint64_t>(mj) & ~rmask));
+      e[j] = (eb - 4503599627371519.0) +  // 2^52 + 1023
+             std::bit_cast<double>(std::bit_cast<std::uint64_t>(1.0) & rmask);
+    }
+
+    // log2(m) = (2/ln2) * atanh(t), t = (m-1)/(m+1); odd series through t^17
+    // truncates below 1e-16 on this range.
+    double t[kRow], t2[kRow];
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < n; ++j) {
+      t[j] = (m[j] - 1.0) / (m[j] + 1.0);
+      t2[j] = t[j] * t[j];
+    }
+    double p[kRow];
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < n; ++j) p[j] = 1.0 / 17.0;
+    horner_step(p, t2, 1.0 / 15.0, n);
+    horner_step(p, t2, 1.0 / 13.0, n);
+    horner_step(p, t2, 1.0 / 11.0, n);
+    horner_step(p, t2, 1.0 / 9.0, n);
+    horner_step(p, t2, 1.0 / 7.0, n);
+    horner_step(p, t2, 1.0 / 5.0, n);
+    horner_step(p, t2, 1.0 / 3.0, n);
+    // log2x, then exp2(z): z = k + f with integer k (round-to-nearest via
+    // the 1.5*2^52 trick) and f in [-0.5, 0.5]; e^(f ln2) by degree-12
+    // Taylor (truncation < 2e-16), scaled by bit-built 2^k.
+    constexpr double kTwoOverLn2 = 2.8853900817779268;  // 2 / ln 2
+    constexpr double kLn2 = 0.6931471805599453;
+    double zr[kRow], u[kRow];
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < n; ++j) {
+      const double atanh_t = t[j] + t[j] * t2[j] * p[j];
+      const double log2x = e[j] + kTwoOverLn2 * atanh_t;
+      const double z = y * log2x;  // |z| <= 1020 by precondition
+      zr[j] = z + 0x1.8p52;        // k lives in zr's low mantissa bits
+      const double kd = zr[j] - 0x1.8p52;
+      u[j] = (z - kd) * kLn2;
+    }
+    double q[kRow];
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < n; ++j) q[j] = 1.0 / 479001600.0;  // 1/12!
+    horner_step(q, u, 1.0 / 39916800.0, n);
+    horner_step(q, u, 1.0 / 3628800.0, n);
+    horner_step(q, u, 1.0 / 362880.0, n);
+    horner_step(q, u, 1.0 / 40320.0, n);
+    horner_step(q, u, 1.0 / 5040.0, n);
+    horner_step(q, u, 1.0 / 720.0, n);
+    horner_step(q, u, 1.0 / 120.0, n);
+    horner_step(q, u, 1.0 / 24.0, n);
+    horner_step(q, u, 1.0 / 6.0, n);
+    horner_step(q, u, 0.5, n);
+    // 2^k from zr's bit pattern: zr = 2^52 + 2^51 + k exactly, so zr's low 12
+    // mantissa bits are k mod 2^12 (two's complement); adding the 1023 bias
+    // and shifting into the exponent field builds 2^k with no int converts.
+#pragma GCC unroll 4
+    for (std::size_t j = 0; j < n; ++j) {
+      const double expu = 1.0 + u[j] * (1.0 + u[j] * q[j]);
+      const double scale = std::bit_cast<double>(
+          (std::bit_cast<std::uint64_t>(zr[j]) + 1023ULL) << 52);
+      out[j] = expu * scale;
+    }
+  }
+}
+
+/// x^y for one lane: pow_pos_row's one-lane row, so the scalar path runs
+/// the very body every lane of the walk runs.
 __attribute__((always_inline)) inline double pow_pos(double x,
                                                      double y) noexcept {
-  // Split x = 2^e * m, then re-center m into [sqrt(1/2), sqrt(2)) so the
-  // atanh argument t stays within +-0.1716.  The exponent is read as a
-  // double by splicing the 11 exponent bits into the mantissa of 2^52 and
-  // subtracting (2^52 + 1023) — exact, and free of int64<->double
-  // converts: those need AVX-512DQ to vectorize, and keeping the bit
-  // splices in pure integer/double ops lets every backend down to the
-  // SSE2 baseline vectorize this body.
-  constexpr double kSqrt2 = 1.4142135623730951;
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
-  const double eb =
-      std::bit_cast<double>(((bits >> 52) & 0x7ffULL) | 0x4330000000000000ULL);
-  double e = eb - 4503599627371519.0;  // 2^52 + 1023
-  double m = std::bit_cast<double>((bits & 0x000fffffffffffffULL) |
-                                   0x3ff0000000000000ULL);
-  // Re-centering select as a mask blend (not a ternary): gcc turns the
-  // ternary into a real branch here, which blocks if-conversion and with
-  // it vectorization of the lane loop.
-  const std::uint64_t rmask = 0ULL - static_cast<std::uint64_t>(m >= kSqrt2);
-  m = std::bit_cast<double>(
-      (std::bit_cast<std::uint64_t>(0.5 * m) & rmask) |
-      (std::bit_cast<std::uint64_t>(m) & ~rmask));
-  e += std::bit_cast<double>(std::bit_cast<std::uint64_t>(1.0) & rmask);
-
-  // log2(m) = (2/ln2) * atanh(t), t = (m-1)/(m+1); odd series through t^17
-  // truncates below 1e-16 on this range.
-  const double t = (m - 1.0) / (m + 1.0);
-  const double t2 = t * t;
-  double p = 1.0 / 17.0;
-  p = p * t2 + 1.0 / 15.0;
-  p = p * t2 + 1.0 / 13.0;
-  p = p * t2 + 1.0 / 11.0;
-  p = p * t2 + 1.0 / 9.0;
-  p = p * t2 + 1.0 / 7.0;
-  p = p * t2 + 1.0 / 5.0;
-  p = p * t2 + 1.0 / 3.0;
-  const double atanh_t = t + t * t2 * p;
-  constexpr double kTwoOverLn2 = 2.8853900817779268;  // 2 / ln 2
-  const double log2x = e + kTwoOverLn2 * atanh_t;
-
-  // exp2(z): z = k + f with integer k (round-to-nearest via the 1.5*2^52
-  // trick) and f in [-0.5, 0.5]; e^(f ln2) by degree-12 Taylor
-  // (truncation < 2e-16), scaled by bit-built 2^k.
-  const double z = y * log2x;  // |z| <= 1020 by precondition
-  const double zr = z + 0x1.8p52;  // k lives in zr's low mantissa bits
-  const double kd = zr - 0x1.8p52;
-  constexpr double kLn2 = 0.6931471805599453;
-  const double u = (z - kd) * kLn2;
-  double q = 1.0 / 479001600.0;  // 1/12!
-  q = q * u + 1.0 / 39916800.0;
-  q = q * u + 1.0 / 3628800.0;
-  q = q * u + 1.0 / 362880.0;
-  q = q * u + 1.0 / 40320.0;
-  q = q * u + 1.0 / 5040.0;
-  q = q * u + 1.0 / 720.0;
-  q = q * u + 1.0 / 120.0;
-  q = q * u + 1.0 / 24.0;
-  q = q * u + 1.0 / 6.0;
-  q = q * u + 0.5;
-  const double expu = 1.0 + u * (1.0 + u * q);
-  // 2^k from zr's bit pattern: zr = 2^52 + 2^51 + k exactly, so zr's low 12
-  // mantissa bits are k mod 2^12 (two's complement); adding the 1023 bias
-  // and shifting into the exponent field builds 2^k with no int converts.
-  const double scale = std::bit_cast<double>(
-      (std::bit_cast<std::uint64_t>(zr) + 1023ULL) << 52);
-  return expu * scale;
+  double out;
+  pow_pos_row<1>(&x, y, &out, 1);
+  return out;
 }
 
 // BEGIN generated by tools/gen_normal_core.py: do not edit by hand.

@@ -89,9 +89,8 @@ struct StaWalkArgs {
 
   // Caller-owned output and scratch.
   double* arrival = nullptr;  ///< [total gates * width], gate-major rows
-  double* dvth = nullptr;     ///< [width] scratch (holds the faulting
-  double* dl = nullptr;       ///< [width]  gate's shifts on fault return)
-  double* vf = nullptr;       ///< [width] scratch
+  double* dvth = nullptr;     ///< [width] the faulting gate's shifts,
+  double* dl = nullptr;       ///< [width]  written on fault return only
 
   const std::size_t* outputs = nullptr;  ///< primary-output arrival rows
   std::size_t n_outputs = 0;
@@ -137,10 +136,13 @@ struct KernelTable {
                             std::size_t stride, double* out);
 
   /// The full block sample-STA walk (see sta/sta.cpp for the scalar
-  /// equivalence argument).  Returns kNoFault, or the index (into
-  /// gate_ids/site/...) of the first gate whose lane row violates the
-  /// variation-factor domain — the shifts of that row are left in
-  /// a.dvth/a.dl so the caller can regenerate the exact scalar exception.
+  /// equivalence argument), run on rows of a compile-time width for width
+  /// 1 and each power of two from 8 to max_width, and of a run-time width
+  /// otherwise.
+  /// Returns kNoFault, or the index (into gate_ids/site/...) of the first
+  /// gate whose lane row violates the variation-factor domain — the shifts
+  /// of that row are left in a.dvth/a.dl so the caller can regenerate the
+  /// exact scalar exception.
   std::size_t (*sta_block_walk)(const StaWalkArgs& a);
 };
 

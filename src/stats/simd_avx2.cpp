@@ -10,6 +10,7 @@
 #if defined(__x86_64__) || defined(_M_X64)
 
 #define STATPIPE_SIMD_NS avx2
+#define STATPIPE_SIMD_MAX_WIDTH 32
 #include "stats/lanes_kernels.inl"
 
 namespace statpipe::stats::simd::detail {
@@ -18,7 +19,7 @@ const KernelTable* avx2_table() noexcept {
   static constexpr KernelTable t{
       Backend::kAvx2,
       "avx2",
-      /*max_width=*/32,
+      /*max_width=*/avx2::kWidthCap,
       /*default_width=*/16,
       &avx2::clark_max_lanes,
       &avx2::normal_fill_lanes,

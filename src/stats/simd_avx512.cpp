@@ -11,6 +11,7 @@
 #if defined(__x86_64__) || defined(_M_X64)
 
 #define STATPIPE_SIMD_NS avx512
+#define STATPIPE_SIMD_MAX_WIDTH 64
 #include "stats/lanes_kernels.inl"
 
 namespace statpipe::stats::simd::detail {
@@ -19,7 +20,7 @@ const KernelTable* avx512_table() noexcept {
   static constexpr KernelTable t{
       Backend::kAvx512,
       "avx512",
-      /*max_width=*/lanes::kMaxWidth,
+      /*max_width=*/avx512::kWidthCap,
       /*default_width=*/32,
       &avx512::clark_max_lanes,
       &avx512::normal_fill_lanes,

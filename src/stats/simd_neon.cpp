@@ -12,6 +12,7 @@
 #if defined(__aarch64__) || defined(_M_ARM64)
 
 #define STATPIPE_SIMD_NS neon
+#define STATPIPE_SIMD_MAX_WIDTH 16
 #include "stats/lanes_kernels.inl"
 
 namespace statpipe::stats::simd::detail {
@@ -20,7 +21,7 @@ const KernelTable* neon_table() noexcept {
   static constexpr KernelTable t{
       Backend::kNeon,
       "neon",
-      /*max_width=*/16,
+      /*max_width=*/neon::kWidthCap,
       /*default_width=*/8,
       &neon::clark_max_lanes,
       &neon::normal_fill_lanes,

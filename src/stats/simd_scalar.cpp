@@ -8,6 +8,7 @@
 // the per-gate walk overhead even without wide registers — and prefers the
 // historical default of 8.
 #define STATPIPE_SIMD_NS scalar
+#define STATPIPE_SIMD_MAX_WIDTH 64
 #include "stats/lanes_kernels.inl"
 
 namespace statpipe::stats::simd::detail {
@@ -16,7 +17,7 @@ const KernelTable* scalar_table() noexcept {
   static constexpr KernelTable t{
       Backend::kScalar,
       "scalar",
-      /*max_width=*/lanes::kMaxWidth,
+      /*max_width=*/scalar::kWidthCap,
       /*default_width=*/8,
       &scalar::clark_max_lanes,
       &scalar::normal_fill_lanes,

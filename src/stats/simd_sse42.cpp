@@ -11,6 +11,7 @@
 #if defined(__x86_64__) || defined(_M_X64)
 
 #define STATPIPE_SIMD_NS sse42
+#define STATPIPE_SIMD_MAX_WIDTH 16
 #include "stats/lanes_kernels.inl"
 
 namespace statpipe::stats::simd::detail {
@@ -19,7 +20,7 @@ const KernelTable* sse42_table() noexcept {
   static constexpr KernelTable t{
       Backend::kSse42,
       "sse42",
-      /*max_width=*/16,
+      /*max_width=*/sse42::kWidthCap,
       /*default_width=*/8,
       &sse42::clark_max_lanes,
       &sse42::normal_fill_lanes,

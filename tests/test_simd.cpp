@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -460,4 +461,135 @@ TEST(SimdMatrix, WalkDomainFaultThrowsTheScalarError) {
       }
     }
   }
+}
+
+TEST(SimdMatrix, WalkPowDomainEdgesMatchScalarVariationFactorBitwise) {
+  // Each backend's walk kernel, called directly on one gate whose fanin is
+  // a primary input (arrival 0), must give lane j exactly
+  // nominal * variation_factor(dvth[j], dl[j]) at every width it accepts
+  // (the compiled rows up to its max_width and every run-time width), with
+  // shift rows at the edges of the pow core's domain:
+  //  * a drive ratio of exactly 1 (dvth = 0);
+  //  * ratios at and just above min_ratio = 2^-256 (the ones just below
+  //    must fault, see the second half);
+  //  * the largest ratios a shift can reach: drive0 - dvth is at least
+  //    ulp(drive0), so the ratio stays below ~2^53 and max_ratio = 2^256
+  //    is out of reach here (test_stats holds pow_pos_row to pow_pos at
+  //    x = 2^256 directly);
+  //  * ratios on both sides of the m = sqrt(2) recentering boundary, at
+  //    several binary exponents.
+  const sp::device::AlphaPowerModel model{sp::process::Technology{}};
+  const auto vp = model.variation_kernel_params();
+  const double drive0 = vp.drive0;
+  constexpr double kSqrt2 = 1.4142135623730951;
+  const auto ratio_of = [&](double dvth) { return drive0 / (drive0 - dvth); };
+  const auto mantissa = [](double r) {
+    return std::bit_cast<double>((std::bit_cast<std::uint64_t>(r) &
+                                  0x000fffffffffffffULL) |
+                                 0x3ff0000000000000ULL);
+  };
+
+  std::vector<double> shifts{0.0};
+  std::vector<double> faulting;
+  double d = drive0;
+  for (int k = 0; k < 8; ++k) shifts.push_back(d = std::nextafter(d, 0.0));
+  const double low = -std::ldexp(drive0, 256);
+  d = std::nextafter(low, 0.0);
+  for (int k = 0; k < 3; ++k) d = std::nextafter(d, 0.0);
+  for (int k = 0; k < 8; ++k, d = std::nextafter(d, -INFINITY))
+    (ratio_of(d) >= vp.min_ratio ? shifts : faulting).push_back(d);
+  int below = 0, above = 0;
+  for (int e : {-3, 0, 1, 5}) {
+    const double r = std::ldexp(kSqrt2, e);
+    double c = drive0 - drive0 / r;
+    for (int k = 0; k < 16; ++k) c = std::nextafter(c, -INFINITY);
+    for (int k = 0; k < 33; ++k, c = std::nextafter(c, INFINITY)) {
+      shifts.push_back(c);
+      (mantissa(ratio_of(c)) >= kSqrt2 ? above : below) += 1;
+    }
+  }
+  ASSERT_GT(below, 0);
+  ASSERT_GT(above, 0);
+  ASSERT_GT(faulting.size(), 0u);
+  ASSERT_EQ(ratio_of(low), vp.min_ratio);
+  const double dls[] = {0.0, -0.5, 0.25, -1.0 + 0x1p-30};
+
+  // One gate (row 1) fed by a primary input (row 0, arrival 0) and read
+  // as the one primary output; the shift rows are the die block.
+  struct OneGate {
+    std::vector<double> arrival, scratch_dvth, scratch_dl, critical;
+    std::size_t fault = 0;
+  };
+  const auto walk = [&](const simd::KernelTable& kt,
+                        const std::vector<double>& dvth,
+                        const std::vector<double>& dl) {
+    const std::size_t w = dvth.size();
+    const std::size_t gate_id = 1, site = 0, fanin = 0, output = 1;
+    const std::size_t fanin_begin[] = {0, 1};
+    const double nominal = 7.25, sqrt_size = 1.0;
+    OneGate g{std::vector<double>(2 * w, 0.0), std::vector<double>(w),
+              std::vector<double>(w), std::vector<double>(w)};
+    simd::StaWalkArgs a;
+    a.width = w;
+    a.n_gates = 1;
+    a.gate_ids = &gate_id;
+    a.site = &site;
+    a.nominal = &nominal;
+    a.sqrt_size = &sqrt_size;
+    a.fanin_begin = fanin_begin;
+    a.fanins = &fanin;
+    a.dvth_inter = dvth.data();
+    a.dl_inter = dl.data();
+    a.drive0 = vp.drive0;
+    a.alpha = vp.alpha;
+    a.min_ratio = vp.min_ratio;
+    a.max_ratio = vp.max_ratio;
+    a.arrival = g.arrival.data();
+    a.dvth = g.scratch_dvth.data();
+    a.dl = g.scratch_dl.data();
+    a.outputs = &output;
+    a.n_outputs = 1;
+    a.critical = g.critical.data();
+    g.fault = kt.sta_block_walk(a);
+    return g;
+  };
+
+  std::size_t rows = 0;
+  for (simd::Backend b : simd::detected_backends()) {
+    const simd::KernelTable& kt = *simd::kernels_for(b);
+    for (std::size_t w = 1; w <= kt.max_width; ++w) {
+      // Every shift at every width, w lanes per call, the last call padded
+      // with dvth = 0; lane j's dl cycles through dls.
+      for (std::size_t c = 0; c < shifts.size(); c += w) {
+        std::vector<double> dvth(w, 0.0), dl(w);
+        for (std::size_t j = 0; j < w; ++j) {
+          if (c + j < shifts.size()) dvth[j] = shifts[c + j];
+          dl[j] = dls[(c + j) % std::size(dls)];
+        }
+        const OneGate g = walk(kt, dvth, dl);
+        ASSERT_EQ(g.fault, simd::kNoFault)
+            << simd::backend_name(b) << " w=" << w << " call " << c;
+        for (std::size_t j = 0; j < w; ++j)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(g.critical[j]),
+                    std::bit_cast<std::uint64_t>(
+                        7.25 * model.variation_factor(dvth[j], dl[j])))
+              << simd::backend_name(b) << " w=" << w << " dvth " << dvth[j]
+              << " dl " << dl[j];
+        ++rows;
+      }
+      // A ratio just below min_ratio in the last lane stops the walk at
+      // gate 0 with the row's shifts left for the caller, and the scalar
+      // check rejects it.
+      for (double f : faulting) {
+        std::vector<double> dvth(w, 0.0), dl(w, 0.0);
+        dvth[w - 1] = f;
+        const OneGate g = walk(kt, dvth, dl);
+        ASSERT_EQ(g.fault, 0u) << simd::backend_name(b) << " w=" << w;
+        ASSERT_EQ(g.scratch_dvth, dvth);
+        ASSERT_EQ(g.scratch_dl, dl);
+        EXPECT_THROW((void)model.variation_factor(f, 0.0), std::domain_error);
+      }
+    }
+  }
+  EXPECT_GT(rows, 0u);
 }

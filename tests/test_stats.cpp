@@ -915,6 +915,68 @@ TEST(Lanes, PowPosExactAnchors) {
   EXPECT_EQ(sp::lanes::pow_pos(4.0, -1.0), 0.25);
 }
 
+TEST(Lanes, PowPosRowMatchesPowPosLaneByLaneBitwise) {
+  // Both row forms give every lane the one-lane bits (step-major at every
+  // compiled row width, lane-major at every run-time width up to
+  // kMaxWidth) over the domain's edges: x = 1, x near 2^-256 and 2^256
+  // (variation_factor's drive-ratio window), and x on both sides of the
+  // m = sqrt(2) recentering boundary at several exponents, plus random x.
+  constexpr double kSqrt2 = 1.4142135623730951;
+  std::vector<double> xs{1.0};
+  for (double edge : {0x1p-256, 0x1p256, kSqrt2, std::ldexp(kSqrt2, -200),
+                      std::ldexp(kSqrt2, -1), std::ldexp(kSqrt2, 7),
+                      std::ldexp(kSqrt2, 200)}) {
+    double lo = edge, hi = edge;
+    xs.push_back(edge);
+    for (int k = 0; k < 4; ++k) {
+      xs.push_back(lo = std::nextafter(lo, 0.0));
+      xs.push_back(hi = std::nextafter(hi, INFINITY));
+    }
+  }
+  sp::Rng rng(2718);
+  for (int i = 0; i < 150; ++i) xs.push_back(std::exp2(rng.uniform(-8, 8)));
+
+  constexpr std::size_t kMax = sp::lanes::kMaxWidth;
+  for (double y : {1.3, 3.9, 0.5, -2.5}) {
+    std::vector<double> ref(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i)
+      ref[i] = sp::lanes::pow_pos(xs[i], y);
+    // Runs xs through `row` in chunks of w lanes (the last one padded
+    // with 1.0) and compares each lane with pow_pos.
+    const auto check = [&](std::size_t w, auto row) {
+      for (std::size_t c = 0; c < xs.size(); c += w) {
+        double x[kMax], out[kMax];
+        for (std::size_t j = 0; j < w; ++j)
+          x[j] = c + j < xs.size() ? xs[c + j] : 1.0;
+        row(x, out);
+        for (std::size_t j = 0; j < w && c + j < xs.size(); ++j)
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(out[j]),
+                    std::bit_cast<std::uint64_t>(ref[c + j]))
+              << "w=" << w << " x=" << x[j] << " y=" << y;
+      }
+    };
+    check(1, [&](const double* x, double* o) {
+      sp::lanes::pow_pos_row<1>(x, y, o, 1);
+    });
+    check(8, [&](const double* x, double* o) {
+      sp::lanes::pow_pos_row<8>(x, y, o, 8);
+    });
+    check(16, [&](const double* x, double* o) {
+      sp::lanes::pow_pos_row<16>(x, y, o, 16);
+    });
+    check(32, [&](const double* x, double* o) {
+      sp::lanes::pow_pos_row<32>(x, y, o, 32);
+    });
+    check(64, [&](const double* x, double* o) {
+      sp::lanes::pow_pos_row<64>(x, y, o, 64);
+    });
+    for (std::size_t n = 1; n <= kMax; ++n)
+      check(n, [&](const double* x, double* o) {
+        sp::lanes::pow_pos_row<0>(x, y, o, n);
+      });
+  }
+}
+
 // ---------------------------------------------------------------- KS
 
 TEST(Ks, GaussianSampleHasSmallDistance) {
