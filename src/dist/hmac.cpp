@@ -4,13 +4,21 @@
 #include <cstring>
 #include <vector>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define STATPIPE_SHA_NI 1
+#endif
+
 namespace statpipe::dist {
 
 namespace {
 
-// FIPS 180-4 SHA-256: straightforward scalar implementation.  The wire
-// authenticates one MAC per frame, so digest throughput is irrelevant next
-// to the payloads themselves; clarity wins.
+// FIPS 180-4 SHA-256.  Throughput matters: every service request hashes
+// its whole canonical descriptor for the result-cache key (megabytes for a
+// large SSTA grid), and an authenticated wire MACs every frame.  The block
+// compress therefore runs on the x86 SHA extensions where the CPU has
+// them, and a portable scalar loop everywhere else; both give the same
+// digest, so which one runs never shows in a key or a trailer.
 
 constexpr std::uint32_t kInit[8] = {
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -35,7 +43,8 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
-void compress(std::uint32_t state[8], const std::uint8_t block[64]) {
+/// Portable compress of one 64-byte block into `state`.
+void compress_block(std::uint32_t state[8], const std::uint8_t block[64]) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i)
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -77,26 +86,83 @@ void compress(std::uint32_t state[8], const std::uint8_t block[64]) {
   state[7] += h;
 }
 
+#ifdef STATPIPE_SHA_NI
+/// Compress on the SHA extensions: each sha256rnds2 runs two rounds on the
+/// state held as (A, B, E, F) and (C, D, G, H) words; sha256msg1/msg2
+/// extend the message schedule four words at a time.
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(
+    std::uint32_t state[8], const std::uint8_t* data, std::size_t blocks) {
+  // Big-endian message words to little-endian lanes.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i dcba = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i hgfe = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(dcba, hgfe, 8);
+  __m128i cdgh = _mm_blend_epi16(hgfe, dcba, 0xF0);
+  for (std::size_t b = 0; b < blocks; ++b, data += 64) {
+    const __m128i abef_in = abef, cdgh_in = cdgh;
+    __m128i w[4];  // message words 4i .. 4i+3 of the current quad
+    for (int i = 0; i < 4; ++i)
+      w[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+          bswap);
+#pragma GCC unroll 16
+    for (int q = 0; q < 16; ++q) {
+      __m128i& wq = w[q & 3];
+      if (q >= 4)  // W[t] from W[t-16..t-13], W[t-12..], W[t-7..], W[t-4..]
+        wq = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(wq, w[(q + 1) & 3]),
+                          _mm_alignr_epi8(w[(q + 3) & 3], w[(q + 2) & 3], 4)),
+            w[(q + 3) & 3]);
+      const __m128i wk = _mm_add_epi32(
+          wq, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound + 4 * q)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+/// Compresses `blocks` consecutive 64-byte blocks into `state`, on the
+/// SHA extensions when the CPU has them (checked once per process).
+void compress(std::uint32_t state[8], const std::uint8_t* data,
+              std::size_t blocks) {
+#ifdef STATPIPE_SHA_NI
+  static const bool sha_ni =
+      __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+  if (sha_ni) return compress_sha_ni(state, data, blocks);
+#endif
+  for (std::size_t b = 0; b < blocks; ++b) compress_block(state, data + 64 * b);
+}
+
 }  // namespace
 
 Digest sha256(std::span<const std::uint8_t> data) {
   std::uint32_t state[8];
   std::memcpy(state, kInit, sizeof state);
-  std::size_t i = 0;
-  for (; i + 64 <= data.size(); i += 64) compress(state, data.data() + i);
+  const std::size_t full = data.size() / 64;
+  compress(state, data.data(), full);
   // Final block(s): remainder, 0x80 pad, zeros, 64-bit big-endian bit count.
-  std::uint8_t block[64] = {};
-  const std::size_t rem = data.size() - i;
-  if (rem > 0) std::memcpy(block, data.data() + i, rem);
-  block[rem] = 0x80;
-  if (rem >= 56) {
-    compress(state, block);
-    std::memset(block, 0, sizeof block);
-  }
+  std::uint8_t tail[128] = {};
+  const std::size_t rem = data.size() - 64 * full;
+  if (rem > 0) std::memcpy(tail, data.data() + 64 * full, rem);
+  tail[rem] = 0x80;
+  const std::size_t tail_blocks = rem >= 56 ? 2 : 1;
   const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
   for (int k = 0; k < 8; ++k)
-    block[56 + k] = static_cast<std::uint8_t>(bits >> (8 * (7 - k)));
-  compress(state, block);
+    tail[64 * tail_blocks - 8 + k] =
+        static_cast<std::uint8_t>(bits >> (8 * (7 - k)));
+  compress(state, tail, tail_blocks);
   Digest out;
   for (int k = 0; k < 8; ++k) {
     out[4 * k] = static_cast<std::uint8_t>(state[k] >> 24);

@@ -1,6 +1,12 @@
 // Frame authentication for the distributed wire: SHA-256, HMAC-SHA256 and
 // a constant-time digest comparison, self-contained (no OpenSSL — the
-// container toolchain is the only dependency this repo is allowed).
+// toolchain is the only dependency this repo takes).
+//
+// SHA-256 is on the request path twice: dist::ResultCache keys every
+// service request by the digest of its canonical descriptor (a large SSTA
+// grid is megabytes), and an authenticated wire MACs every frame.  So its
+// throughput counts: the block compress runs on the x86 SHA extensions
+// when the CPU has them and a portable loop otherwise, with one digest.
 //
 // Used by dist/transport.cpp to append a 32-byte HMAC trailer to every
 // frame when a shared key is configured (docs/WIRE_FORMAT.md, v3): the MAC
@@ -29,7 +35,9 @@ inline constexpr std::size_t kDigestSize = 32;  ///< SHA-256 output bytes
 
 using Digest = std::array<std::uint8_t, kDigestSize>;
 
-/// SHA-256 of `data` (FIPS 180-4).
+/// SHA-256 of `data` (FIPS 180-4): the result-cache key and the core of
+/// every HMAC.  Runs the SHA-NI block loop where __builtin_cpu_supports
+/// ("sha") holds, the portable compress elsewhere; the digest is the same.
 Digest sha256(std::span<const std::uint8_t> data);
 
 /// HMAC-SHA256 (RFC 2104) of `data` under `key`.  Keys longer than the

@@ -1,6 +1,5 @@
 #include "dist/result_cache.h"
 
-#include <span>
 #include <utility>
 
 #include "obs/telemetry.h"
@@ -24,11 +23,8 @@ obs::Counter& c_evictions() {
 
 }  // namespace
 
-Digest ResultCache::key_for(const RunDescriptor& desc) {
-  ByteWriter w;
-  write_run_descriptor(w, desc);
-  return sha256(std::span<const std::uint8_t>(w.bytes().data(),
-                                              w.bytes().size()));
+Digest ResultCache::key_for(std::span<const std::uint8_t> descriptor_bytes) {
+  return sha256(descriptor_bytes);
 }
 
 const std::vector<std::uint8_t>* ResultCache::find(const Digest& key) {

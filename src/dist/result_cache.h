@@ -27,10 +27,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "dist/hmac.h"
-#include "dist/serialize.h"
 
 namespace statpipe::dist {
 
@@ -40,9 +40,12 @@ class ResultCache {
   /// entirely (every find misses, every insert is dropped).
   explicit ResultCache(std::size_t max_bytes) : max_bytes_(max_bytes) {}
 
-  /// Cache key: SHA-256 over the canonical descriptor bytes (which include
-  /// root_seed — the full (descriptor, root_seed) identity of a run).
-  static Digest key_for(const RunDescriptor& desc);
+  /// Cache key: SHA-256 over the canonical descriptor bytes, as
+  /// write_run_descriptor encodes them (root_seed included — the full
+  /// (descriptor, root_seed) identity of a run).  The service passes the
+  /// kSetup payload it has already serialized, so a request is encoded
+  /// once.
+  static Digest key_for(std::span<const std::uint8_t> descriptor_bytes);
 
   /// Borrowed pointer to the cached blob, nullptr on miss.  Counts one
   /// hit or miss and refreshes the entry's LRU rank.  The pointer is

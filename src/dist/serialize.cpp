@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 
 #include "stats/rng.h"
@@ -48,7 +49,13 @@ void ByteWriter::str(const std::string& s) {
 
 void ByteWriter::f64_vec(const std::vector<double>& v) {
   u64(v.size());
-  for (double d : v) f64(d);
+  if constexpr (std::endian::native == std::endian::little) {
+    // The host's doubles already are the wire bytes: one block copy.
+    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+    buf_.insert(buf_.end(), p, p + v.size() * sizeof(double));
+  } else {
+    for (double d : v) f64(d);
+  }
 }
 
 void ByteWriter::append(const std::vector<std::uint8_t>& b) {
@@ -111,9 +118,13 @@ std::vector<double> ByteReader::f64_vec() {
     throw std::runtime_error("dist: truncated payload (vector of " +
                              std::to_string(n) + " doubles, " +
                              std::to_string(remaining()) + " bytes left)");
-  std::vector<double> v;
-  v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(f64());
+  std::vector<double> v(n);
+  if constexpr (std::endian::native == std::endian::little) {
+    if (n != 0) std::memcpy(v.data(), data_.data() + pos_, n * sizeof(double));
+    pos_ += n * sizeof(double);
+  } else {
+    for (double& d : v) d = f64();
+  }
   return v;
 }
 

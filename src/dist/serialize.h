@@ -59,6 +59,8 @@ class ByteWriter {
   void f64(double v);
   /// u64 length followed by raw bytes.
   void str(const std::string& s);
+  /// u64 count, then each value as f64() writes it.  On little-endian
+  /// hosts the array is copied as one block (the same bytes).
   void f64_vec(const std::vector<double>& v);
   /// Appends pre-serialized bytes verbatim (no length prefix) — how a
   /// worker splices already-encoded unit payloads into a kResult frame.
@@ -83,6 +85,8 @@ class ByteReader {
   std::uint64_t u64();
   double f64();
   std::string str();
+  /// Inverse of ByteWriter::f64_vec.  A count the remaining bytes cannot
+  /// hold throws before anything is allocated.
   std::vector<double> f64_vec();
   /// Every remaining byte, consumed to the end — for trailing unprefixed
   /// blob fields (e.g. the result blob inside a kRequestDone payload).

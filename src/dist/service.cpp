@@ -106,8 +106,7 @@ std::uint64_t Service::admit_request(RunDescriptor desc,
     write_run_descriptor(w, rq.desc);
     rq.desc_bytes = w.take();
   }
-  rq.cache_key = sha256(std::span<const std::uint8_t>(rq.desc_bytes.data(),
-                                                      rq.desc_bytes.size()));
+  rq.cache_key = ResultCache::key_for(rq.desc_bytes);
   rq.submit_ns = obs::now_ns();
   rq.span_t0 = obs::enabled() ? rq.submit_ns : 0;
   rq.metrics.units = n_units;
@@ -130,10 +129,12 @@ std::uint64_t Service::admit_request(RunDescriptor desc,
   }
   if (opt_.cache_max_bytes > 0) rq.metrics.cache_misses = 1;
 
-  const std::size_t per =
-      opt_.units_per_range != 0
-          ? std::min(opt_.units_per_range, n_units)
-          : std::max<std::size_t>(1, n_units / 8);
+  // At least the kind's smallest range (a whole lane block for a grid),
+  // at most the whole plan.
+  const std::size_t per = std::min(
+      std::max(opt_.units_per_range != 0 ? opt_.units_per_range : n_units / 8,
+               task_min_range_units(rq.desc)),
+      n_units);
   sched_.add_request(rid, client_session, priority);
   for (std::size_t b = 0; b < n_units; b += per) {
     sched_.enqueue({rid, b, std::min(b + per, n_units), 0});

@@ -71,9 +71,12 @@ namespace statpipe::dist {
 struct ServiceOptions {
   std::string bind_host = "127.0.0.1";  ///< 0.0.0.0 for multi-machine runs
   std::uint16_t port = 0;               ///< 0 = ephemeral, see port()
-  /// Units per assignment; 0 = auto per request (n_units / 8, min 1).  A
-  /// pure scheduling knob: results are reassembled per unit, so this can
-  /// never change output bytes, only load balance and fair-share grain.
+  /// Units per assignment; 0 = auto per request (n_units / 8).  Either
+  /// way a range holds at least the task kind's smallest range
+  /// (task_min_range_units: one MC shard, one grid block of
+  /// sta::kMaxGridBlockLanes lanes) and at most the whole plan.  A pure
+  /// scheduling knob: results are reassembled per unit, so this can never
+  /// change output bytes, only load balance and fair-share grain.
   std::size_t units_per_range = 0;
   int max_attempts = 3;  ///< per range, >= 1
   /// Progress bound, 0 = wait forever: no event at all for this long

@@ -43,6 +43,10 @@ std::size_t task_unit_count(const RunDescriptor& desc) {
   throw std::invalid_argument("dist: descriptor with unknown task kind");
 }
 
+std::size_t task_min_range_units(const RunDescriptor& desc) {
+  return desc.task_kind == TaskKind::kSstaGrid ? sta::kMaxGridBlockLanes : 1;
+}
+
 std::size_t task_unit_wire_bytes(const RunDescriptor& desc) {
   if (desc.task_kind == TaskKind::kSstaGrid)
     return 48;  // 32-byte StageCharacterization + index and slack

@@ -44,6 +44,13 @@ struct TaskResult {
 /// std::invalid_argument with the offending field named.
 std::size_t task_unit_count(const RunDescriptor& desc);
 
+/// Fewest units a range of the descriptor's task holds: one shard for
+/// Monte-Carlo, one block of lanes (sta::kMaxGridBlockLanes) for a grid,
+/// so a worker characterizes its lanes in whole blocks.  A unit is still
+/// one shard or one lane on the wire; Service cuts ranges of
+/// clamp(units_per_range or its auto size, this floor, n_units).
+std::size_t task_min_range_units(const RunDescriptor& desc);
+
 /// Serialized per-unit payload size estimate for frame-budget checks: a
 /// shard's McResult scales with samples_per_shard; a grid lane is a fixed
 /// 32-byte StageCharacterization.

@@ -14,14 +14,19 @@ namespace statpipe::sta {
 
 namespace {
 
-/// Lanes per block: ~2 blocks per pool worker for load balance, but at
-/// most 8 lanes so the optimizer's small grids still occupy the pool.
-/// Purely a throughput knob: no lane depends on its block.
+/// Lanes per block, at most kMaxGridBlockLanes.  Several pool workers
+/// get ~2 blocks each for load balance, so the optimizer's small grids
+/// still occupy the pool.  One worker has nothing to balance: it gets the
+/// fewest blocks, cut as evenly as a common width allows (10 lanes run as
+/// 5 + 5, 8 as one block, 160 as 20 x 8).  Purely a throughput knob: no
+/// lane depends on its block.
 std::size_t block_lanes(std::size_t lanes) {
-  const std::size_t workers =
-      std::max<std::size_t>(sim::ThreadPool::shared().thread_count(), 1);
-  const std::size_t blocks = 2 * workers;
-  return std::clamp<std::size_t>((lanes + blocks - 1) / blocks, 1, 8);
+  const std::size_t workers = sim::ThreadPool::shared().thread_count();
+  const std::size_t blocks =
+      workers <= 1 ? (lanes + kMaxGridBlockLanes - 1) / kMaxGridBlockLanes
+                   : 2 * workers;
+  return std::clamp<std::size_t>((lanes + blocks - 1) / blocks, 1,
+                                 kMaxGridBlockLanes);
 }
 
 /// Characterizes lanes grid[0 .. L) into out[0 .. L) in one walk of

@@ -24,6 +24,7 @@
 // enforces all three).
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <vector>
 
@@ -57,13 +58,20 @@ using GridCharacterizer =
         const std::vector<std::vector<double>>& size_grid,
         const process::VariationSpec& spec, const SstaOptions& opt)>;
 
+/// The most lanes characterize_grid walks in one block.  Blocks of this
+/// width amortize the per-gate walk best; src/dist cuts grid ranges of at
+/// least this many lanes so a worker characterizes whole blocks.
+inline constexpr std::size_t kMaxGridBlockLanes = 8;
+
 /// Characterizes a whole size grid through `hook` when set, else locally:
 /// the call every optimizer candidate-grid site makes.  The grid is checked
 /// first (check_size_grid: full-length lanes of finite positive sizes, a
 /// finite non-negative output load); std::invalid_argument names the first
 /// bad lane.  The local path throws std::logic_error if `nl` has no primary
 /// outputs, caches nl's topological order before its blocks share it, and
-/// runs lane blocks of at most 8 lanes, about two per pool worker.
+/// runs lane blocks of at most kMaxGridBlockLanes lanes: about two per
+/// pool worker, or at one pool thread the fewest such blocks (10 lanes run
+/// as 5 + 5, 8 as one block, 160 as 20 x 8).
 std::vector<StageCharacterization> characterize_grid(
     const netlist::Netlist& nl, const device::AlphaPowerModel& model,
     const std::vector<std::vector<double>>& size_grid,

@@ -14,12 +14,14 @@
 #include <sys/wait.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <latch>
 #include <limits>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -188,11 +190,52 @@ TEST(DistSerialize, TruncatedPayloadThrows) {
   bytes.pop_back();
   ByteReader r(bytes);
   EXPECT_THROW(r.u64(), std::runtime_error);
-  // Hostile vector length must throw, not allocate.
-  ByteWriter w2;
-  w2.u64(~0ULL);
-  ByteReader r2(w2.bytes());
-  EXPECT_THROW(r2.f64_vec(), std::runtime_error);
+  // A vector count the payload cannot hold must throw before the reader
+  // allocates: hostile counts (two whose byte size wraps, to 0 and to
+  // exactly the 16 bytes that follow) and an honest count one short.
+  for (const std::uint64_t n :
+       {~0ULL, 1ULL << 61, (1ULL << 61) + 2, 3ULL}) {
+    ByteWriter w2;
+    w2.u64(n);
+    w2.f64(1.0);
+    w2.f64(2.0);  // room for two doubles, not three
+    ByteReader r2(w2.bytes());
+    EXPECT_THROW(r2.f64_vec(), std::runtime_error) << "count " << n;
+  }
+  ByteWriter w3;
+  w3.f64_vec({1.0, 2.0, 3.0});
+  std::vector<std::uint8_t> cut = w3.bytes();
+  cut.pop_back();
+  ByteReader r3(cut);
+  EXPECT_THROW(r3.f64_vec(), std::runtime_error);
+}
+
+// f64_vec writes each value exactly as f64() does (its IEEE-754 pattern,
+// low byte first), whichever path the host takes, for the values a byte
+// copy could plausibly mangle.
+TEST(DistSerialize, F64VecBytesEqualPerElementBitPatterns) {
+  const std::vector<double> v = {
+      -0.0,
+      std::bit_cast<double>(0x7ff80000deadbeefULL),  // NaN with a payload
+      std::numeric_limits<double>::denorm_min() * 3,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      1.0};
+  ByteWriter bulk;
+  bulk.f64_vec(v);
+  ByteWriter each;
+  each.u64(v.size());
+  for (double d : v) each.u64(std::bit_cast<std::uint64_t>(d));
+  EXPECT_EQ(bulk.bytes(), each.bytes());
+  EXPECT_EQ(bulk.bytes()[8 + 8 * 5 + 6], 0xf0);  // 1.0 = 0x3ff0..., LE
+  ByteReader r(bulk.bytes());
+  const std::vector<double> back = r.f64_vec();
+  EXPECT_TRUE(r.done());
+  ASSERT_EQ(back.size(), v.size());
+  for (std::size_t i = 0; i < v.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]),
+              std::bit_cast<std::uint64_t>(v[i]))
+        << "element " << i;
 }
 
 TEST(DistSerialize, RunningStatsRoundTripIsExact) {
@@ -697,9 +740,11 @@ TEST(DistCluster, WorkloadNameForVerifiesStructure) {
 // run — both the run_local_task reference and a caller-side call at the
 // same grid.
 TEST(DistEndToEnd, TwoWorkerSstaGridMatchesLocalBatchBitwise) {
-  const auto desc = grid_descriptor("c432", 6);
+  const auto desc = grid_descriptor("c432", 17);
   sp::dist::ServiceOptions opt;
-  opt.units_per_range = 2;  // 3 assignments across 2 workers
+  // Raised to one 8-lane block per range: 3 assignments (8/8/1, the last
+  // a one-lane walk) across 2 workers.
+  opt.units_per_range = 2;
   opt.idle_timeout_ms = 120000;
   sp::dist::Service svc(opt);
   const std::uint64_t rid = svc.submit_local(desc);
@@ -723,6 +768,34 @@ TEST(DistEndToEnd, TwoWorkerSstaGridMatchesLocalBatchBitwise) {
   const auto direct = sp::sta::characterize_grid(
       nl, model, desc.size_grid, sp::dist::descriptor_spec(desc), sopt);
   EXPECT_TRUE(sp::dist::bitwise_equal(dist_result.lanes, direct));
+}
+
+// A grid range holds at least one whole lane block: units_per_range = 2
+// cuts a 20-lane grid into 8/8/4 lanes, not ten 2-lane ranges, and the
+// lanes still reassemble to the local bytes.
+TEST(DistEndToEnd, GridRangesHoldWholeLaneBlocks) {
+  const auto desc = grid_descriptor("c432", 20);
+  sp::dist::ServiceOptions opt;
+  opt.units_per_range = 2;
+  opt.idle_timeout_ms = 120000;
+  sp::dist::Service svc(opt);
+  const std::uint64_t rid = svc.submit_local(desc);
+
+  const pid_t w1 = spawn_worker_process(svc.port());
+  const pid_t w2 = spawn_worker_process(svc.port());
+  svc.run([&] { return svc.local_done(rid); });
+  const sp::dist::RunMetrics m = svc.local_metrics(rid);
+  svc.shutdown_workers();
+  svc.drain_backlog();
+  const sp::dist::TaskResult dist_result = svc.take_local_result(rid);
+  reap(svc, w1);
+  reap(svc, w2);
+
+  EXPECT_EQ(m.units, 20u);
+  EXPECT_EQ(m.ranges, 3u);
+  EXPECT_EQ(m.commits, 3u);
+  EXPECT_TRUE(
+      sp::dist::bitwise_equal(dist_result, sp::dist::run_local_task(desc)));
 }
 
 // A non-default technology must replay exactly on the worker: the
@@ -763,9 +836,9 @@ TEST(DistEndToEnd, NonDefaultTechnologyCrossesTheWire) {
 // Worker failure on a grid task: a saboteur takes a lane range and dies;
 // the reassigned reassembly is still bitwise-identical.
 TEST(DistEndToEnd, SstaGridWorkerFailureReassignmentStaysBitwise) {
-  const auto desc = grid_descriptor("c432", 8);
+  const auto desc = grid_descriptor("c432", 24);
   sp::dist::ServiceOptions opt;
-  opt.units_per_range = 2;
+  opt.units_per_range = 2;  // raised to 8: 3 lane ranges, one forfeited
   opt.idle_timeout_ms = 120000;
   sp::dist::Service svc(opt);
   const std::uint64_t rid = svc.submit_local(desc);
@@ -994,6 +1067,31 @@ TEST(DistHmac, Sha256KnownAnswerVectors) {
                        "046d39ccc7112cd0"));
 }
 
+// The known-answer message generator (tests/sha256_kat.inc's `pat`).
+std::vector<std::uint8_t> kat_pattern(std::size_t n) {
+  std::vector<std::uint8_t> out(n);
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = static_cast<std::uint8_t>((i * 2654435761ULL) >> 13);
+  return out;
+}
+
+// Python hashlib digests of every prefix length 0..130 (both tail block
+// counts and every padding boundary) and of a 2.2 MB message, the size of
+// a 160-lane c3540 grid descriptor.  On x86 hosts with the SHA extensions
+// these run the SHA-NI compress, elsewhere the portable one.
+TEST(DistHmac, Sha256MatchesHashlibAtEveryTailLength) {
+  const char* const kat[] = {
+#include "sha256_kat.inc"
+  };
+  const std::vector<std::uint8_t> msg = kat_pattern(std::size(kat) - 1);
+  for (std::size_t n = 0; n < std::size(kat); ++n)
+    EXPECT_EQ(sp::dist::sha256(std::span(msg.data(), n)), hex_digest(kat[n]))
+        << n << " bytes";
+  EXPECT_EQ(sp::dist::sha256(kat_pattern(2200013)),
+            hex_digest("36dcdea73f1b5e4e30362ae68573bed38b3c38df168e918e"
+                       "a94dc8eca396787a"));
+}
+
 TEST(DistHmac, HmacSha256Rfc4231Vectors) {
   // RFC 4231 test cases 1-3 (short keys) and 6-7 (keys longer than the
   // 64-byte block, which must be hashed first per RFC 2104).
@@ -1023,6 +1121,15 @@ TEST(DistHmac, HmacSha256Rfc4231Vectors) {
                    "before being used by the HMAC algorithm.")),
       hex_digest("9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f5153"
                  "5c3a35e2"));
+}
+
+TEST(DistHmac, HmacOverAMegabyteMessageMatchesPython) {
+  // hmac.new(b"statpipe wire key", pat(1500007), hashlib.sha256): a kSetup
+  // frame of a large grid is MACed whole.
+  EXPECT_EQ(sp::dist::hmac_sha256(bytes_of("statpipe wire key"),
+                                  kat_pattern(1500007)),
+            hex_digest("56dc636f910205781b094ebc7f189c8c1af1ec775adfa9c5"
+                       "0853ac6d0a0bb5a6"));
 }
 
 TEST(DistHmac, ConstantTimeCompareExaminesEveryByte) {

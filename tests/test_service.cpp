@@ -252,20 +252,26 @@ TEST(Scheduler, IdenticalCallSequencesYieldIdenticalAssignments) {
 // ----------------------------------------------------------- result cache
 
 TEST(ResultCache, KeyChangesWhenOneTechnologyF64Changes) {
+  // The service keys a request by its serialized kSetup payload; so does
+  // this test.
+  auto key_of = [](const sp::dist::RunDescriptor& d) {
+    sp::dist::ByteWriter w;
+    sp::dist::write_run_descriptor(w, d);
+    return sp::dist::ResultCache::key_for(w.bytes());
+  };
   sp::dist::RunDescriptor a = mc_descriptor();
   sp::dist::RunDescriptor b = a;
   b.tech_avt = std::nextafter(b.tech_avt, 1.0);  // one f64 ulp
-  const sp::dist::Digest ka = sp::dist::ResultCache::key_for(a);
-  const sp::dist::Digest kb = sp::dist::ResultCache::key_for(b);
+  const sp::dist::Digest ka = key_of(a);
+  const sp::dist::Digest kb = key_of(b);
   EXPECT_TRUE(ka < kb || kb < ka) << "one-ulp technology change must rekey";
 
   sp::dist::RunDescriptor c = a;
   c.root_seed ^= 1;  // the (descriptor, root_seed) identity
-  const sp::dist::Digest kc = sp::dist::ResultCache::key_for(c);
+  const sp::dist::Digest kc = key_of(c);
   EXPECT_TRUE(ka < kc || kc < ka) << "root_seed is part of the cache key";
 
-  EXPECT_FALSE(ka < sp::dist::ResultCache::key_for(a) ||
-               sp::dist::ResultCache::key_for(a) < ka);
+  EXPECT_FALSE(ka < key_of(a) || key_of(a) < ka);
 }
 
 TEST(ResultCache, HitMissAndDeterministicLruEviction) {

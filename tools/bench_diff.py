@@ -11,7 +11,13 @@ previous CI run's artifact vs the current one — and reports per-row deltas
 for every shared numeric column:
 
   * columns ending in "_ms" are times: lower is better;
-  * columns starting with "speedup" are ratios: higher is better;
+  * columns starting with "speedup" are ratios: higher is better.  In a
+    row that also carries "_ms" columns a ratio is derived from them
+    (sample_sta_block's speedup_wN = w1_1t_ms / wN_1t_ms), so it is
+    printed but never flagged: when the time it divides by improves, the
+    ratio drops although nothing got slower, and any real slowdown already
+    shows in the "_ms" column itself.  A row with only ratios is flagged
+    on them;
   * other numeric columns (gate counts, bitwise flags, ...) are never
     flagged and printed only when their value changed between records.
 
@@ -128,7 +134,9 @@ def main():
             print(f"  {key}: new row (no baseline)")
             continue
         o, n = numeric_columns(old_rows[key]), numeric_columns(new_rows[key])
-        for col in sorted(set(o) & set(n)):
+        shared = sorted(set(o) & set(n))
+        has_times = any(classify(col) == "time" for col in shared)
+        for col in shared:
             ov, nv = o[col], n[col]
             if ov == 0:
                 continue
@@ -137,6 +145,8 @@ def main():
             flag = ""
             if not comparable and kind != "info":
                 flag = "  (backend mismatch: not flagged)"
+            elif kind == "ratio" and has_times:
+                flag = "  (derived from the _ms columns: not flagged)"
             elif kind == "time" and rel > args.threshold:
                 flag = "  <-- REGRESSION (slower)"
                 regressions.append((key, col, rel))

@@ -9,7 +9,8 @@
 //   --task ssta-sweep  distributed area-delay sweep: the sweep's candidate
 //                      grids (SSTA sweep-config lanes) are farmed to the
 //                      cluster via dist::grid_characterizer; the workload
-//                      must name exactly one circuit.
+//                      must name exactly one circuit.  A grid range holds
+//                      at least one 8-lane block (sta::kMaxGridBlockLanes).
 //
 // With --check-local the identical workload also runs single-process and
 // the distributed result must be bitwise-identical — the subsystem's
@@ -125,7 +126,9 @@ void accumulate(sp::dist::RunMetrics& acc, const sp::dist::RunMetrics& m) {
       "  mc          gate-level Monte-Carlo; units are sim shards\n"
       "              (--samples required; NAMES may list several stages)\n"
       "  ssta-sweep  distributed area-delay sweep; units are SSTA grid\n"
-      "              lanes (--points targets; NAMES must be one circuit)\n",
+      "              lanes (--points targets; NAMES must be one circuit).\n"
+      "              A grid range holds at least one 8-lane block, so\n"
+      "              --units-per-range below 8 is raised to 8 for grids\n",
       argv0, argv0, argv0);
   std::exit(EXIT_FAILURE);
 }

@@ -83,6 +83,27 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
         self.assertIn("REGRESSION (less speedup)", r.stdout)
 
+    def test_speedup_derived_from_time_columns_is_not_flagged(self):
+        # The shape of sample_sta_block's c3540 row across a change that
+        # made the one-lane walk 49% faster: speedup_w32 = w1 / w32 drops
+        # 25% though no time got worse.  It is printed, not flagged.
+        old = [{"circuit": "c3540", "w1_1t_ms": 696.7, "w32_1t_ms": 74.05,
+                "speedup_w32": 9.409}]
+        new = [{"circuit": "c3540", "w1_1t_ms": 357.1, "w32_1t_ms": 50.67,
+                "speedup_w32": 7.048}]
+        r = self.diff(old, new, "--strict")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertIn("c3540.speedup_w32", r.stdout)
+        self.assertIn("not flagged", r.stdout)
+        self.assertNotIn("REGRESSION", r.stdout)
+        # A w32 time 30% slower is still a regression, on the time column.
+        new[0]["w32_1t_ms"] = 74.05 * 1.30
+        r = self.diff(old, new, "--strict")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("c3540.w32_1t_ms", r.stdout)
+        self.assertIn("REGRESSION (slower)", r.stdout)
+        self.assertIn("1 regression(s) flagged", r.stdout)
+
     def test_threshold_bounds_what_gets_flagged(self):
         # +20% is under the default 25% threshold...
         r = self.diff([{"circuit": "c432", "total_ms": 10.0}],
