@@ -10,10 +10,13 @@
 // Prints per-circuit timings (best of kReps) for:
 //   scalar-1t  : copy + the scalar references (analyze_ssta, total_area)
 //                per lane, serial
-//   scalar-Nt  : same, fanned out over the shared pool
+//   lane1-1t   : sta::characterize_ssta per lane, serial: the one-lane
+//                evaluator and its level-wise fold, as the LR sizer's
+//                one-lane walks run it
+//   scalar-Nt  : the scalar references, fanned out over the shared pool
 //   batch-Nt   : sta::characterize_grid, lane blocks over the pool
-// and verifies the batch results are bitwise-equal to the scalar loop
-// (exit 1 otherwise).
+// and verifies the one-lane and batch results are bitwise-equal to the
+// scalar loop (exit 1 otherwise).
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -22,6 +25,7 @@
 #include "bench_util.h"
 #include "netlist/generators.h"
 #include "sim/engine.h"
+#include "sta/characterize.h"
 #include "sta/ssta.h"
 #include "sta/ssta_batch.h"
 
@@ -97,11 +101,11 @@ int main(int argc, char** argv) {
   bench_util::JsonReport report("batched_ssta");
   report.meta("lanes", static_cast<double>(kLanes));
 
-  bench_util::row({"circuit", "gates", "scalar-1t", "scalar-Nt", "batch-Nt",
-                   "speedup", "bitwise"});
+  bench_util::row({"circuit", "gates", "scalar-1t", "lane1-1t", "scalar-Nt",
+                   "batch-Nt", "speedup", "bitwise"});
   bench_util::csv_begin("batched_ssta",
-                        "circuit,gates,scalar_1t_ms,scalar_nt_ms,batch_nt_ms,"
-                        "speedup_nt,bitwise_equal");
+                        "circuit,gates,scalar_1t_ms,one_lane_1t_ms,"
+                        "scalar_nt_ms,batch_nt_ms,speedup_nt,bitwise_equal");
 
   bool all_equal = true;
   bool all_faster = true;
@@ -114,6 +118,16 @@ int main(int argc, char** argv) {
     const double scalar_1t = best_of([&] {
       for (std::size_t k = 0; k < kLanes; ++k)
         scalar[k] = scalar_lane(nl, grid[k], model, spec);
+    });
+    // One working copy, resized per lane: the column times the
+    // characterization, not the netlist copy.
+    std::vector<sp::sta::StageCharacterization> one_lane(kLanes);
+    sp::netlist::Netlist work = nl;
+    const double one_lane_1t = best_of([&] {
+      for (std::size_t k = 0; k < kLanes; ++k) {
+        work.set_sizes(grid[k]);
+        one_lane[k] = sp::sta::characterize_ssta(work, model, spec);
+      }
     });
     const double scalar_nt = best_of([&] {
       sp::sim::parallel_for(kLanes, [&](std::size_t k) {
@@ -128,23 +142,27 @@ int main(int argc, char** argv) {
 
     bool equal = true;
     for (std::size_t k = 0; k < kLanes; ++k)
-      equal = equal && bitwise_eq(scalar[k], batched[k]);
+      equal = equal && bitwise_eq(scalar[k], one_lane[k]) &&
+              bitwise_eq(scalar[k], batched[k]);
     all_equal = all_equal && equal;
     const double speedup = scalar_nt / batch_nt;
     all_faster = all_faster && batch_nt < scalar_nt;
 
     bench_util::row({name, std::to_string(nl.gate_count()),
                      bench_util::fmt(scalar_1t) + "ms",
+                     bench_util::fmt(one_lane_1t) + "ms",
                      bench_util::fmt(scalar_nt) + "ms",
                      bench_util::fmt(batch_nt) + "ms",
                      bench_util::fmt(speedup) + "x", equal ? "yes" : "NO"});
-    std::printf("%s,%zu,%.3f,%.3f,%.3f,%.2f,%d\n", name, nl.gate_count(),
-                scalar_1t, scalar_nt, batch_nt, speedup, equal ? 1 : 0);
+    std::printf("%s,%zu,%.3f,%.3f,%.3f,%.3f,%.2f,%d\n", name,
+                nl.gate_count(), scalar_1t, one_lane_1t, scalar_nt, batch_nt,
+                speedup, equal ? 1 : 0);
 
     report.row();
     report.col("circuit", name);
     report.col("gates", static_cast<double>(nl.gate_count()));
     report.col("scalar_1t_ms", scalar_1t);
+    report.col("one_lane_1t_ms", one_lane_1t);
     report.col("scalar_nt_ms", scalar_nt);
     report.col("batch_nt_ms", batch_nt);
     report.col("speedup_nt", speedup);
@@ -159,7 +177,8 @@ int main(int argc, char** argv) {
   }
 
   if (!all_equal) {
-    std::printf("FAIL: batched characterization diverged from scalar\n");
+    std::printf("FAIL: one-lane or batched characterization diverged from "
+                "scalar\n");
     return EXIT_FAILURE;
   }
   std::printf("batched characterization %s the scalar loop on every circuit\n",

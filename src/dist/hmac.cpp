@@ -1,8 +1,8 @@
 #include "dist/hmac.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <vector>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
@@ -145,32 +145,68 @@ void compress(std::uint32_t state[8], const std::uint8_t* data,
   for (std::size_t b = 0; b < blocks; ++b) compress_block(state, data + 64 * b);
 }
 
+/// Incremental SHA-256: update() over any split of a message, then
+/// final().  Whole 64-byte blocks are compressed straight from the
+/// caller's memory; only a partial block is buffered, so a message is
+/// never copied.
+class Sha256 {
+ public:
+  Sha256() { std::memcpy(state_, kInit, sizeof state_); }
+
+  void update(const std::uint8_t* data, std::size_t n) {
+    if (n == 0) return;
+    length_ += n;
+    if (buffered_ > 0) {
+      const std::size_t take = std::min(n, std::size_t{64} - buffered_);
+      std::memcpy(buf_ + buffered_, data, take);
+      buffered_ += take;
+      data += take;
+      n -= take;
+      if (buffered_ < 64) return;
+      compress(state_, buf_, 1);
+      buffered_ = 0;
+    }
+    const std::size_t full = n / 64;
+    compress(state_, data, full);
+    buffered_ = n - 64 * full;
+    if (buffered_ > 0) std::memcpy(buf_, data + 64 * full, buffered_);
+  }
+
+  Digest final() {
+    // Final block(s): remainder, 0x80 pad, zeros, 64-bit big-endian bit
+    // count.
+    std::uint8_t tail[128] = {};
+    if (buffered_ > 0) std::memcpy(tail, buf_, buffered_);
+    tail[buffered_] = 0x80;
+    const std::size_t tail_blocks = buffered_ >= 56 ? 2 : 1;
+    const std::uint64_t bits = length_ * 8;
+    for (int k = 0; k < 8; ++k)
+      tail[64 * tail_blocks - 8 + k] =
+          static_cast<std::uint8_t>(bits >> (8 * (7 - k)));
+    compress(state_, tail, tail_blocks);
+    Digest out;
+    for (int k = 0; k < 8; ++k) {
+      out[4 * k] = static_cast<std::uint8_t>(state_[k] >> 24);
+      out[4 * k + 1] = static_cast<std::uint8_t>(state_[k] >> 16);
+      out[4 * k + 2] = static_cast<std::uint8_t>(state_[k] >> 8);
+      out[4 * k + 3] = static_cast<std::uint8_t>(state_[k]);
+    }
+    return out;
+  }
+
+ private:
+  std::uint32_t state_[8];
+  std::uint8_t buf_[64];
+  std::size_t buffered_ = 0;
+  std::uint64_t length_ = 0;
+};
+
 }  // namespace
 
 Digest sha256(std::span<const std::uint8_t> data) {
-  std::uint32_t state[8];
-  std::memcpy(state, kInit, sizeof state);
-  const std::size_t full = data.size() / 64;
-  compress(state, data.data(), full);
-  // Final block(s): remainder, 0x80 pad, zeros, 64-bit big-endian bit count.
-  std::uint8_t tail[128] = {};
-  const std::size_t rem = data.size() - 64 * full;
-  if (rem > 0) std::memcpy(tail, data.data() + 64 * full, rem);
-  tail[rem] = 0x80;
-  const std::size_t tail_blocks = rem >= 56 ? 2 : 1;
-  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
-  for (int k = 0; k < 8; ++k)
-    tail[64 * tail_blocks - 8 + k] =
-        static_cast<std::uint8_t>(bits >> (8 * (7 - k)));
-  compress(state, tail, tail_blocks);
-  Digest out;
-  for (int k = 0; k < 8; ++k) {
-    out[4 * k] = static_cast<std::uint8_t>(state[k] >> 24);
-    out[4 * k + 1] = static_cast<std::uint8_t>(state[k] >> 16);
-    out[4 * k + 2] = static_cast<std::uint8_t>(state[k] >> 8);
-    out[4 * k + 3] = static_cast<std::uint8_t>(state[k]);
-  }
-  return out;
+  Sha256 h;
+  h.update(data.data(), data.size());
+  return h.final();
 }
 
 Digest hmac_sha256(std::span<const std::uint8_t> key,
@@ -188,16 +224,16 @@ Digest hmac_sha256(std::span<const std::uint8_t> key,
     inner[i] = static_cast<std::uint8_t>(k0[i] ^ 0x36);
     outer[i] = static_cast<std::uint8_t>(k0[i] ^ 0x5c);
   }
-  std::vector<std::uint8_t> msg;
-  msg.reserve(kBlock + data.size());
-  msg.insert(msg.end(), inner, inner + kBlock);
-  msg.insert(msg.end(), data.begin(), data.end());
-  const Digest ih = sha256(msg);
-  std::vector<std::uint8_t> om;
-  om.reserve(kBlock + ih.size());
-  om.insert(om.end(), outer, outer + kBlock);
-  om.insert(om.end(), ih.begin(), ih.end());
-  return sha256(om);
+  // H(K0 ^ opad || H(K0 ^ ipad || data)), each pad one whole block, so the
+  // data is hashed in place.
+  Sha256 ih;
+  ih.update(inner, kBlock);
+  ih.update(data.data(), data.size());
+  const Digest inner_digest = ih.final();
+  Sha256 oh;
+  oh.update(outer, kBlock);
+  oh.update(inner_digest.data(), inner_digest.size());
+  return oh.final();
 }
 
 bool digest_equal_consttime(const Digest& a, const Digest& b) noexcept {

@@ -6,7 +6,8 @@
 //
 // Layer contract (src/netlist, see docs/ARCHITECTURE.md): owns circuit
 // structure — the DAG, .bench parsing and deterministic generators — plus
-// purely structural quantities (loads, areas, levels).  May depend on
+// purely structural quantities (loads, areas, levels, a level-sorted
+// topological order).  May depend on
 // src/device (for GateKind and cell traits) and src/stats; must not
 // compute timing, sample variation, or reach into sta/sim/mc/core/opt.
 #pragma once
@@ -76,8 +77,12 @@ class Netlist {
   /// True if gate `id` is listed in outputs().  O(1).
   bool is_output(GateId id) const { return is_output_.at(id) != 0; }
 
-  /// Gate ids in topological order (inputs first).  Cached; invalidated by
-  /// structural edits.  Throws std::logic_error on a combinational cycle.
+  /// Gate ids in topological order (inputs first), and sorted by logic
+  /// level (levels() never decreases along it): FIFO Kahn seeded with
+  /// every source dequeues each level whole before the next.  The lane
+  /// SSTA fold (sta::LevelSchedule) cuts its levels out of this order and
+  /// checks the property.  Cached; invalidated by structural edits.
+  /// Throws std::logic_error on a combinational cycle.
   const std::vector<GateId>& topological_order() const;
 
   /// Logic level of each gate: inputs at 0, gate = 1 + max(fanin levels).

@@ -52,6 +52,7 @@ SizeLanes<kLanes>::SizeLanes(const netlist::Netlist& nl,
       load_(nl.size() * lanes, 0.0),
       arrival_(nl.size() * lanes, 0.0),
       delay_(nl.size(), lanes),
+      schedule_(nl, lanes),
       in_(lanes) {
   if (kLanes > 0 && lanes != kLanes)
     throw std::logic_error("SizeLanes: lane count differs from kLanes");

@@ -34,7 +34,8 @@ void check_size_grid(const netlist::Netlist& nl,
 /// innermost, and lane k executes exactly the one-lane sequence, so a lane
 /// does not depend on the others or on the block it rides in.  Each
 /// evaluate() rewrites every value fold_ssta(), area() and the accessors
-/// read, so one evaluator serves any number of size sets.  kLanes > 0
+/// read, so one evaluator serves any number of size sets; the fold's level
+/// schedule and staging are built once, with the evaluator.  kLanes > 0
 /// fixes L at compile time; kLanes == 0 takes it at run time.  The netlist
 /// supplies the structure only (its topological order must be cached
 /// before threads share it); the sizes live here.
@@ -42,7 +43,8 @@ template <std::size_t kLanes>
 class SizeLanes {
  public:
   /// Every lane starts at nl's sizes.  Throws std::invalid_argument on a
-  /// spec process::check_variation_spec rejects.
+  /// spec process::check_variation_spec rejects, and std::logic_error if
+  /// nl's topological order is not sorted by logic level (LevelSchedule).
   SizeLanes(const netlist::Netlist& nl, const device::AlphaPowerModel& model,
             const process::VariationSpec& spec, double output_load, double z,
             std::size_t lanes = kLanes);
@@ -68,10 +70,10 @@ class SizeLanes {
   void evaluate();
 
   /// Each lane's canonical SSTA of the netlist from evaluate()'s delays,
-  /// written to `out` (fold_ssta_lanes; consumes the delays, so call at
-  /// most once per evaluate()).
+  /// written to `out` (fold_ssta_lanes over the evaluator's level
+  /// schedule; consumes the delays, so call at most once per evaluate()).
   void fold_ssta(const CanonicalLanes& out) {
-    fold_ssta_lanes(nl_, delay_, out);
+    fold_ssta_lanes(schedule_, delay_, out);
   }
 
   /// out[k] = lane k's total cell area (Netlist::total_area's sum).
@@ -87,6 +89,7 @@ class SizeLanes {
   std::size_t lanes_;
   std::vector<double> size_, load_, arrival_;  // gate-major lanes
   CanonicalLaneArrays delay_;
+  LevelSchedule schedule_;  // fold_ssta's levels and staging
   std::vector<double> in_;  // lane scratch
 };
 

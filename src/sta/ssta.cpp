@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
+
+#include "stats/lanes.h"
+#include "stats/simd.h"
 
 namespace statpipe::sta {
 
@@ -25,14 +29,13 @@ CanonicalDelay operator+(const CanonicalDelay& a,
           a.b_sys + b.b_sys};
 }
 
-namespace {
-
-// Re-projection of a pairwise Clark result onto the canonical form: each
-// shared coefficient matches Cov(max, Z) = b_a*Phi(alpha) + b_b*Phi(-alpha)
-// (Clark eq. 6).  Shared by the scalar and the lane-batched max so both
-// paths execute the identical floating-point sequence.
-CanonicalDelay reproject_max(const CanonicalDelay& a, const CanonicalDelay& b,
-                             const stats::ClarkMax& cm) {
+CanonicalDelay canonical_max(const CanonicalDelay& a, const CanonicalDelay& b) {
+  const double rho = a.correlation(b);
+  const auto cm = stats::clark_max(a.as_gaussian(), b.as_gaussian(), rho);
+  // Re-projection onto the canonical form: each shared coefficient matches
+  // Cov(max, Z) = b_a*Phi(alpha) + b_b*Phi(-alpha) (Clark eq. 6).  The
+  // lane kernel (canonical_max_lanes, stats/lanes_kernels.inl) runs this
+  // exact sequence, its branches as selects.
   const double w = cm.phi_a;
   double bi = a.b_inter * w + b.b_inter * (1.0 - w);
   double bs = a.b_sys * w + b.b_sys * (1.0 - w);
@@ -53,70 +56,6 @@ CanonicalDelay reproject_max(const CanonicalDelay& a, const CanonicalDelay& b,
     r.sigma_ind = 0.0;
   }
   return r;
-}
-
-}  // namespace
-
-CanonicalDelay canonical_max(const CanonicalDelay& a, const CanonicalDelay& b) {
-  const double rho = a.correlation(b);
-  const auto cm = stats::clark_max(a.as_gaussian(), b.as_gaussian(), rho);
-  return reproject_max(a, b, cm);
-}
-
-void canonical_max_lanes(const CanonicalLanes& acc, const CanonicalLanes& other,
-                         std::size_t lanes) {
-  // Bitwise the same by this function's contract, and the chunked path
-  // below only pays off from two lanes up.
-  if (lanes == 1) {
-    acc.store(0, canonical_max(acc.load(0), other.load(0)));
-    return;
-  }
-  // Fixed-size chunks keep the SoA scratch (sigmas, correlations, Clark
-  // outputs) on the stack while feeding clark_max_lanes contiguous blocks.
-  // Per lane the sequence is exactly canonical_max's: correlation ->
-  // clark_max -> reproject, so results are bitwise-identical to scalar
-  // folding lane by lane.  No per-lane dispatch into the scalar operator:
-  // the sigma/correlation prologue below and the Clark kernel itself are
-  // straight-line loops over the canonical-form arrays.
-  constexpr std::size_t kChunk = stats::lanes::kMaxWidth;  // 64: widest
-  // block any SIMD backend accepts, so one chunk feeds even the AVX-512
-  // kernel full rows while the stack scratch stays at 4 KiB.
-  double s1[kChunk], s2[kChunk], rho[kChunk];
-  double cmean[kChunk], csigma[kChunk], calpha[kChunk], ca[kChunk],
-      cphi[kChunk];
-  for (std::size_t base = 0; base < lanes; base += kChunk) {
-    const std::size_t n = std::min(kChunk, lanes - base);
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t i = base + k;
-      // sigma() of each side, then the shared-normal correlation — the exact
-      // expressions of CanonicalDelay::sigma / ::correlation, with the
-      // degenerate zero-sigma case resolved by select on a sanitized divisor.
-      const double v1 = acc.b_inter[i] * acc.b_inter[i] +
-                        acc.b_sys[i] * acc.b_sys[i] +
-                        acc.sigma_ind[i] * acc.sigma_ind[i];
-      const double v2 = other.b_inter[i] * other.b_inter[i] +
-                        other.b_sys[i] * other.b_sys[i] +
-                        other.sigma_ind[i] * other.sigma_ind[i];
-      s1[k] = std::sqrt(v1);
-      s2[k] = std::sqrt(v2);
-      const bool zero = s1[k] <= 0.0 || s2[k] <= 0.0;
-      const double denom = stats::lanes::select(zero, 1.0, s1[k] * s2[k]);
-      const double num = acc.b_inter[i] * other.b_inter[i] +
-                         acc.b_sys[i] * other.b_sys[i];
-      rho[k] = stats::lanes::select(zero, 0.0,
-                                    std::clamp(num / denom, -1.0, 1.0));
-    }
-    const stats::GaussianLanesView ga{acc.mu + base, s1};
-    const stats::GaussianLanesView gb{other.mu + base, s2};
-    stats::clark_max_lanes(ga, gb, rho, n,
-                           {cmean, csigma, calpha, ca, cphi});
-    for (std::size_t k = 0; k < n; ++k) {
-      const stats::ClarkMax cm{{cmean[k], csigma[k]}, calpha[k], ca[k],
-                               cphi[k]};
-      acc.store(base + k,
-                reproject_max(acc.load(base + k), other.load(base + k), cm));
-    }
-  }
 }
 
 CanonicalDelay gate_canonical_delay(const netlist::Netlist& nl,
@@ -172,38 +111,176 @@ CanonicalDelay fold_ssta(const netlist::Netlist& nl,
   return out;
 }
 
-void fold_ssta_lanes(const netlist::Netlist& nl, CanonicalLaneArrays& arrival,
+namespace {
+
+/// Doubles every kernel batch of a level is padded to: a whole number of
+/// vectors on every backend (2, 4 or 8 doubles per register), so no batch
+/// ends in the kernel's scalar remainder loop.
+constexpr std::size_t kPadLanes = stats::lanes::kWidth;
+
+CanonicalLanes offset(const CanonicalLanes& v, std::size_t off) {
+  return {v.mu + off, v.b_inter + off, v.sigma_ind + off, v.b_sys + off};
+}
+
+/// to[k] = from[k] for k < n.  A loop rather than std::copy_n: at the
+/// one-lane fold's compile-time n = 1 it is four moves, not four memmove
+/// calls.
+void copy_lanes(const CanonicalLanes& from, const CanonicalLanes& to,
+                std::size_t n) {
+  for (std::size_t k = 0; k < n; ++k) to.store(k, from.load(k));
+}
+
+/// acc[k] = canonical_max(acc[k], other[k]) for k < n through kt's kernel;
+/// true when some lane failed clark_max's input check.
+bool max_lanes(const stats::simd::KernelTable& kt, const CanonicalLanes& acc,
+               const CanonicalLanes& other, std::size_t n) {
+  return kt.canonical_max_lanes(acc.mu, acc.b_inter, acc.sigma_ind,
+                                acc.b_sys, other.mu, other.b_inter,
+                                other.sigma_ind, other.b_sys, n);
+}
+
+/// fold_ssta's canonical_max chain over the arrivals of rows[0 .. count) in
+/// lane k: the scalar replay of a kernel call that flagged a lane, so the
+/// bad lane throws stats::clark_max's own exception.
+void replay_chain(CanonicalLaneArrays& arrival, const netlist::GateId* rows,
+                  std::size_t count, std::size_t k) {
+  CanonicalDelay in = arrival.at(rows[0]).load(k);
+  for (std::size_t q = 1; q < count; ++q)
+    in = canonical_max(in, arrival.at(rows[q]).load(k));
+}
+
+[[noreturn]] void unreplayed_fault() {
+  throw std::logic_error(
+      "fold_ssta_lanes: the lane kernel flagged a lane the scalar operator "
+      "accepts");
+}
+
+}  // namespace
+
+LevelSchedule::LevelSchedule(const netlist::Netlist& nl, std::size_t lanes)
+    : nl_(nl), lanes_(lanes), acc_(0, 0), other_(0, 0) {
+  const std::vector<std::size_t> level = nl.levels();
+  const std::vector<netlist::GateId>& topo = nl.topological_order();
+  const auto& gates = nl.gates();
+  std::vector<std::size_t> fanin_count(gates.size());
+  for (netlist::GateId id = 0; id < gates.size(); ++id)
+    fanin_count[id] = gates[id].fanins.size();
+  auto fanins = [&](netlist::GateId id) { return fanin_count[id]; };
+  gates_.reserve(gates.size());
+  rows_.reserve(std::accumulate(fanin_count.begin(), fanin_count.end(),
+                                std::size_t{0}));
+  std::vector<netlist::GateId> cut;  // one level's real gates, topo order
+  std::size_t max_slots = 0, max_rows = 0;
+  level_begin_.push_back(0);
+  step_begin_.push_back(0);
+  for (std::size_t i = 0; i < topo.size();) {
+    const std::size_t lvl = level[topo[i]];
+    cut.clear();
+    std::size_t positions = 1;
+    for (; i < topo.size() && level[topo[i]] == lvl; ++i)
+      if (!gates[topo[i]].is_pseudo()) {
+        cut.push_back(topo[i]);
+        positions = std::max(positions, fanins(topo[i]));
+      }
+    if (i < topo.size() && level[topo[i]] < lvl)
+      throw std::logic_error("LevelSchedule: the topological order of '" +
+                             nl.name() + "' is not sorted by logic level");
+    if (cut.empty()) continue;  // pseudo-gates only
+    // Slots by ascending fanin count, topological order within a count.
+    const std::size_t first = gates_.size();
+    for (std::size_t c = 0; c <= positions; ++c)
+      for (netlist::GateId id : cut)
+        if (fanins(id) == c) gates_.push_back(id);
+    const std::size_t m = cut.size();
+    for (std::size_t p = 0, s = 0; p < positions; ++p) {
+      while (s < m && fanins(gates_[first + s]) <= p) ++s;
+      steps_.push_back({p, s, rows_.size()});
+      for (std::size_t j = s; j < m; ++j)
+        rows_.push_back(gates[gates_[first + j]].fanins[p]);
+      if (p > 0) max_rows = std::max(max_rows, m - s);
+    }
+    max_slots = std::max(max_slots, m);
+    level_begin_.push_back(gates_.size());
+    step_begin_.push_back(steps_.size());
+  }
+  acc_ = CanonicalLaneArrays(1, max_slots * lanes + kPadLanes);
+  other_ = CanonicalLaneArrays(1, max_rows * lanes + kPadLanes);
+}
+
+template <std::size_t kLanes>
+void LevelSchedule::fold(CanonicalLaneArrays& arrival,
+                         const CanonicalLanes& out) {
+  const std::size_t L = kLanes > 0 ? kLanes : lanes_;
+  const stats::simd::KernelTable& kt = stats::simd::kernels();
+  const auto& gates = nl_.gates();
+  const CanonicalLanes acc = acc_.at(0);
+  const CanonicalLanes other = other_.at(0);
+  for (std::size_t l = 0; l + 1 < level_begin_.size(); ++l) {
+    const netlist::GateId* ids = gates_.data() + level_begin_[l];
+    const std::size_t m = level_begin_[l + 1] - level_begin_[l];
+    // Fanin position 0: fold_ssta's `in` starts at the first fanin's
+    // arrival, or at {} for a gate without fanins.
+    const std::size_t t0 = step_begin_[l];
+    const std::size_t none = steps_[t0].first_slot;
+    for (std::size_t j = 0; j < none * L; ++j) acc.store(j, {});
+    for (std::size_t i = none; i < m; ++i)
+      copy_lanes(arrival.at(rows_[steps_[t0].rows + i - none]),
+                 offset(acc, i * L), L);
+    for (std::size_t t = t0 + 1; t < step_begin_[l + 1]; ++t) {
+      const Step& step = steps_[t];
+      const netlist::GateId* rows = rows_.data() + step.rows;
+      const std::size_t count = m - step.first_slot;
+      for (std::size_t i = 0; i < count; ++i)
+        copy_lanes(arrival.at(rows[i]), offset(other, i * L), L);
+      // Pad to whole vectors with copies of the batch's first lane; the
+      // copies land past the level's slots and are never read.
+      const std::size_t n = count * L;
+      const std::size_t padded = (n + kPadLanes - 1) / kPadLanes * kPadLanes;
+      const CanonicalLanes a = offset(acc, step.first_slot * L);
+      for (std::size_t j = n; j < padded; ++j) {
+        a.store(j, a.load(0));
+        other.store(j, other.load(0));
+      }
+      if (max_lanes(kt, a, other, padded)) {
+        for (std::size_t i = step.first_slot; i < m; ++i)
+          for (std::size_t k = 0; k < L; ++k)
+            replay_chain(arrival, gates[ids[i]].fanins.data(),
+                         step.position + 1, k);
+        unreplayed_fault();
+      }
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      const CanonicalLanes d = arrival.at(ids[i]);
+      for (std::size_t k = 0; k < L; ++k)
+        d.store(k, acc.load(i * L + k) + d.load(k));
+    }
+  }
+  // The critical output: one chain over the outputs, in order.
+  const std::vector<netlist::GateId>& outs = nl_.outputs();
+  copy_lanes(arrival.at(outs[0]), out, L);
+  for (std::size_t i = 1; i < outs.size(); ++i) {
+    if (max_lanes(kt, out, arrival.at(outs[i]), L)) {
+      for (std::size_t k = 0; k < L; ++k)
+        replay_chain(arrival, outs.data(), i + 1, k);
+      unreplayed_fault();
+    }
+  }
+}
+
+void fold_ssta_lanes(LevelSchedule& schedule, CanonicalLaneArrays& arrival,
                      const CanonicalLanes& out) {
+  const netlist::Netlist& nl = schedule.nl_;
   if (nl.outputs().empty())
     throw std::logic_error("ssta: netlist has no primary outputs");
-  if (arrival.mu.size() != nl.size() * arrival.lanes)
+  if (arrival.lanes != schedule.lanes_ ||
+      arrival.mu.size() != nl.size() * schedule.lanes_)
     throw std::invalid_argument("ssta: one delay per gate and lane expected");
-  const std::size_t lanes = arrival.lanes;
-  // out = fold canonical_max over `ids`, the first copying: fold_ssta's
-  // `in` and `out` accumulators, per lane.
-  auto fold_max = [&](const std::vector<netlist::GateId>& ids) {
-    const CanonicalLanes first = arrival.at(ids.front());
-    std::copy_n(first.mu, lanes, out.mu);
-    std::copy_n(first.b_inter, lanes, out.b_inter);
-    std::copy_n(first.sigma_ind, lanes, out.sigma_ind);
-    std::copy_n(first.b_sys, lanes, out.b_sys);
-    for (std::size_t i = 1; i < ids.size(); ++i)
-      canonical_max_lanes(out, arrival.at(ids[i]), lanes);
-  };
-  const auto& gates = nl.gates();
-  for (netlist::GateId id : nl.topological_order()) {
-    const auto& g = gates[id];
-    if (g.is_pseudo()) continue;
-    if (g.fanins.empty()) {
-      for (std::size_t k = 0; k < lanes; ++k) out.store(k, {});
-    } else {
-      fold_max(g.fanins);
-    }
-    const CanonicalLanes a = arrival.at(id);
-    for (std::size_t k = 0; k < lanes; ++k)
-      a.store(k, out.load(k) + a.load(k));
-  }
-  fold_max(nl.outputs());
+  // The one-lane fold (the LR sizer's) runs its lane loops at a
+  // compile-time width of 1.
+  if (schedule.lanes_ == 1)
+    schedule.fold<1>(arrival, out);
+  else
+    schedule.fold<0>(arrival, out);
 }
 
 }  // namespace statpipe::sta

@@ -57,8 +57,8 @@ struct CanonicalDelay {
 CanonicalDelay canonical_max(const CanonicalDelay& a, const CanonicalDelay& b);
 
 /// Structure-of-arrays view over K parallel canonical delays (one sweep lane
-/// each) — the layout the batched SSTA propagation keeps per gate: four
-/// contiguous K-wide vectors instead of K interleaved structs.
+/// each) — the layout the lane SSTA fold keeps per gate: four contiguous
+/// K-wide vectors instead of K interleaved structs.
 struct CanonicalLanes {
   double* mu = nullptr;
   double* b_inter = nullptr;
@@ -75,14 +75,6 @@ struct CanonicalLanes {
     b_sys[k] = d.b_sys;
   }
 };
-
-/// acc[k] = canonical_max(acc[k], other[k]) for every lane — exactly the
-/// scalar operator per lane (bitwise-identical), evaluated over contiguous
-/// lane blocks via stats::clark_max_lanes so one gate visit of the batched
-/// propagation services all K sweep configurations.  One lane runs the
-/// scalar operator itself.
-void canonical_max_lanes(const CanonicalLanes& acc, const CanonicalLanes& other,
-                         std::size_t lanes);
 
 /// Owning gate-major lane storage behind CanonicalLanes views: four vectors
 /// of gates * lanes doubles, gate g's lanes contiguous at
@@ -104,6 +96,51 @@ struct CanonicalLaneArrays {
     return {mu.data() + off, b_inter.data() + off, sigma_ind.data() + off,
             b_sys.data() + off};
   }
+};
+
+/// The level schedule of fold_ssta_lanes over one netlist at a fixed lane
+/// count, and the staging it folds through.  A gate's fanins all sit on
+/// lower logic levels, so the gates of one level fold independently: at
+/// each fanin position p >= 1, every gate of the level with a fanin at p,
+/// in every lane, goes through one call of the backend's
+/// canonical_max_lanes kernel (stats/simd.h).  The schedule lists each
+/// level's real gates (fewest fanins first, so the gates with a fanin at p
+/// are a suffix of the level) and, per position, their fanin rows.  It
+/// rests on Netlist::topological_order() being sorted by logic level; the
+/// constructor checks that and throws std::logic_error if it fails.  Built
+/// once per lane evaluator (sta::SizeLanes), so a fold allocates nothing.
+class LevelSchedule {
+ public:
+  LevelSchedule(const netlist::Netlist& nl, std::size_t lanes);
+
+ private:
+  friend void fold_ssta_lanes(LevelSchedule& schedule,
+                              CanonicalLaneArrays& arrival,
+                              const CanonicalLanes& out);
+
+  /// fold_ssta_lanes' body; kLanes > 0 fixes the lane count at compile
+  /// time, kLanes == 0 reads lanes_.
+  template <std::size_t kLanes>
+  void fold(CanonicalLaneArrays& arrival, const CanonicalLanes& out);
+
+  /// Fanin position `position` of a level's slots from `first_slot` on
+  /// (the ones with a fanin there), whose fanin rows start at rows_[rows].
+  /// Every level has a position-0 step; its slots before first_slot have
+  /// no fanins.
+  struct Step {
+    std::size_t position;
+    std::size_t first_slot;
+    std::size_t rows;
+  };
+
+  const netlist::Netlist& nl_;
+  std::size_t lanes_;
+  std::vector<netlist::GateId> gates_;  // real gates, level by level
+  std::vector<std::size_t> level_begin_;  // levels + 1 offsets into gates_
+  std::vector<std::size_t> step_begin_;   // levels + 1 offsets into steps_
+  std::vector<Step> steps_;
+  std::vector<netlist::GateId> rows_;
+  CanonicalLaneArrays acc_, other_;  // staging, one row each
 };
 
 struct SstaOptions {
@@ -139,14 +176,20 @@ CanonicalDelay analyze_ssta(const netlist::Netlist& nl,
 CanonicalDelay fold_ssta(const netlist::Netlist& nl,
                          std::vector<CanonicalDelay>& arrival);
 
-/// Lane form of fold_ssta: arrival.lanes size configurations of `nl` in one
-/// topological walk.  On entry gate id's lanes hold its own canonical delay
-/// (zeros for pseudo-gates), on exit its canonical arrival.  `out`, one gate
-/// of lanes, receives each lane's arrival at the critical output; it is
-/// also the walk's fanin-max workspace.  Lane k is bitwise fold_ssta over
-/// lane k's delays.  The lane evaluator (sta::SizeLanes, behind both
-/// characterize_grid and the LR sizer) folds through it.
-void fold_ssta_lanes(const netlist::Netlist& nl, CanonicalLaneArrays& arrival,
+/// Lane form of fold_ssta over the schedule's netlist: its lane count of
+/// size configurations in one walk, level by level.  On entry gate id's lanes
+/// hold its own canonical delay (zeros for pseudo-gates), on exit its
+/// canonical arrival; `out`, one gate of lanes, receives each lane's
+/// arrival at the critical output, folded over the outputs in order.  Lane
+/// k is bitwise fold_ssta over lane k's delays: every (gate, lane) runs
+/// canonical_max's exact operation sequence, and the schedule and the
+/// batches a level is cut into are not operands.  A lane that fails
+/// stats::clark_max's input check (a NaN sigma) is replayed through the
+/// scalar operator, which throws its std::invalid_argument.  Throws
+/// std::logic_error if the netlist has no primary outputs.  The lane
+/// evaluator (sta::SizeLanes, behind both characterize_grid and the LR
+/// sizer) folds through it.
+void fold_ssta_lanes(LevelSchedule& schedule, CanonicalLaneArrays& arrival,
                      const CanonicalLanes& out);
 
 }  // namespace statpipe::sta

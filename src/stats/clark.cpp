@@ -6,7 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "stats/simd.h"
+#include "stats/lanes.h"
 
 namespace statpipe::stats {
 
@@ -14,9 +14,9 @@ namespace {
 // Below this, X1 - X2 is treated as deterministic and the max is exact.
 constexpr double kDegenerateA = 1e-12;
 
-// The one input check of clark_max and clark_max_lanes, written so NaN
-// fails both tests (a NaN sigma or rho would otherwise reach the kernel,
-// which has no data-dependent control flow to catch it).
+// clark_max's input check, written so NaN fails both tests.  The lane
+// kernel (canonical_max_lanes, stats/lanes_kernels.inl) accumulates the
+// same two tests as a flag instead of throwing.
 void check_inputs(double sigma1, double sigma2, double rho) {
   if (!(sigma1 >= 0.0) || !(sigma2 >= 0.0))
     throw std::invalid_argument("clark_max: negative or NaN sigma");
@@ -63,22 +63,6 @@ double clark_correlation(const Gaussian& x1, const Gaussian& x2,
   const double num =
       x1.sigma * rho13 * cm.phi_a + x2.sigma * rho23 * (1.0 - cm.phi_a);
   return std::clamp(num / cm.max.sigma, -1.0, 1.0);
-}
-
-void clark_max_lanes(const GaussianLanesView& x1, const GaussianLanesView& x2,
-                     const double* rho, std::size_t lanes,
-                     const ClarkLanes& out) {
-  // Validation pass first (same rejections as clark_max), so the dispatched
-  // kernel is pure arithmetic with no data-dependent control flow.  The
-  // degenerate-lane handling (X1 - X2 numerically constant: rho = ±1 with
-  // matching sigmas, or two zero-variance inputs) lives in the kernel as
-  // lane-wise selection on a sanitized divisor — see
-  // stats/lanes_kernels.inl for the body, stats/simd.h for dispatch.
-  for (std::size_t k = 0; k < lanes; ++k)
-    check_inputs(x1.sigma[k], x2.sigma[k], rho[k]);
-  simd::kernels().clark_max_lanes(x1.mean, x1.sigma, x2.mean, x2.sigma, rho,
-                                  lanes, out.mean, out.sigma, out.alpha,
-                                  out.a, out.phi_a);
 }
 
 namespace {

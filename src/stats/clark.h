@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "stats/gaussian.h"
-#include "stats/lanes.h"
 #include "stats/matrix.h"
 
 namespace statpipe::stats {
@@ -43,9 +42,9 @@ struct ClarkMax {
 /// (perfectly correlated, equal-variance inputs) by returning the
 /// pointwise-dominant input exactly.  Phi(alpha), Phi(-alpha) and
 /// phi(alpha) come from one lanes::normal_core call, the same function
-/// every clark_max_lanes backend runs.  Throws std::invalid_argument on a
-/// negative or NaN sigma, or a rho that is NaN or outside [-1, 1] by more
-/// than 1e-9.
+/// every backend's canonical_max_lanes kernel (stats/simd.h) runs.
+/// Throws std::invalid_argument on a negative or NaN sigma, or a rho that
+/// is NaN or outside [-1, 1] by more than 1e-9.
 ClarkMax clark_max(const Gaussian& x1, const Gaussian& x2, double rho = 0.0);
 
 /// Correlation of max(X1, X2) with a third Gaussian X3 (eq. 6), given the
@@ -53,24 +52,6 @@ ClarkMax clark_max(const Gaussian& x1, const Gaussian& x2, double rho = 0.0);
 /// The result is clamped to [-1, 1] (moment matching can overshoot by eps).
 double clark_correlation(const Gaussian& x1, const Gaussian& x2,
                          const ClarkMax& cm, double rho13, double rho23);
-
-/// Branch-free lane Clark: the pairwise operator over `lanes` SoA lanes,
-/// out.{mean,sigma,alpha,a,phi_a}[k] = clark_max(x1[k], x2[k], rho[k]).
-///
-/// Contract: each lane performs exactly the scalar operator's floating-point
-/// sequence, so results are bitwise-identical to `lanes` independent
-/// clark_max calls — including the degenerate a ~ 0 lanes (rho = ±1 with
-/// matching sigmas, zero-variance inputs), which are resolved by value
-/// selection (stats::lanes::select) on a sanitized divisor rather than a
-/// per-lane branch into a separate code path.  Inputs are validated up
-/// front exactly as clark_max validates (a negative or NaN sigma, or a rho
-/// that is NaN or outside [-1, 1] by more than 1e-9, throws).
-/// All arrays must hold `lanes` doubles.  An output may alias an input
-/// index for index (e.g. out.mean == x1.mean folds in place); no other
-/// overlap is allowed.
-void clark_max_lanes(const GaussianLanesView& x1, const GaussianLanesView& x2,
-                     const double* rho, std::size_t lanes,
-                     const ClarkLanes& out);
 
 /// Variable-ordering policy for the N-way reduction.
 enum class ClarkOrdering {

@@ -1,10 +1,10 @@
 // Lane abstraction for the block-vectorized kernel layer.
 //
 // A "lane block" is a fixed-width structure-of-arrays slice of doubles:
-// every logical value (a die's Vth shift, a gate's arrival time, a Clark
-// operand) is stored as `width` consecutive doubles, one per lane, so the
-// hot kernels (block sample STA, the branch-free Clark operator, the
-// batched SSTA propagation) iterate contiguous memory the compiler can
+// every logical value (a die's Vth shift, a gate's arrival time, a
+// canonical-max operand) is stored as `width` consecutive doubles, one per
+// lane, so the hot kernels (block sample STA, the branch-free canonical
+// max under the lane SSTA fold) iterate contiguous memory the compiler can
 // auto-vectorize.  Widths are small powers of two; how wide a block a
 // kernel accepts is a property of the active SIMD backend (stats/simd.h):
 // each backend publishes its own maximum (16 for the 2-double SSE4.2/NEON
@@ -335,7 +335,8 @@ struct NormalCore {
 };
 
 /// The one Gaussian core under stats::normal_cdf / normal_sf / normal_pdf
-/// and Clark's max (scalar clark_max and every backend's clark_max_lanes):
+/// and Clark's max (scalar clark_max and every backend's
+/// canonical_max_lanes):
 /// Phi(x), Phi(-x) and phi(x) from one exp and one polynomial.
 ///
 ///   E = exp(-x^2/2), x^2 split exactly into hi + lo (Dekker, no FMA)
@@ -374,23 +375,4 @@ __attribute__((always_inline)) inline NormalCore normal_core(
 }
 
 }  // namespace lanes
-
-/// SoA view of `lanes` Gaussians: mean[k], sigma[k] describe lane k.
-struct GaussianLanesView {
-  const double* mean = nullptr;
-  const double* sigma = nullptr;
-};
-
-/// SoA output of the branch-free lane Clark operator (stats/clark.h's
-/// clark_max_lanes): per lane the moment-matched max (mean, sigma), the
-/// tie z-score alpha, the difference sigma a, and Phi(alpha) — the same
-/// fields as the scalar ClarkMax, laid out as five parallel arrays.
-struct ClarkLanes {
-  double* mean = nullptr;
-  double* sigma = nullptr;
-  double* alpha = nullptr;
-  double* a = nullptr;
-  double* phi_a = nullptr;
-};
-
 }  // namespace statpipe::stats

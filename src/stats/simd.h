@@ -1,10 +1,10 @@
 // Runtime-dispatched SIMD backend layer for the lane kernels.
 //
-// The lane kernels (the branch-free Clark operator, the normal draw
-// kernel, the block sample-STA walk over stats/lanes.h's pow core) are
-// straight-line loops a compiler can vectorize — but how *wide* it
-// vectorizes is fixed at compile time by the -m flags of the translation
-// unit.  This layer compiles the one kernel source (lanes_kernels.inl)
+// The lane kernels (the branch-free canonical max under the SSTA fold,
+// the normal draw kernel, the block sample-STA walk over stats/lanes.h's
+// pow core) are straight-line loops a compiler can vectorize — but how
+// *wide* it vectorizes is fixed at compile time by the -m flags of the
+// translation unit.  This layer compiles the one kernel source (lanes_kernels.inl)
 // into several per-ISA translation units (scalar baseline, SSE4.2, AVX2,
 // AVX-512, NEON) and selects one KernelTable at runtime:
 //
@@ -108,18 +108,23 @@ struct KernelTable {
   std::size_t max_width;     ///< widest block this backend accepts
   std::size_t default_width; ///< width the backend prefers (bench/CLI hint)
 
-  /// The branch-free Clark max arithmetic loop over n lanes (validation is
-  /// the caller's job; see stats/clark.cpp).  Five SoA outputs mirror
-  /// stats::ClarkLanes.  Aliasing contract: an output may be the same
-  /// array as an input (lane k's inputs are read before its outputs are
-  /// written, and the loop carries `#pragma GCC ivdep`), but no two arrays
-  /// may overlap at different offsets.  The loop calls nothing (the
-  /// Gaussian core is inlined), so it vectorizes on every backend.
-  void (*clark_max_lanes)(const double* mu1, const double* sg1,
-                          const double* mu2, const double* sg2,
-                          const double* rho, std::size_t n, double* out_mean,
-                          double* out_sigma, double* out_alpha, double* out_a,
-                          double* out_phi);
+  /// The canonical max, in place over n lanes: for every k < n, lane k of
+  /// the first operand (mu1, b_inter1, sigma_ind1, b_sys1) becomes
+  /// sta::canonical_max of it and lane k of the second, bitwise: both
+  /// sigmas, the shared-normal correlation, Clark's moments (the Gaussian
+  /// core inlined) and the re-projection onto the canonical form, every
+  /// branch of the scalar operator a select.  Returns true when some lane
+  /// fails stats::clark_max's input check (a NaN sigma or correlation);
+  /// that lane's outputs are then meaningless and the caller replays the
+  /// scalar operator to throw its exception.  Lane k reads and writes only
+  /// index k (the loop carries `#pragma GCC ivdep`); the second operand
+  /// must not overlap the first.  The loop calls nothing, so it vectorizes
+  /// on every backend; callers pad n to whole vectors where lanes are few.
+  bool (*canonical_max_lanes)(double* mu1, double* b_inter1,
+                              double* sigma_ind1, double* b_sys1,
+                              const double* mu2, const double* b_inter2,
+                              const double* sigma_ind2, const double* b_sys2,
+                              std::size_t n);
 
   /// Lane-batched ziggurat normal fill over w interleaved xoshiro256**
   /// streams: out[i*stride + j] = sigma * (the i-th standard-normal deviate

@@ -4,9 +4,9 @@
 // execute the exact IEEE sequence of the scalar reference — which is what
 // keeps this backend on the repository's bitwise determinism contract.
 //
-// Width policy: max 32 (one lane row of the four Clark SoA arrays at width
-// 32 spans four cache lines — past that the walk turns memory-bound before
-// the wider registers help), default 16.
+// Width policy: max 32 (one lane row at width 32 spans four cache lines —
+// past that the walk turns memory-bound before the wider registers help),
+// default 16.
 #if defined(__x86_64__) || defined(_M_X64)
 
 #define STATPIPE_SIMD_NS avx2
@@ -21,7 +21,7 @@ const KernelTable* avx2_table() noexcept {
       "avx2",
       /*max_width=*/avx2::kWidthCap,
       /*default_width=*/16,
-      &avx2::clark_max_lanes,
+      &avx2::canonical_max_lanes,
       &avx2::normal_fill_lanes,
       &avx2::sta_block_walk,
   };

@@ -22,7 +22,7 @@ const KernelTable* avx512_table() noexcept {
       "avx512",
       /*max_width=*/avx512::kWidthCap,
       /*default_width=*/32,
-      &avx512::clark_max_lanes,
+      &avx512::canonical_max_lanes,
       &avx512::normal_fill_lanes,
       &avx512::sta_block_walk,
   };

@@ -23,7 +23,7 @@ const KernelTable* neon_table() noexcept {
       "neon",
       /*max_width=*/neon::kWidthCap,
       /*default_width=*/8,
-      &neon::clark_max_lanes,
+      &neon::canonical_max_lanes,
       &neon::normal_fill_lanes,
       &neon::sta_block_walk,
   };

@@ -19,7 +19,7 @@ const KernelTable* scalar_table() noexcept {
       "scalar",
       /*max_width=*/scalar::kWidthCap,
       /*default_width=*/8,
-      &scalar::clark_max_lanes,
+      &scalar::canonical_max_lanes,
       &scalar::normal_fill_lanes,
       &scalar::sta_block_walk,
   };

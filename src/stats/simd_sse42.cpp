@@ -22,7 +22,7 @@ const KernelTable* sse42_table() noexcept {
       "sse42",
       /*max_width=*/sse42::kWidthCap,
       /*default_width=*/8,
-      &sse42::clark_max_lanes,
+      &sse42::canonical_max_lanes,
       &sse42::normal_fill_lanes,
       &sse42::sta_block_walk,
   };

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "netlist/bench_parser.h"
 #include "netlist/generators.h"
@@ -42,6 +43,57 @@ TEST(Netlist, TopologicalOrderRespectsEdges) {
   for (std::size_t i = 0; i < topo.size(); ++i) pos[topo[i]] = i;
   for (std::size_t id = 0; id < n.size(); ++id)
     for (auto f : n.gate(id).fanins) EXPECT_LT(pos[f], pos[id]);
+}
+
+namespace {
+
+// True when levels() never decreases along topological_order().
+bool topological_order_is_level_sorted(const nl::Netlist& n) {
+  const auto lvl = n.levels();
+  const auto& topo = n.topological_order();
+  for (std::size_t i = 1; i < topo.size(); ++i)
+    if (lvl[topo[i]] < lvl[topo[i - 1]]) return false;
+  return true;
+}
+
+}  // namespace
+
+TEST(Netlist, TopologicalOrderIsSortedByLevel) {
+  // The lane SSTA fold cuts its levels out of topological_order().  Every
+  // built-in circuit, the generators at other shapes and seeds, and a
+  // parsed DAG whose gate ids are not in level order.
+  for (const char* c : {"c432", "c499", "c880", "c1355", "c1908", "c2670",
+                        "c3540", "c5315", "c6288", "c7552"}) {
+    EXPECT_TRUE(topological_order_is_level_sorted(nl::iscas_like(c))) << c;
+    EXPECT_TRUE(topological_order_is_level_sorted(nl::iscas_like(c, 9))) << c;
+  }
+  EXPECT_TRUE(topological_order_is_level_sorted(nl::iscas_c17()));
+  EXPECT_TRUE(topological_order_is_level_sorted(nl::inverter_chain(12)));
+  EXPECT_TRUE(topological_order_is_level_sorted(nl::inverter_grid(5, 7)));
+  EXPECT_TRUE(topological_order_is_level_sorted(tiny()));
+
+  // The parser adds each gate once its fanins exist, in file order: the
+  // 3-deep chain gets ids before the level-1 gate m, and y, a forward
+  // reference, comes last.
+  const std::string text = R"(
+INPUT(a)
+INPUT(b)
+OUTPUT(y)
+OUTPUT(z)
+y = NAND(c3, m)
+c1 = NOT(a)
+c2 = NOT(c1)
+c3 = NOT(c2)
+m = NOR(a, b)
+z = AND(m, b)
+)";
+  const auto n = nl::parse_bench_string(text);
+  const auto lvl = n.levels();
+  bool ids_level_sorted = true;
+  for (nl::GateId id = 1; id < n.size(); ++id)
+    if (lvl[id] < lvl[id - 1]) ids_level_sorted = false;
+  ASSERT_FALSE(ids_level_sorted) << "the fixture must not be level-ordered";
+  EXPECT_TRUE(topological_order_is_level_sorted(n));
 }
 
 TEST(Netlist, LevelsAndDepth) {

@@ -2,7 +2,7 @@
 // detection and STATPIPE_SIMD resolution, and the per-backend bitwise
 // self-consistency matrix — scalar reference vs. every backend this
 // machine can run, at every width the backend accepts, through the ported
-// kernels (pow_pos, clark_max_lanes, sample_block_into), a full
+// kernels (pow_pos, canonical_max_lanes, sample_block_into), a full
 // GateLevelMonteCarlo block run and the block walk's domain-fault path.
 //
 // All backends are compiled from one kernel source with IEEE-preserving
@@ -17,16 +17,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "device/latch.h"
 #include "mc/pipeline_mc.h"
 #include "netlist/generators.h"
 #include "process/variation.h"
+#include "sta/ssta.h"
 #include "sta/sta.h"
-#include "stats/clark.h"
 #include "stats/lanes.h"
 #include "stats/rng.h"
 #include "stats/simd.h"
@@ -142,113 +145,173 @@ TEST(SimdResolve, SupportedNamesResolveToTheirTables) {
 
 // --------------------------------------- per-backend bitwise consistency
 
-TEST(SimdMatrix, ClarkMaxLanesMatchesScalarClarkBitwise) {
-  sp::stats::Rng rng(777);
-  for (simd::Backend b : simd::detected_backends()) {
-    BackendGuard guard(b);
-    const std::size_t maxw = simd::kernels().max_width;
-    for (std::size_t w : matrix_widths(maxw)) {
-      std::vector<double> m1(w), s1(w), m2(w), s2(w), rho(w);
-      std::vector<double> om(w), os(w), oa(w), oaa(w), op(w);
-      for (std::size_t j = 0; j < w; ++j) {
-        m1[j] = rng.uniform(-5.0, 5.0);
-        m2[j] = rng.uniform(-5.0, 5.0);
-        s1[j] = rng.uniform(0.0, 3.0);
-        s2[j] = rng.uniform(0.0, 3.0);
-        rho[j] = rng.uniform(-1.0, 1.0);
-      }
-      // Exercise the degenerate select path in a couple of lanes too.
-      if (w >= 2) {
-        s1[0] = s2[0] = 0.0;
-        rho[0] = 0.0;
-        s1[1] = s2[1] = 1.0;
-        rho[1] = 1.0;
-      }
-      sp::stats::clark_max_lanes({m1.data(), s1.data()},
-                                 {m2.data(), s2.data()}, rho.data(), w,
-                                 {om.data(), os.data(), oa.data(),
-                                  oaa.data(), op.data()});
-      for (std::size_t j = 0; j < w; ++j) {
-        const auto cm = sp::stats::clark_max({m1[j], s1[j]}, {m2[j], s2[j]},
-                                             rho[j]);
-        ASSERT_EQ(om[j], cm.max.mean)
-            << simd::backend_name(b) << " w=" << w << " lane " << j;
-        ASSERT_EQ(os[j], cm.max.sigma);
-        ASSERT_EQ(oa[j], cm.alpha);
-        ASSERT_EQ(oaa[j], cm.a);
-        ASSERT_EQ(op[j], cm.phi_a);
-      }
+namespace {
+
+using sp::sta::CanonicalDelay;
+
+/// n canonical delays as the kernel takes them: four SoA arrays.
+struct CanonicalSoa {
+  std::vector<double> mu, b_inter, sigma_ind, b_sys;
+
+  explicit CanonicalSoa(const std::vector<CanonicalDelay>& d) {
+    for (const CanonicalDelay& c : d) {
+      mu.push_back(c.mu);
+      b_inter.push_back(c.b_inter);
+      sigma_ind.push_back(c.sigma_ind);
+      b_sys.push_back(c.b_sys);
     }
   }
+};
 
-  // Edge lanes of the Gaussian core, cycled over every width: |alpha| from
-  // +-0 up to 40 (the core clamps at 39) and past exp's underflow, huge
-  // mean gaps, and a degenerate lane.  With s1 = 1, s2 = 0, rho = 0 the
-  // difference sigma a is exactly 1, so alpha is mu1 - mu2.
-  struct Lane {
-    double m1, s1, m2, s2, rho;
+/// Table kt's canonical_max_lanes over lanes (x[j], y[j]), in place in x.
+bool run_canonical_max_lanes(const simd::KernelTable& kt, CanonicalSoa& x,
+                             const CanonicalSoa& y) {
+  return kt.canonical_max_lanes(x.mu.data(), x.b_inter.data(),
+                                x.sigma_ind.data(), x.b_sys.data(),
+                                y.mu.data(), y.b_inter.data(),
+                                y.sigma_ind.data(), y.b_sys.data(),
+                                x.mu.size());
+}
+
+/// Holds every lane of kt's canonical_max_lanes over (x[j], y[j]) to
+/// scalar sta::canonical_max, bit for bit; the kernel must flag no lane.
+void expect_canonical_max_lanes_match(const simd::KernelTable& kt,
+                                      const std::vector<CanonicalDelay>& x,
+                                      const std::vector<CanonicalDelay>& y,
+                                      const std::string& where) {
+  CanonicalSoa acc(x);
+  ASSERT_FALSE(run_canonical_max_lanes(kt, acc, CanonicalSoa(y))) << where;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    const CanonicalDelay r = sp::sta::canonical_max(x[j], y[j]);
+    const std::string lane = where + " lane " + std::to_string(j);
+    ASSERT_EQ(bits(acc.mu[j]), bits(r.mu)) << lane;
+    ASSERT_EQ(bits(acc.b_inter[j]), bits(r.b_inter)) << lane;
+    ASSERT_EQ(bits(acc.sigma_ind[j]), bits(r.sigma_ind)) << lane;
+    ASSERT_EQ(bits(acc.b_sys[j]), bits(r.b_sys)) << lane;
+  }
+}
+
+}  // namespace
+
+TEST(SimdMatrix, CanonicalMaxLanesMatchesScalarCanonicalMaxBitwise) {
+  // One named lane per select arm of the kernel (the scalar operator's
+  // branches), then the Gaussian core's edges, then random lanes.  The
+  // hex operands were found by searching random pairs for each arm.
+  struct Named {
+    const char* arm;
+    CanonicalDelay x, y;
   };
-  std::vector<Lane> edge;
+  const std::vector<Named> named = {
+      {"generic", {100.0, 3.0, 2.0, 1.0}, {102.0, 2.5, 1.5, 0.7}},
+      // a = sd(X1 - X2) < 1e-12: the max is the input with the larger mean.
+      {"degenerate, first wins", {100.0, 4.0, 0.0, 0.0}, {95.0, 4.0, 0.0, 0.0}},
+      {"degenerate, second wins", {90.0, 4.0, 0.0, 0.0}, {95.0, 4.0, 0.0, 0.0}},
+      {"degenerate, both sigmas zero", {100.0, 0.0, 0.0, 0.0},
+       {99.0, 0.0, 0.0, 0.0}},
+      // correlation() is 0 when a sigma is 0.
+      {"zero-sigma operand", {100.0, 0.0, 0.0, 0.0}, {98.0, 1.5, 2.0, 0.5}},
+      {"zero-sigma operand, second", {97.0, 1.5, 2.0, 0.5},
+       {100.0, 0.0, 0.0, 0.0}},
+      // Re-projection rescale (resid < 0, var > 0), with and without a
+      // degenerate Clark step (equal shared parts, no private part).
+      {"rescale",
+       {0x1.5b432676f5309p+3, 0x1.10d14a0c1f76p-3, 0.0, 0x1.cb6216fe317dp-1},
+       {0x1.523723629479cp+3, 0x1.1d603ebb850bbp-3, 0.0,
+        0x1.e08795e62749dp-1}},
+      {"rescale, degenerate",
+       {0x1.5532c8269d592p+3, 0x1.03a33cd8a155p+1, 0.0, 0x1.2ce9ebaa01228p-1},
+       {0x1.50d30fbcabbdep+3, 0x1.03a33cd8a155p+1, 0.0,
+        0x1.2ce9ebaa01228p-1}},
+      // Cancellation leaves no variance (resid < 0, var == 0): only the
+      // mean survives.
+      {"zero variance",
+       {0x1.e848p+19, 0x1.9ca907645424dp-11, 0x1.6930e08e469acp-14, 0.0},
+       {0x1.e84800041d6d4p+19, 0x1.171d30268b025p-12, 0x1.803e6e33359d4p-11,
+        0.0}},
+      // The correlation ratio rounds past +-1 and is clamped.
+      {"rho clamped at +1",
+       {0x1.55a13c88d7edp+3, 0x1.0274f8e9f6c87p+1, 0.0, 0x1.d9059337943b6p-4},
+       {0x1.42e4491a7143fp+3, 0x1.eb5dd11d992f8p+0, 0.0,
+        0x1.c1a4c7f60f6bdp-4}},
+      {"rho clamped at -1",
+       {0x1.43764348208d3p+3, 0x1.f331aeed87a44p-3, 0.0, 0x1.5794d23c1c12ap-3},
+       {0x1.490a0c7b796e6p+3, -0x1.13fdf8731bc42p-2, 0.0,
+        -0x1.7bea4ea2ba2acp-3}},
+  };
+  std::vector<CanonicalDelay> pool_x, pool_y;
+  for (const Named& l : named) {
+    pool_x.push_back(l.x);
+    pool_y.push_back(l.y);
+  }
+  // Gaussian-core edges: with a private sigma of 1 against a constant, the
+  // correlation is 0 and a is exactly 1, so alpha is the mean gap.
   for (double al : {0.0, -0.0, 1e-300, 1e-8, 0.5, 1.0, 5.0, 8.3, 20.0, 37.0,
                     37.5, 38.5, 39.0, 40.0, 1e3, 1e15})
-    for (double sign : {1.0, -1.0}) edge.push_back({sign * al, 1.0, 0.0, 0.0, 0.0});
-  edge.push_back({-0.0, 1.0, 0.0, 0.0, 0.0});  // alpha = -0 - 0 = -0
-  edge.push_back({1e150, 3.0, -1e150, 4.0, 0.25});
-  edge.push_back({-1e150, 3.0, 1e150, 4.0, -0.25});
-  edge.push_back({1e12, 0.5, 1e12 + 1.0, 0.5, 1.0});  // degenerate: a = 0
-  edge.push_back({2.0, 1e-3, 2.0, 1e-3, 1.0 + 5e-10});  // rho clamps to 1
-  for (simd::Backend b : simd::detected_backends()) {
-    BackendGuard guard(b);
-    for (std::size_t w : matrix_widths(simd::kernels().max_width)) {
-      std::vector<double> m1(w), s1(w), m2(w), s2(w), rho(w);
-      for (std::size_t j = 0; j < w; ++j) {
-        const Lane& l = edge[j % edge.size()];
-        m1[j] = l.m1;
-        s1[j] = l.s1;
-        m2[j] = l.m2;
-        s2[j] = l.s2;
-        rho[j] = l.rho;
-      }
-      // Once out of place, once in place (out.mean == x1.mean, and the
-      // other outputs over the remaining inputs index for index).
-      for (bool in_place : {false, true}) {
-        std::vector<double> im1 = m1, is1 = s1, im2 = m2, is2 = s2,
-                            irho = rho;
-        std::vector<double> om(w), os(w), oa(w), oaa(w), op(w);
-        const sp::stats::ClarkLanes out =
-            in_place ? sp::stats::ClarkLanes{im1.data(), is1.data(),
-                                             im2.data(), is2.data(),
-                                             irho.data()}
-                     : sp::stats::ClarkLanes{om.data(), os.data(), oa.data(),
-                                             oaa.data(), op.data()};
-        sp::stats::clark_max_lanes({im1.data(), is1.data()},
-                                   {im2.data(), is2.data()}, irho.data(), w,
-                                   out);
-        for (std::size_t j = 0; j < w; ++j) {
-          const auto cm = sp::stats::clark_max({m1[j], s1[j]}, {m2[j], s2[j]},
-                                               rho[j]);
-          const std::string where = std::string(simd::backend_name(b)) +
-                                    " w=" + std::to_string(w) + " lane " +
-                                    std::to_string(j) +
-                                    (in_place ? " in place" : "");
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(out.mean[j]),
-                    std::bit_cast<std::uint64_t>(cm.max.mean))
-              << where;
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(out.sigma[j]),
-                    std::bit_cast<std::uint64_t>(cm.max.sigma))
-              << where;
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(out.alpha[j]),
-                    std::bit_cast<std::uint64_t>(cm.alpha))
-              << where;
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(out.a[j]),
-                    std::bit_cast<std::uint64_t>(cm.a))
-              << where;
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(out.phi_a[j]),
-                    std::bit_cast<std::uint64_t>(cm.phi_a))
-              << where;
-        }
-      }
+    for (double sign : {1.0, -1.0}) {
+      pool_x.push_back({sign * al, 0.0, 1.0, 0.0});
+      pool_y.push_back({0.0, 0.0, 0.0, 0.0});
     }
+  pool_x.push_back({1e150, 0.0, 3.0, 0.0});
+  pool_y.push_back({-1e150, 0.0, 4.0, 0.0});
+  pool_x.push_back({-1e150, 1.0, 3.0, 0.5});
+  pool_y.push_back({1e150, 2.0, 4.0, 0.25});
+  sp::stats::Rng rng(777);
+  const auto random_delay = [&] {
+    return CanonicalDelay{rng.uniform(-5.0, 5.0), rng.uniform(-3.0, 3.0),
+                          rng.uniform(0.0, 3.0), rng.uniform(-3.0, 3.0)};
+  };
+  for (int i = 0; i < 200; ++i) {
+    pool_x.push_back(random_delay());
+    pool_y.push_back(random_delay());
+  }
+
+  // Each width twice: the named lanes first, then last (so they also run
+  // in the kernel's scalar remainder loop).
+  for (simd::Backend b : simd::detected_backends()) {
+    const simd::KernelTable& kt = *simd::kernels_for(b);
+    for (std::size_t w : {1, 3, 8, 17, 64, 1000})
+      for (bool reversed : {false, true}) {
+        std::vector<CanonicalDelay> x(w), y(w);
+        for (std::size_t j = 0; j < w; ++j) {
+          const std::size_t i = (reversed ? w - 1 - j : j) % pool_x.size();
+          x[j] = pool_x[i];
+          y[j] = pool_y[i];
+        }
+        expect_canonical_max_lanes_match(
+            kt, x, y,
+            std::string(kt.name) + " w=" + std::to_string(w) +
+                (reversed ? " reversed" : ""));
+      }
+  }
+}
+
+TEST(SimdMatrix, CanonicalMaxLanesFlagsWhatClarkMaxRejects) {
+  // A NaN sigma, or infinite shared parts whose correlation is inf/inf,
+  // fails clark_max's input check: the scalar operator throws and the
+  // kernel flags the call, wherever the lane sits.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<CanonicalDelay, CanonicalDelay>> bad = {
+      {{1.0, 1.0, nan, 0.0}, {0.0, 1.0, 1.0, 0.0}},
+      {{1.0, 1.0, 1.0, 0.0}, {0.0, nan, 1.0, 0.0}},
+      {{1.0, inf, 1.0, 0.0}, {0.0, inf, 1.0, 0.0}},
+  };
+  const CanonicalDelay ok{2.0, 1.0, 1.0, 0.5};
+  for (const auto& [x, y] : bad)
+    EXPECT_THROW(sp::sta::canonical_max(x, y), std::invalid_argument);
+  for (simd::Backend b : simd::detected_backends()) {
+    const simd::KernelTable& kt = *simd::kernels_for(b);
+    for (std::size_t w : {1, 3, 8, 17})
+      for (std::size_t at : {std::size_t{0}, w / 2, w - 1})
+        for (std::size_t c = 0; c <= bad.size(); ++c) {
+          std::vector<CanonicalDelay> x(w, ok), y(w, ok);
+          if (c < bad.size()) std::tie(x[at], y[at]) = bad[c];
+          CanonicalSoa acc(x);
+          EXPECT_EQ(run_canonical_max_lanes(kt, acc, CanonicalSoa(y)),
+                    c < bad.size())
+              << kt.name << " w=" << w << " lane " << at << " case " << c;
+        }
   }
 }
 

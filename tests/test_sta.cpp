@@ -2,7 +2,10 @@
 // characterization, cross-validated against gate-level Monte-Carlo.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -576,6 +579,190 @@ TEST(CharacterizeGrid, RejectsBadVariationSpecs) {
     (void)sp::sta::characterize_grid(nl, m, {nl.sizes(), nl.sizes()}, spec,
                                      {});
   });
+}
+
+// ------------------------------------------------------ the level-wise fold
+
+namespace {
+
+// A stage whose gates take 1 to 7 fanins, so each level's fanin positions
+// cut it into kernel batches of shrinking width: 8 inputs, then 6 levels of
+// 9 gates, gate j of a level reading 1 + j % 7 distinct signals, the first
+// from the level just below (so every level is full), the rest from any
+// earlier one.  The last level and two earlier gates drive outputs.
+sp::netlist::Netlist wide_fanin_stage() {
+  sp::netlist::Netlist nl("wide_fanin");
+  std::vector<sp::netlist::GateId> signals, below;
+  for (int i = 0; i < 8; ++i)
+    below.push_back(nl.add_input("i" + std::to_string(i)));
+  signals = below;
+  for (std::size_t v = 1; v <= 6; ++v) {
+    std::vector<sp::netlist::GateId> level;
+    for (std::size_t j = 0; j < 9; ++j) {
+      std::vector<sp::netlist::GateId> fanins = {below[j % below.size()]};
+      for (std::size_t q = 1; q <= j % 7; ++q) {
+        std::size_t pick = (j * 5 + q * 3 + v) % signals.size();
+        while (std::find(fanins.begin(), fanins.end(), signals[pick]) !=
+               fanins.end())
+          pick = (pick + 1) % signals.size();
+        fanins.push_back(signals[pick]);
+      }
+      const GateKind kind = fanins.size() == 1   ? GateKind::kNot
+                            : fanins.size() == 2 ? GateKind::kNand2
+                            : fanins.size() == 3 ? GateKind::kNand3
+                                                 : GateKind::kNand4;
+      level.push_back(nl.add_gate(
+          "g" + std::to_string(v) + "_" + std::to_string(j), kind, fanins,
+          1.0 + 0.25 * static_cast<double>((v + j) % 4)));
+    }
+    signals.insert(signals.end(), level.begin(), level.end());
+    below = level;
+  }
+  for (sp::netlist::GateId id : below) nl.mark_output(id);
+  nl.mark_output(20);
+  nl.mark_output(33);
+  return nl;
+}
+
+// Every lane's canonical delays at `grid`'s sizes, from the scalar
+// reference, gate-major as fold_ssta_lanes takes them.
+sp::sta::CanonicalLaneArrays lane_delays(
+    const sp::netlist::Netlist& nl,
+    const std::vector<std::vector<double>>& grid, const VariationSpec& spec) {
+  const auto m = model();
+  sp::sta::CanonicalLaneArrays d(nl.size(), grid.size());
+  for (std::size_t k = 0; k < grid.size(); ++k) {
+    const auto work = with_sizes(nl, grid[k]);
+    for (sp::netlist::GateId g = 0; g < nl.size(); ++g)
+      d.at(g).store(k, sp::sta::gate_canonical_delay(work, g, m, spec));
+  }
+  return d;
+}
+
+// The std::invalid_argument message fold_ssta throws on lane k of `d`.
+std::string scalar_fold_error(const sp::netlist::Netlist& nl,
+                              sp::sta::CanonicalLaneArrays& d, std::size_t k) {
+  std::vector<sp::sta::CanonicalDelay> arrival(nl.size());
+  for (sp::netlist::GateId g = 0; g < nl.size(); ++g)
+    arrival[g] = d.at(g).load(k);
+  try {
+    (void)sp::sta::fold_ssta(nl, arrival);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "fold_ssta did not throw";
+}
+
+// Poisons lane `bad` of every real gate at `level` with `poison`, then
+// holds fold_ssta_lanes to fold_ssta's exception on that lane.
+void expect_fold_throws_like_scalar(
+    const sp::netlist::Netlist& nl, std::size_t lanes, std::size_t bad,
+    std::size_t level, void (*poison)(sp::sta::CanonicalDelay&)) {
+  const auto spec = VariationSpec::inter_intra(0.020, 0.010, 0.5);
+  auto d = lane_delays(nl, sweep_grid(nl, lanes), spec);
+  const auto lvl = nl.levels();
+  for (sp::netlist::GateId g = 0; g < nl.size(); ++g) {
+    if (nl.gate(g).is_pseudo() || lvl[g] != level) continue;
+    sp::sta::CanonicalDelay c = d.at(g).load(bad);
+    poison(c);
+    d.at(g).store(bad, c);
+  }
+  const std::string want = scalar_fold_error(nl, d, bad);
+  ASSERT_NE(want, "fold_ssta did not throw");
+  sp::sta::LevelSchedule schedule(nl, lanes);
+  sp::sta::CanonicalLaneArrays out(1, lanes);
+  try {
+    sp::sta::fold_ssta_lanes(schedule, d, out.at(0));
+    ADD_FAILURE() << "fold_ssta_lanes did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), want);
+  }
+}
+
+}  // namespace
+
+TEST(SizeLanes, WideFaninFoldMatchesAnalyzeSstaBitwise) {
+  // Widths 1, 3, 8 and 17 over gates of up to 7 fanins: every gate value
+  // and every lane's fold equal the scalar references, bitwise.
+  const auto nl = wide_fanin_stage();
+  const auto m = model();
+  const auto spec = VariationSpec::inter_intra(0.020, 0.010, 0.5);
+  const auto check_fold = [&](auto& lanes,
+                              const std::vector<std::vector<double>>& grid) {
+    expect_lanes_match_scalar(lanes, nl, grid, spec, 2.0);
+    lanes.evaluate();
+    sp::sta::CanonicalLaneArrays res(1, grid.size());
+    lanes.fold_ssta(res.at(0));
+    for (std::size_t k = 0; k < grid.size(); ++k) {
+      SCOPED_TRACE("width " + std::to_string(grid.size()) + ", lane " +
+                   std::to_string(k));
+      const auto d = sp::sta::analyze_ssta(with_sizes(nl, grid[k]), m, spec);
+      const auto got = res.at(0).load(k);
+      EXPECT_EQ(got.mu, d.mu);
+      EXPECT_EQ(got.b_inter, d.b_inter);
+      EXPECT_EQ(got.sigma_ind, d.sigma_ind);
+      EXPECT_EQ(got.b_sys, d.b_sys);
+    }
+  };
+  sp::sta::SizeLanes<1> one(nl, m, spec, 2.0, 0.0);
+  check_fold(one, sweep_grid(nl, 1));
+  check_fold(one, sweep_grid(nl, 1, 3));
+  for (std::size_t width : {3, 8, 17}) {
+    sp::sta::SizeLanes<0> lanes(nl, m, spec, 2.0, 0.0, width);
+    check_fold(lanes, sweep_grid(nl, width));
+    check_fold(lanes, sweep_grid(nl, width, width));
+  }
+}
+
+TEST(CharacterizeGrid, WideFaninGridBitwiseEqualsScalarRuns) {
+  const auto nl = wide_fanin_stage();
+  const auto spec = VariationSpec::inter_intra(0.020, 0.010, 0.5);
+  for (std::size_t width : {1, 3, 8, 17})
+    expect_grid_matches_scalar(nl, sweep_grid(nl, width), spec);
+}
+
+TEST(LaneFold, NanSigmaThrowsClarkMaxsError) {
+  // A NaN sigma reaching a canonical max: the kernel flags the batch and
+  // the scalar replay throws clark_max's exception, in any lane and at
+  // any width.
+  const auto nl = wide_fanin_stage();
+  for (std::size_t lanes : {1, 3, 17})
+    for (std::size_t bad : {std::size_t{0}, lanes - 1})
+      for (std::size_t level : {1, 3}) {
+        SCOPED_TRACE("lanes " + std::to_string(lanes) + ", bad lane " +
+                     std::to_string(bad) + ", level " + std::to_string(level));
+        expect_fold_throws_like_scalar(
+            nl, lanes, bad, level,
+            [](sp::sta::CanonicalDelay& c) { c.sigma_ind = std::nan(""); });
+      }
+}
+
+TEST(LaneFold, NanCorrelationThrowsClarkMaxsError) {
+  // Infinite shared parts make the correlation inf/inf: clark_max's
+  // "|rho| > 1 or NaN" rejection, through the same replay.
+  const auto nl = wide_fanin_stage();
+  for (std::size_t lanes : {1, 8})
+    for (std::size_t bad : {std::size_t{0}, lanes - 1}) {
+      SCOPED_TRACE("lanes " + std::to_string(lanes) + ", bad lane " +
+                   std::to_string(bad));
+      expect_fold_throws_like_scalar(
+          nl, lanes, bad, 2, [](sp::sta::CanonicalDelay& c) {
+            c.b_inter = std::numeric_limits<double>::infinity();
+          });
+    }
+}
+
+TEST(LaneFold, NanSigmaOnTheOutputChainThrowsClarkMaxsError) {
+  // Poisoned output gates with one fanin each reach no gate's fanin max,
+  // only the output chain.
+  sp::netlist::Netlist nl("outputs");
+  const auto a = nl.add_input("a");
+  for (int i = 0; i < 5; ++i)
+    nl.mark_output(nl.add_gate("n" + std::to_string(i), GateKind::kNot, {a}));
+  for (std::size_t lanes : {1, 3})
+    expect_fold_throws_like_scalar(
+        nl, lanes, lanes - 1, 1,
+        [](sp::sta::CanonicalDelay& c) { c.sigma_ind = std::nan(""); });
 }
 
 // --------------------------------------------------------- characterization

@@ -270,87 +270,16 @@ TEST(Clark, RejectsBadInputs) {
                std::invalid_argument);
 }
 
-TEST(ClarkLanes, BitwiseMatchesScalarIncludingEdgeLanes) {
-  // One lane per regime the scalar operator distinguishes, including every
-  // degenerate route: zero-variance inputs and rho = ±1 pairs that collapse
-  // a = sd(X1 - X2) to zero.
-  const std::vector<sp::Gaussian> x1 = {
-      {100.0, 5.0},  // generic independent
-      {100.0, 4.0},  // rho = +1, equal sigma: degenerate, X1 wins on mean
-      {90.0, 4.0},   // rho = +1, equal sigma: degenerate, X2 wins on mean
-      {100.0, 5.0},  // rho = +1, unequal sigma: NOT degenerate
-      {100.0, 3.0},  // rho = -1: anticorrelated, a = s1 + s2
-      {100.0, 0.0},  // zero-variance vs zero-variance: degenerate
-      {100.0, 0.0},  // zero variance vs live variable
-      {100.0, 5.0},  // equal means, alpha = 0
-  };
-  const std::vector<sp::Gaussian> x2 = {
-      {102.0, 4.0}, {95.0, 4.0},  {95.0, 4.0}, {99.0, 2.0},
-      {101.0, 2.0}, {99.0, 0.0},  {98.0, 3.0}, {100.0, 7.0},
-  };
-  const std::vector<double> rho = {0.3, 1.0, 1.0, 1.0, -1.0, 0.0, 0.0, 0.0};
-  const std::size_t n = x1.size();
-
-  std::vector<double> mu1(n), s1(n), mu2(n), s2(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    mu1[k] = x1[k].mean;
-    s1[k] = x1[k].sigma;
-    mu2[k] = x2[k].mean;
-    s2[k] = x2[k].sigma;
-  }
-  std::vector<double> mean(n), sigma(n), alpha(n), a(n), phi(n);
-  sp::clark_max_lanes({mu1.data(), s1.data()}, {mu2.data(), s2.data()},
-                      rho.data(), n,
-                      {mean.data(), sigma.data(), alpha.data(), a.data(),
-                       phi.data()});
-
-  for (std::size_t k = 0; k < n; ++k) {
-    const auto scalar = sp::clark_max(x1[k], x2[k], rho[k]);
-    EXPECT_EQ(mean[k], scalar.max.mean) << "lane " << k;
-    EXPECT_EQ(sigma[k], scalar.max.sigma) << "lane " << k;
-    EXPECT_EQ(alpha[k], scalar.alpha) << "lane " << k;
-    EXPECT_EQ(a[k], scalar.a) << "lane " << k;
-    EXPECT_EQ(phi[k], scalar.phi_a) << "lane " << k;
-  }
-}
-
-TEST(ClarkLanes, RejectsInvalidLanesLikeScalar) {
-  double mu1[2] = {1.0, 2.0}, s1[2] = {1.0, 1.0};
-  double mu2[2] = {0.0, 0.0}, s2[2] = {1.0, 1.0};
-  double out_m[2], out_s[2], out_al[2], out_a[2], out_p[2];
-  const sp::ClarkLanes out{out_m, out_s, out_al, out_a, out_p};
-
-  double bad_rho[2] = {0.0, 1.5};
-  EXPECT_THROW(sp::clark_max_lanes({mu1, s1}, {mu2, s2}, bad_rho, 2, out),
-               std::invalid_argument);
-  double ok_rho[2] = {0.0, 0.0};
-  double bad_s[2] = {1.0, -0.5};
-  EXPECT_THROW(sp::clark_max_lanes({mu1, bad_s}, {mu2, s2}, ok_rho, 2, out),
-               std::invalid_argument);
-}
-
 TEST(Clark, RejectsNaNSigmaOrRho) {
-  // NaN fails the sigma >= 0 and |rho| <= 1 checks, scalar and lanes alike
-  // (the lane kernel has no control flow left to catch it).
+  // NaN fails the sigma >= 0 and |rho| <= 1 checks.  The lane kernel flags
+  // the same lanes and the fold replays them through the scalar operator
+  // (test_sta's LaneFold.* cases).
   const double nan = std::nan("");
   EXPECT_THROW(sp::clark_max({0.0, nan}, {0.0, 1.0}, 0.0),
                std::invalid_argument);
   EXPECT_THROW(sp::clark_max({0.0, 1.0}, {0.0, nan}, 0.0),
                std::invalid_argument);
   EXPECT_THROW(sp::clark_max({0.0, 1.0}, {0.0, 1.0}, nan),
-               std::invalid_argument);
-  double mu1[2] = {1.0, 2.0}, s1[2] = {1.0, 1.0};
-  double mu2[2] = {0.0, 0.0}, s2[2] = {1.0, 1.0};
-  double out_m[2], out_s[2], out_al[2], out_a[2], out_p[2];
-  const sp::ClarkLanes out{out_m, out_s, out_al, out_a, out_p};
-  double nan_rho[2] = {0.0, nan};
-  EXPECT_THROW(sp::clark_max_lanes({mu1, s1}, {mu2, s2}, nan_rho, 2, out),
-               std::invalid_argument);
-  double ok_rho[2] = {0.0, 0.0};
-  double nan_s[2] = {1.0, nan};
-  EXPECT_THROW(sp::clark_max_lanes({mu1, nan_s}, {mu2, s2}, ok_rho, 2, out),
-               std::invalid_argument);
-  EXPECT_THROW(sp::clark_max_lanes({mu1, s1}, {mu2, nan_s}, ok_rho, 2, out),
                std::invalid_argument);
 }
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Checks that the Clark and walk lane kernels stay vectorized on x86.
+"""Checks that the canonical-max and walk lane kernels stay vectorized on x86.
 
     python3 tools/check_kernels.py build/libstatpipe.a
 
@@ -7,7 +7,7 @@ Disassembles the library (objdump -dr) and finds, for the sse42, avx2 and
 avx512 backends (stats/simd_<backend>.cpp), the kernels under
 statpipe::stats::simd::<backend>::
 
-  * clark_max_lanes;
+  * canonical_max_lanes, the canonical max under the lane SSTA fold;
   * sta_block_walk_w<kW> for kW in 0 (run-time width), 1 and each power of
     two from 8 to the backend's max_width (16 sse42, 32 avx2, 64 avx512):
     the block walk's width instantiations;
@@ -19,9 +19,9 @@ Each kernel and walk instantiation must
     an out-of-line lane helper, memset) is opaque to gcc's vectorizer, so
     the lane loop around it stays scalar; a tail call (a jmp with a PLT
     relocation) counts as a call;
-  * contain a packed divide (divpd / vdivpd): the Clark loop divides twice
-    per lane, the walk's domain check and pow core once each, so a
-    vectorized body has one.  The one-lane walk (kW = 1) is scalar by
+  * contain a packed divide (divpd / vdivpd): the canonical-max loop
+    divides four times per lane, the walk's domain check and pow core once
+    each, so a vectorized body has one.  The one-lane walk (kW = 1) is scalar by
     construction and is exempt.
 
 A walk instantiation wider than the backend's max_width is a finding: no
@@ -41,7 +41,7 @@ import subprocess
 import sys
 
 BACKENDS = ("sse42", "avx2", "avx512")
-CLARK = "clark_max_lanes"
+CMAX = "canonical_max_lanes"
 WALK = "sta_block_walk"
 # Each backend's walk widths: 0, 1 and the powers of two up to its
 # max_width (STATPIPE_SIMD_MAX_WIDTH in src/stats/simd_<backend>.cpp).
@@ -126,7 +126,7 @@ def check(text):
     found = kernels(functions(text))
     findings = []
     for backend in BACKENDS:
-        expected = [(CLARK, None, f"{backend}::{CLARK}", True)]
+        expected = [(CMAX, None, f"{backend}::{CMAX}", True)]
         expected += [(f"{WALK}_w", w, f"{backend}::{WALK}_w<{w}>",
                       w not in SCALAR_WIDTHS) for w in WALK_WIDTHS[backend]]
         for kernel, width, where, need_divide in expected:
@@ -166,7 +166,7 @@ def main(argv):
     if not findings:
         widths = "; ".join(f"{b} " + ", ".join(str(w) for w in ws)
                            for b, ws in WALK_WIDTHS.items())
-        print(f"check_kernels: {CLARK} and {WALK} (widths {widths}) "
+        print(f"check_kernels: {CMAX} and {WALK} (widths {widths}) "
               "vectorized with no calls")
     return 1 if findings else 0
 

@@ -23,14 +23,13 @@ sys.path.insert(0, str(HERE))
 sys.dont_write_bytecode = True
 import check_kernels  # noqa: E402
 
-SIG = ("(double const*, double const*, double const*, double const*, "
-       "double const*, unsigned long, double*, double*, double*, double*, "
-       "double*)")
+CMAX_SIG = ("(double*, double*, double*, double*, double const*, "
+            "double const*, double const*, double const*, unsigned long)")
 WALK_SIG = "(statpipe::stats::simd::StaWalkArgs const&)"
 
 
-def clark_name(backend):
-    return f"statpipe::stats::simd::{backend}::clark_max_lanes{SIG}"
+def cmax_name(backend):
+    return f"statpipe::stats::simd::{backend}::canonical_max_lanes{CMAX_SIG}"
 
 
 def walk_name(backend, width=None):
@@ -62,13 +61,13 @@ def dispatch(backend):
 
 def library(**bodies):
     """Disassembly of every checked function; bodies[key] overrides one
-    (None drops it).  Keys: "<backend>" for the Clark kernel,
+    (None drops it).  Keys: "<backend>" for the canonical-max kernel,
     "<backend>_walk" for the dispatch, "<backend>_w<N>" for a width."""
     text = "\nlibstatpipe.a(simd_avx2.cpp.o):     file format elf64-x86-64\n\n"
     text += "Disassembly of section .text:\n\n"
     keys = set()
     for backend in check_kernels.BACKENDS:
-        funcs = [(backend, clark_name(backend), VECTOR),
+        funcs = [(backend, cmax_name(backend), VECTOR),
                  (f"{backend}_walk", walk_name(backend), dispatch(backend))]
         for w in check_kernels.WALK_WIDTHS[backend]:
             funcs.append((f"{backend}_w{w}", walk_name(backend, w),
@@ -88,15 +87,15 @@ class CheckKernelsTest(unittest.TestCase):
 
     def test_libm_call_is_reported_with_its_callee(self):
         body = VECTOR[:2] + [
-            "call   16a <" + clark_name("avx2") + "+0x16a>",
+            "call   16a <" + cmax_name("avx2") + "+0x16a>",
             "\t\t\t166: R_X86_64_PLT32\terfc-0x4"] + VECTOR[2:]
         findings = check_kernels.check(library(avx2=body))
-        self.assertEqual(findings, ["avx2::clark_max_lanes: calls erfc"])
+        self.assertEqual(findings, ["avx2::canonical_max_lanes: calls erfc"])
 
     def test_tail_call_counts_as_a_call(self):
         body = VECTOR[:-1] + ["jmp    0 <exp>", "\t\t\t9a: R_X86_64_PLT32\texp-0x4"]
         findings = check_kernels.check(library(avx512=body))
-        self.assertEqual(findings, ["avx512::clark_max_lanes: calls exp"])
+        self.assertEqual(findings, ["avx512::canonical_max_lanes: calls exp"])
 
     def test_local_jump_is_not_a_call(self):
         body = ["jmp    940 <x+0x10>"] + VECTOR
@@ -105,19 +104,19 @@ class CheckKernelsTest(unittest.TestCase):
     def test_scalar_only_divides_fail(self):
         findings = check_kernels.check(library(sse42=SCALAR))
         self.assertEqual(len(findings), 1)
-        self.assertIn("sse42::clark_max_lanes: no packed divide", findings[0])
+        self.assertIn("sse42::canonical_max_lanes: no packed divide", findings[0])
 
     def test_missing_symbol_fails(self):
         findings = check_kernels.check(library(avx512=None))
         self.assertEqual(findings,
-                         ["avx512::clark_max_lanes: symbol not found"])
+                         ["avx512::canonical_max_lanes: symbol not found"])
 
     def test_cold_clone_is_checked_with_the_function(self):
-        cold = (f"0000000000001000 <{clark_name('avx2')} [clone .cold]>:\n"
+        cold = (f"0000000000001000 <{cmax_name('avx2')} [clone .cold]>:\n"
                 "    1000:\tcall   1005 <y>\n"
                 "\t\t\t1001: R_X86_64_PLT32\tsqrt-0x4\n\n")
         findings = check_kernels.check(library() + cold)
-        self.assertEqual(findings, ["avx2::clark_max_lanes: calls sqrt"])
+        self.assertEqual(findings, ["avx2::canonical_max_lanes: calls sqrt"])
 
     def test_walk_calling_an_out_of_line_helper_is_reported(self):
         helper = ("statpipe::stats::simd::avx2::variation_factor_lanes"
